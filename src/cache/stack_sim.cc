@@ -16,9 +16,6 @@ namespace uatm {
 
 namespace {
 
-/** References pulled per fillBatch call in runStackSim. */
-constexpr std::size_t kBatchRefs = 2048;
-
 bool
 isPow2(std::uint64_t v)
 {
@@ -373,26 +370,15 @@ runStackSim(const GeometryGrid &grid, TraceSource &source,
     // Same switch point as runCacheSim.
     sim.setColdTracking(refs <= (1u << 22));
 
-    MemoryReference buffer[kBatchRefs];
-    bool exhausted = false;
-    std::uint64_t consumed = 0;
-    const auto pump = [&](std::uint64_t until) {
-        while (!exhausted && consumed < until) {
-            const auto want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(kBatchRefs,
-                                        until - consumed));
-            const std::size_t got =
-                source.fillBatch(buffer, want);
-            sim.accessBatch(buffer, got);
-            consumed += got;
-            exhausted = got < want;
-        }
+    BatchPump pump(source);
+    const auto access = [&](const MemoryReference *batch,
+                            std::size_t count) {
+        sim.accessBatch(batch, count);
     };
-
-    pump(warmup_refs);
+    pump.pumpTo(warmup_refs, access);
     // Measure only the post-warmup window.
     const GeometryHitSurface warm = sim.surface();
-    pump(refs);
+    pump.pumpTo(refs, access);
     return sim.surface().minus(warm);
 }
 

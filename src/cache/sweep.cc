@@ -69,20 +69,16 @@ runCacheSim(const CacheConfig &config, TraceSource &source,
     // Long runs don't need the cold-miss hash set.
     cache.setColdTracking(refs <= (1u << 22));
 
-    for (std::uint64_t i = 0; i < warmup_refs; ++i) {
-        auto ref = source.next();
-        if (!ref)
-            break;
-        cache.access(*ref);
-    }
+    BatchPump pump(source);
+    const auto access = [&](const MemoryReference *batch,
+                            std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i)
+            cache.access(batch[i]);
+    };
+    pump.pumpTo(warmup_refs, access);
     // Measure only the post-warmup window.
     const CacheStats warm = cache.stats();
-    for (std::uint64_t i = warmup_refs; i < refs; ++i) {
-        auto ref = source.next();
-        if (!ref)
-            break;
-        cache.access(*ref);
-    }
+    pump.pumpTo(refs, access);
 
     CacheStats measured = cache.stats();
     measured.accesses -= warm.accesses;

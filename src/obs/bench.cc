@@ -19,9 +19,52 @@
 #include "obs/manifest.hh"
 #include "util/logging.hh"
 
+#ifndef UATM_BUILD_TYPE
+#define UATM_BUILD_TYPE ""
+#endif
+
 namespace uatm::obs {
 
 namespace {
+
+/** The CMake build type this harness was compiled in. */
+const char *
+buildType()
+{
+    return UATM_BUILD_TYPE[0] != '\0' ? UATM_BUILD_TYPE : "unknown";
+}
+
+/** Compiler family and version. */
+const char *
+compilerId()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/** The first "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const auto start = line.find_first_not_of(" \t", colon + 1);
+        if (start != std::string::npos)
+            return line.substr(start);
+        break;
+    }
+    return "unknown";
+}
 
 /** Median of @p samples (sorted in place; empty -> 0). */
 double
@@ -269,6 +312,9 @@ BenchSuite::toJson() const
     w.keyValue("git_describe", Manifest::gitDescribe());
     w.keyValue("host_cores",
                std::thread::hardware_concurrency());
+    w.keyValue("build_type", buildType());
+    w.keyValue("compiler", compilerId());
+    w.keyValue("cpu_model", cpuModel());
     w.key("benchmarks").beginArray();
     for (const auto &result : results_) {
         w.beginObject();
@@ -643,6 +689,23 @@ loadBenchFile(const std::string &path, JsonValue &out,
         return false;
     }
     out = std::move(parsed.value);
+    return true;
+}
+
+bool
+perfSameBuild(const JsonValue &before, const JsonValue &after,
+              std::string &error)
+{
+    // As with host_cores, only fields both sides recorded count.
+    for (const char *field : {"build_type", "compiler"}) {
+        const std::string b = before.stringOr(field, "");
+        const std::string a = after.stringOr(field, "");
+        if (!b.empty() && !a.empty() && b != a) {
+            error = std::string(field) + " differs: before='" + b +
+                    "' after='" + a + "'";
+            return false;
+        }
+    }
     return true;
 }
 

@@ -367,6 +367,16 @@ bool loadBenchFile(const std::string &path, JsonValue &out,
                    std::string &error);
 
 /**
+ * True when two BENCH_*.json documents come from the same build:
+ * the same build_type and compiler (when both recorded one).  A
+ * Debug and a Release build, or two compilers, time different
+ * machine code, so perf_diff refuses to gate across them and no
+ * flag overrides that.  On mismatch @p error names the field.
+ */
+bool perfSameBuild(const JsonValue &before, const JsonValue &after,
+                   std::string &error);
+
+/**
  * True when two BENCH_*.json documents were measured on
  * comparable configurations: same host core count (when both
  * recorded one) and, for every benchmark present in both, the

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/lru_stack.hh"
 #include "trace/source.hh"
 #include "util/random.hh"
 
@@ -207,13 +208,15 @@ class WorkingSetGenerator : public TraceSource
     Config config_;
     Rng rng_;
     Rng initialRng_;
-    std::vector<Addr> stack_;  ///< most recent block at index 0
+    /** Always holds exactly stackDepth blocks once seeded. */
+    LruStack stack_;
+    StackDistanceSampler reuseDepth_;
+    std::uint64_t wordsPerBlock_;
     Addr nextFresh_;           ///< bump allocator for new blocks
     Addr lastNew_ = 0;
 
     void seedStack();
     Addr takeNewBlock();
-    void touch(Addr block);
 };
 
 /**

@@ -104,34 +104,23 @@ ReuseProfile::measure(TraceSource &source, std::uint64_t refs,
     ReuseProfile profile;
     profile.weights.assign(max_depth, 0.0);
 
-    std::vector<Addr> stack;
-    std::uint64_t seen = 0;
-    for (; seen < refs; ++seen) {
-        const auto ref = source.next();
-        if (!ref)
-            break;
-        const Addr line = ref->addr / line_bytes;
-        const auto it =
-            std::find(stack.begin(), stack.end(), line);
-        if (it == stack.end()) {
-            profile.coldWeight += 1.0;
-            stack.insert(stack.begin(), line);
-        } else {
-            const auto distance = static_cast<std::size_t>(
-                it - stack.begin());
+    // Lines deeper than the profile can describe fold into cold
+    // anyway, so the stack (and each lookup) stays bounded by
+    // max_depth.
+    LruStack stack(max_depth);
+    BatchPump pump(source);
+    pump.pumpTo(refs, [&](const MemoryReference *batch,
+                          std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t distance =
+                stack.touch(batch[i].addr / line_bytes);
             if (distance < max_depth)
                 profile.weights[distance] += 1.0;
             else
                 profile.coldWeight += 1.0;
-            stack.erase(it);
-            stack.insert(stack.begin(), line);
         }
-        // Lines deeper than the profile can describe fold into
-        // cold anyway; keep the stack (and the scan) bounded.
-        if (stack.size() > max_depth)
-            stack.pop_back();
-    }
-    if (seen == 0)
+    });
+    if (pump.consumed() == 0)
         return Status::invalidArgument(
             "source produced no references to measure");
     profile.normalize();
@@ -192,12 +181,25 @@ ReuseProfile::fromJsonText(std::string_view text)
     return profile;
 }
 
+namespace {
+
+/** The profile's depth, once validate() passes (StatusError
+ *  otherwise): the stack is sized from it. */
+std::size_t
+validatedDepth(const ReuseProfile &profile)
+{
+    okOrThrow(profile.validate());
+    return profile.depth();
+}
+
+} // namespace
+
 ReuseDistanceWorkload::ReuseDistanceWorkload(const Config &config,
                                              Rng rng)
     : config_(config), rng_(rng), initialRng_(rng),
+      stack_(validatedDepth(config.profile)),
       nextFreshLine_(config.base / config.lineBytes)
 {
-    okOrThrow(config_.profile.validate());
     UATM_ASSERT(config_.lineBytes != 0 &&
                     (config_.lineBytes &
                      (config_.lineBytes - 1)) == 0,
@@ -218,13 +220,6 @@ ReuseDistanceWorkload::ReuseDistanceWorkload(const Config &config,
         sum += w;
         cdf_.push_back(sum);
     }
-    stack_.reserve(config_.profile.weights.size());
-}
-
-std::uint64_t
-ReuseDistanceWorkload::takeLine()
-{
-    return nextFreshLine_++;
 }
 
 std::optional<MemoryReference>
@@ -238,17 +233,13 @@ ReuseDistanceWorkload::next()
     std::uint64_t line;
     if (slot == 0 || slot - 1 >= stack_.size()) {
         // Cold draw, or a reuse deeper than the stack currently
-        // holds (only possible during warmup): a fresh line.
-        line = takeLine();
+        // holds (only possible during warmup): a fresh line, which
+        // is never on the stack.
+        line = nextFreshLine_++;
+        stack_.push(line);
     } else {
-        const std::size_t distance = slot - 1;
-        line = stack_[distance];
-        stack_.erase(stack_.begin() +
-                     static_cast<std::ptrdiff_t>(distance));
+        line = stack_.promote(slot - 1);
     }
-    stack_.insert(stack_.begin(), line);
-    if (stack_.size() > config_.profile.weights.size())
-        stack_.pop_back();
 
     const std::uint32_t slots =
         config_.lineBytes / config_.accessSize;

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "trace/generators.hh"
+#include "trace/lru_stack.hh"
 #include "trace/source.hh"
 #include "util/random.hh"
 #include "util/status.hh"
@@ -114,10 +115,8 @@ class ReuseDistanceWorkload : public TraceSource
     Rng rng_;
     Rng initialRng_;
     std::vector<double> cdf_; ///< [cold, w0, w0+w1, ...]
-    std::vector<Addr> stack_; ///< MRU line number at index 0
+    LruStack stack_;          ///< line numbers, MRU at depth 0
     std::uint64_t nextFreshLine_;
-
-    std::uint64_t takeLine();
 };
 
 } // namespace uatm

@@ -30,12 +30,10 @@ TraceSource::drain(std::size_t max_refs)
 {
     std::vector<MemoryReference> out;
     out.reserve(max_refs);
-    while (out.size() < max_refs) {
-        auto ref = next();
-        if (!ref)
-            break;
-        out.push_back(*ref);
-    }
+    BatchPump(*this).pumpTo(
+        max_refs, [&](const MemoryReference *refs, std::size_t n) {
+            out.insert(out.end(), refs, refs + n);
+        });
     return out;
 }
 

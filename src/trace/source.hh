@@ -10,6 +10,7 @@
 #ifndef UATM_TRACE_SOURCE_HH
 #define UATM_TRACE_SOURCE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -67,6 +68,51 @@ class TraceSource
      * tests and for capturing a generator's output to disk.
      */
     std::vector<MemoryReference> drain(std::size_t max_refs);
+};
+
+/**
+ * Feeds a consumer from a source in fillBatch-sized chunks, the
+ * one pull loop every bulk consumer shares.  pumpTo(until, consume)
+ * pulls until @p until references have been consumed in total or
+ * the source runs out, handing each chunk to consume(refs, count)
+ * in stream order.  It never pulls past @p until, and once a
+ * fillBatch call comes back short the pump stays exhausted and
+ * never asks the source again: exactly the references, and the
+ * source state, of a next() loop that stops at nullopt.
+ */
+class BatchPump
+{
+  public:
+    /** References pulled per fillBatch call. */
+    static constexpr std::size_t kBatchRefs = 2048;
+
+    /** @param source borrowed; must outlive the pump. */
+    explicit BatchPump(TraceSource &source) : source_(source) {}
+
+    template <typename Consume>
+    void pumpTo(std::uint64_t until, Consume &&consume)
+    {
+        while (!exhausted_ && consumed_ < until) {
+            const auto want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(kBatchRefs,
+                                        until - consumed_));
+            const std::size_t got =
+                source_.fillBatch(buffer_, want);
+            consume(static_cast<const MemoryReference *>(buffer_),
+                    got);
+            consumed_ += got;
+            exhausted_ = got < want;
+        }
+    }
+
+    /** References handed to consumers so far. */
+    std::uint64_t consumed() const { return consumed_; }
+
+  private:
+    TraceSource &source_;
+    MemoryReference buffer_[kBatchRefs];
+    std::uint64_t consumed_ = 0;
+    bool exhausted_ = false;
 };
 
 /**

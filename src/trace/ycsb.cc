@@ -5,8 +5,12 @@
 
 #include "trace/ycsb.hh"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <mutex>
 
 #include "util/logging.hh"
 
@@ -24,6 +28,49 @@ zetaSum(std::uint64_t n, double theta)
     return sum;
 }
 
+/**
+ * zetaSum() memoized process-wide.  The sum is a pure function of
+ * (n, theta), so a remembered value is bit-identical to a fresh
+ * one; the memo only skips the O(n) loop when a process builds the
+ * same keyspace again (runner shards and served points each build
+ * their own source).  A handful of entries, replaced oldest first,
+ * bounds its memory; the sum itself runs outside the lock.
+ */
+double
+memoZetaSum(std::uint64_t n, double theta)
+{
+    struct Entry
+    {
+        std::uint64_t n = 0;
+        std::uint64_t thetaBits = 0;
+        double zeta = 0.0;
+    };
+    static constexpr std::size_t kEntries = 8;
+    static std::mutex mutex;
+    static std::array<Entry, kEntries> memo;
+    static std::size_t used = 0;
+
+    const auto bits = std::bit_cast<std::uint64_t>(theta);
+    // Call with the mutex held.
+    const auto lookup = [&]() -> const Entry * {
+        for (std::size_t i = 0; i < std::min(used, kEntries); ++i) {
+            if (memo[i].n == n && memo[i].thetaBits == bits)
+                return &memo[i];
+        }
+        return nullptr;
+    };
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (const Entry *hit = lookup())
+            return hit->zeta;
+    }
+    const double zeta = zetaSum(n, theta);
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!lookup())
+        memo[used++ % kEntries] = Entry{n, bits, zeta};
+    return zeta;
+}
+
 /** FNV-1a over the 8 bytes of @p key, to scatter zipfian ranks. */
 std::uint64_t
 fnv64(std::uint64_t key)
@@ -39,7 +86,10 @@ fnv64(std::uint64_t key)
 } // namespace
 
 ZipfianSampler::ZipfianSampler(std::uint64_t items, double theta)
-    : items_(items), theta_(theta), zetan_(zetaSum(items, theta))
+    : items_(items), theta_(theta),
+      zetan_(memoZetaSum(items, theta)),
+      rankOneBound_(1.0 + std::pow(0.5, theta)),
+      alpha_(1.0 / (1.0 - theta))
 {
     UATM_ASSERT(items_ > 0, "zipfian sampler needs >= 1 item");
     UATM_ASSERT(theta_ >= 0.0 && theta_ < 1.0,
@@ -68,12 +118,11 @@ ZipfianSampler::next(Rng &rng) const
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rankOneBound_)
         return 1;
-    const double alpha = 1.0 / (1.0 - theta_);
     const double n = static_cast<double>(items_);
     const auto rank = static_cast<std::uint64_t>(
-        n * std::pow(eta_ * u - eta_ + 1.0, alpha));
+        n * std::pow(eta_ * u - eta_ + 1.0, alpha_));
     return rank >= items_ ? items_ - 1 : rank;
 }
 

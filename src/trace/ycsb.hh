@@ -36,8 +36,9 @@ namespace uatm {
 /**
  * Zipfian rank sampler over [0, items): P(r) proportional to
  * 1/(r+1)^theta, theta in [0, 1).  Construction is O(items) (the
- * zeta sum); sampling is O(1); grow() extends the domain by one
- * item in O(1).
+ * zeta sum, memoized per process for a few recent (items, theta)
+ * pairs); sampling is O(1); grow() extends the domain by one item
+ * in O(1).
  */
 class ZipfianSampler
 {
@@ -57,6 +58,8 @@ class ZipfianSampler
     double theta_;
     double zetan_;  ///< zeta(items, theta)
     double eta_;
+    double rankOneBound_; ///< 1 + 0.5^theta: uz below it is rank 1
+    double alpha_;        ///< 1 / (1 - theta)
 
     void refresh();
 };

@@ -23,12 +23,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,80 +30,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    UATM_ASSERT(bound > 0, "nextBelow requires a positive bound");
-    // Lemire's nearly-divisionless unbiased method.
-    std::uint64_t x = (*this)();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = (*this)();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t
-Rng::nextInRange(std::int64_t lo, std::int64_t hi)
-{
-    UATM_ASSERT(lo <= hi, "nextInRange requires lo <= hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    // span == 0 means the full 64-bit range.
-    if (span == 0)
-        return static_cast<std::int64_t>((*this)());
-    return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high-quality bits into [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
-std::size_t
-Rng::nextStackDistance(std::size_t n, double decay)
-{
-    UATM_ASSERT(n > 0, "stack distance needs a non-empty stack");
-    UATM_ASSERT(decay > 0.0 && decay < 1.0,
-                "decay must lie strictly inside (0, 1)");
-    // Inverse-CDF sample of the truncated geometric distribution:
-    // P(i) ~ decay^i for i in [0, n).
-    const double total = 1.0 - std::pow(decay, static_cast<double>(n));
-    const double u = nextDouble() * total;
-    const double raw = std::log(1.0 - u) / std::log(decay);
-    auto idx = static_cast<std::size_t>(raw);
-    return idx >= n ? n - 1 : idx;
 }
 
 std::size_t
@@ -137,6 +57,19 @@ Rng::fork()
     // Derive the child seed from fresh output; the SplitMix64
     // expansion in the constructor decorrelates the streams.
     return Rng((*this)());
+}
+
+StackDistanceSampler::StackDistanceSampler(std::size_t n,
+                                           double decay)
+    : n_(n)
+{
+    UATM_ASSERT(n > 0, "stack distance needs a non-empty stack");
+    UATM_ASSERT(decay > 0.0 && decay < 1.0,
+                "decay must lie strictly inside (0, 1)");
+    // Inverse-CDF sample of the truncated geometric distribution
+    // P(i) ~ decay^i for i in [0, n): only u varies per draw.
+    total_ = 1.0 - std::pow(decay, static_cast<double>(n));
+    logDecay_ = std::log(decay);
 }
 
 } // namespace uatm

@@ -1492,6 +1492,50 @@ TEST(PerfDiff, RefusesMismatchedBenchmarkThreads)
     EXPECT_NE(error.find("sweep/t4"), std::string::npos);
 }
 
+TEST(PerfDiff, RefusesMismatchedBuilds)
+{
+    const auto release = obs::parseJson(
+        "{\"build_type\": \"Release\", \"compiler\": \"gcc 12.2.0\", "
+        "\"benchmarks\": []}");
+    const auto debug = obs::parseJson(
+        "{\"build_type\": \"Debug\", \"compiler\": \"gcc 12.2.0\", "
+        "\"benchmarks\": []}");
+    const auto clang = obs::parseJson(
+        "{\"build_type\": \"Release\", \"compiler\": \"clang 17\", "
+        "\"benchmarks\": []}");
+    const auto bare = obs::parseJson("{\"benchmarks\": []}");
+    ASSERT_TRUE(release.ok && debug.ok && clang.ok && bare.ok);
+    std::string error;
+    EXPECT_FALSE(
+        obs::perfSameBuild(release.value, debug.value, error));
+    EXPECT_NE(error.find("build_type"), std::string::npos);
+    EXPECT_FALSE(
+        obs::perfSameBuild(release.value, clang.value, error));
+    EXPECT_NE(error.find("compiler"), std::string::npos);
+    EXPECT_TRUE(
+        obs::perfSameBuild(release.value, release.value, error));
+    // Records from before the fields existed stay comparable.
+    EXPECT_TRUE(obs::perfSameBuild(release.value, bare.value, error));
+}
+
+TEST(BenchSuite, JsonRecordsBuildCompilerAndCpu)
+{
+    obs::BenchSuite suite("build_meta");
+    suite.add("noop", [](obs::BenchState &state) {
+        state.setItems(1);
+    });
+    obs::BenchSuite::RunOptions options;
+    options.reps = 1;
+    options.writeJson = false;
+    suite.run(options);
+
+    const auto parsed = obs::parseJson(suite.toJson());
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    for (const char *field : {"build_type", "compiler", "cpu_model"})
+        EXPECT_FALSE(parsed.value.stringOr(field, "").empty())
+            << field;
+}
+
 TEST(BenchSuite, JsonRecordsHostCoresAndThreads)
 {
     obs::BenchSuite suite("threads_meta");

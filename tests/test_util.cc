@@ -100,9 +100,10 @@ TEST(Rng, NextBoolMatchesProbability)
 TEST(Rng, StackDistanceFavoursTop)
 {
     Rng rng(13);
+    const StackDistanceSampler depth(16, 0.7);
     std::vector<int> counts(16, 0);
     for (int i = 0; i < 40000; ++i)
-        ++counts[rng.nextStackDistance(16, 0.7)];
+        ++counts[depth(rng)];
     // Geometric decay: index 0 strictly dominates index 4.
     EXPECT_GT(counts[0], counts[4]);
     EXPECT_GT(counts[1], counts[8]);
@@ -111,8 +112,9 @@ TEST(Rng, StackDistanceFavoursTop)
 TEST(Rng, StackDistanceWithinBound)
 {
     Rng rng(17);
+    const StackDistanceSampler depth(5, 0.99);
     for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(rng.nextStackDistance(5, 0.99), 5u);
+        EXPECT_LT(depth(rng), 5u);
 }
 
 TEST(Rng, WeightedRespectsWeights)

@@ -8,7 +8,9 @@
  *
  *   perf_diff [options] <before.json> <after.json>
  *
- *     --report-only    always exit 0 (CI log table, no gate)
+ *     --report-only    always exit 0 (CI log table, no gate),
+ *                      including when the records cannot be
+ *                      compared: the refusal is printed instead
  *     --sigmas=<s>     noise threshold in robust sigmas (default 4)
  *     --min-rel=<f>    relative change floor (default 0.10 = 10%)
  *     --no-drift-norm  gate on raw times instead of dividing the
@@ -37,11 +39,15 @@
  *                      relative threshold for --counter verdicts
  *                      (default 0.05 = 5%)
  *
+ * Records from different builds (build_type or compiler differ)
+ * are never compared; records from different parallel setups are
+ * compared only with --ignore-threads.
+ *
  * Exit status: 0 = no regressions, 1 = at least one benchmark
  * regressed or a required speedup not met, 2 = bad usage,
- * unreadable/unparsable input, or incomparable thread
- * configurations.  The exact CI invocation is documented in
- * docs/OBSERVABILITY.md.
+ * unreadable/unparsable input, or incomparable records (different
+ * builds or thread configurations) in a gating mode.  The exact
+ * CI invocation is documented in docs/OBSERVABILITY.md.
  */
 
 #include <cstdio>
@@ -235,20 +241,30 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // A refusal fails a gating run (exit 2) but is only a report
+    // under --report-only.
+    const auto refuse = [&](const char *hint) {
+        std::fprintf(stderr,
+                     "perf_diff: refusing to compare: %s\n  (%s)\n%s",
+                     error.c_str(), hint,
+                     report_only ? "  (report-only mode, not "
+                                   "failing)\n"
+                                 : "");
+        return report_only ? 0 : 2;
+    };
+    if (!obs::perfSameBuild(before, after, error)) {
+        return refuse("the two records time different builds; "
+                      "rebuild both the same way");
+    }
     if (!obs::perfComparable(before, after, error)) {
-        if (ignore_threads) {
-            std::printf("perf_diff: warning: %s "
-                        "(--ignore-threads, comparing anyway)\n",
-                        error.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "perf_diff: refusing to compare: %s\n"
-                         "  (the two records measure different "
-                         "parallel setups; rerun on matching "
-                         "configs or pass --ignore-threads)\n",
-                         error.c_str());
-            return 2;
+        if (!ignore_threads) {
+            return refuse("the two records measure different "
+                          "parallel setups; rerun on matching "
+                          "configs or pass --ignore-threads");
         }
+        std::printf("perf_diff: warning: %s "
+                    "(--ignore-threads, comparing anyway)\n",
+                    error.c_str());
     }
 
     const std::vector<obs::PerfDelta> deltas =
