@@ -11,11 +11,10 @@
 
 #include <cstdio>
 
-#include "cache/sweep.hh"
 #include "common.hh"
 #include "core/equivalence.hh"
 #include "cpu/timing_engine.hh"
-#include "trace/generators.hh"
+#include "exp/scenarios.hh"
 
 using namespace uatm;
 
@@ -69,16 +68,20 @@ main()
                    "(measured size->HR curve)");
 
     // Measure this workload's own size -> hit ratio curve; the
-    // ShortLevyWorkload mix is calibrated to rise through the
-    // 4K-128K range like the curve of [14].
-    auto workload = ShortLevyWorkload::make(404);
+    // short-levy mix is calibrated to rise through the 4K-128K
+    // range like the curve of [14].
     CacheConfig base;
     base.assoc = 2;
     base.lineBytes = 32;
-    const std::vector<std::uint64_t> sizes = {
-        4096, 8192, 16384, 32768, 65536, 131072};
-    const auto sweep =
-        sweepCacheSize(base, *workload, sizes, 120000, 10000);
+    exp::GeometrySweep spec;
+    spec.base = base;
+    spec.workload = exp::WorkloadSpec::shortLevy(404);
+    spec.values = {4096, 8192, 16384, 32768, 65536, 131072};
+    spec.refs = 120000;
+    spec.warmupRefs = 10000;
+    exp::Runner runner;
+    std::vector<SweepPoint> sweep;
+    exp::runGeometrySweep(spec, runner, &sweep);
     TextTable curve({"size", "hit ratio"});
     std::vector<SizePoint> anchors;
     for (const auto &point : sweep) {
@@ -134,6 +137,7 @@ main()
     CpuConfig cpu;
     cpu.feature = StallFeature::FS;
 
+    const auto workload = okOrThrow(spec.workload.make());
     CacheConfig wide_cache = base;
     wide_cache.sizeBytes = 8 * 1024;
     TimingEngine wide_engine(wide_cache, wide_mem,

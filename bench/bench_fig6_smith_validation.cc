@@ -12,10 +12,9 @@
 
 #include <cstdio>
 
-#include "cache/sweep.hh"
 #include "common.hh"
+#include "exp/scenarios.hh"
 #include "linesize/line_tradeoff.hh"
-#include "trace/generators.hh"
 
 using namespace uatm;
 
@@ -138,14 +137,18 @@ main()
     // Simulator-driven panel: measure MR(L) with the cache model
     // on a SPEC92-like mix and repeat the validation.
     bench::section("simulator-measured MR(L), 16K 2-way");
-    auto workload = Spec92Profile::make("nasa7", 2026);
-    CacheConfig cache;
-    cache.sizeBytes = 16 * 1024;
-    cache.assoc = 2;
-    cache.lineBytes = 32;
-    const auto sweep = sweepLineSize(cache, *workload,
-                                     {8, 16, 32, 64, 128}, 120000,
-                                     10000);
+    exp::GeometrySweep spec;
+    spec.axis = exp::GeometrySweep::Axis::Line;
+    spec.base.sizeBytes = 16 * 1024;
+    spec.base.assoc = 2;
+    spec.base.lineBytes = 32;
+    spec.workload = exp::WorkloadSpec::spec92("nasa7", 2026);
+    spec.values = {8, 16, 32, 64, 128};
+    spec.refs = 120000;
+    spec.warmupRefs = 10000;
+    exp::Runner runner;
+    std::vector<SweepPoint> sweep;
+    exp::runGeometrySweep(spec, runner, &sweep);
     TextTable mr_table({"line", "miss ratio"});
     for (const auto &point : sweep)
         mr_table.addRow({std::to_string(point.value),

@@ -18,10 +18,10 @@
 #include <memory>
 
 #include "cache/cache.hh"
-#include "cache/sweep.hh"
 #include "common.hh"
 #include "core/equivalence.hh"
 #include "cpu/timing_engine.hh"
+#include "exp/scenarios.hh"
 #include "memory/write_buffer.hh"
 #include "obs/bench.hh"
 #include "trace/generators.hh"
@@ -118,17 +118,16 @@ registerCacheBenchmarks(obs::BenchSuite &suite)
     }
 
     suite.add("cache/sweep_size", [](obs::BenchState &state) {
-        const std::vector<std::uint64_t> sizes = {
-            4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024};
-        const std::uint64_t refs = 20000;
-        CacheConfig base;
-        base.assoc = 2;
-        base.lineBytes = 32;
-        WorkingSetGenerator source(WorkingSetGenerator::Config{},
-                                   Rng(11));
-        state.setItems(sizes.size() * refs);
-        auto points = sweepCacheSize(base, source, sizes, refs);
-        obs::doNotOptimize(points);
+        exp::GeometrySweep spec;
+        spec.base.assoc = 2;
+        spec.base.lineBytes = 32;
+        spec.workload = exp::WorkloadSpec::spec92("nasa7", 11);
+        spec.values = {4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024};
+        spec.refs = 20000;
+        exp::Runner runner;
+        state.setItems(spec.values.size() * spec.refs);
+        auto table = exp::runGeometrySweep(spec, runner);
+        obs::doNotOptimize(table);
     });
 }
 

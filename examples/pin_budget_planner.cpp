@@ -45,17 +45,17 @@ run(int argc, char **argv)
     const auto cli = examples::parseRunnerOptions(options);
 
     // 1. Measure the size -> hit-ratio curve for this workload,
-    //    one simulation per size, sharded by the runner.
-    CacheConfig base;
-    base.assoc = 2;
-    base.lineBytes = 32;
-    const std::vector<std::uint64_t> sizes = {
-        4096, 8192, 16384, 32768, 65536, 131072, 262144};
-    const auto refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
-    const auto sweep = exp::sweepCacheSizeParallel(
-        base, examples::parseWorkloadOptions(options), sizes,
-        refs, refs / 10, cli.threads);
+    //    sharded by the runner.
+    exp::GeometrySweep spec;
+    spec.base.assoc = 2;
+    spec.base.lineBytes = 32;
+    spec.workload = examples::parseWorkloadOptions(options);
+    spec.values = {4096, 8192, 16384, 32768, 65536, 131072, 262144};
+    spec.refs = static_cast<std::uint64_t>(options.getInt("refs"));
+    spec.warmupRefs = spec.refs / 10;
+    exp::Runner runner = cli.makeRunner();
+    std::vector<SweepPoint> sweep;
+    exp::runGeometrySweep(spec, runner, &sweep);
 
     std::vector<SizePoint> anchors;
     for (const auto &point : sweep) {

@@ -54,6 +54,27 @@ CacheStats::writeTransfers(std::uint32_t bus_width_bytes) const
            static_cast<double>(storesToMemory);
 }
 
+CacheStats
+CacheStats::since(const CacheStats &start) const
+{
+    CacheStats window = *this;
+    window.accesses -= start.accesses;
+    window.loads -= start.loads;
+    window.stores -= start.stores;
+    window.hits -= start.hits;
+    window.misses -= start.misses;
+    window.loadMisses -= start.loadMisses;
+    window.storeMisses -= start.storeMisses;
+    window.fills -= start.fills;
+    window.writebacks -= start.writebacks;
+    window.storesToMemory -= start.storesToMemory;
+    window.storesToMemoryBytes -= start.storesToMemoryBytes;
+    window.coldMisses -= start.coldMisses;
+    window.prefetchInserts -= start.prefetchInserts;
+    window.instructions -= start.instructions;
+    return window;
+}
+
 double
 CacheStats::flushRatio(std::uint32_t line_bytes) const
 {
@@ -83,10 +104,11 @@ CacheStats::format(std::uint32_t line_bytes) const
     return os.str();
 }
 
-// Drift guard: keep registerStats() (and format()) in sync with
-// the field list.  Adjust the count when adding counters.
+// Drift guard: keep registerStats(), since() (and format()) in
+// sync with the field list.  Adjust the count when adding counters.
 static_assert(sizeof(CacheStats) == 14 * sizeof(std::uint64_t),
-              "CacheStats changed: update registerStats()");
+              "CacheStats changed: update registerStats() and "
+              "since()");
 
 void
 CacheStats::registerStats(obs::StatRegistry &registry,

@@ -108,6 +108,13 @@ struct CacheStats
      */
     double writeTransfers(std::uint32_t bus_width_bytes) const;
 
+    /**
+     * The counts accumulated after @p start, an earlier snapshot
+     * of the same run: every counter minus its value there.  This
+     * is how a warmed run measures its post-warmup window.
+     */
+    CacheStats since(const CacheStats &start) const;
+
     /** Multi-line human-readable block. */
     std::string format(std::uint32_t line_bytes) const;
 

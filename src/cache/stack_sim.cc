@@ -151,27 +151,10 @@ GeometryHitSurface::minus(const GeometryHitSurface &warm) const
 {
     UATM_ASSERT(cells_.size() == warm.cells_.size(),
                 "surface subtraction over mismatched grids");
-    std::vector<CacheStats> cells = cells_;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CacheStats &w = warm.cells_[i];
-        CacheStats &m = cells[i];
-        // Same field list runCacheSim subtracts — note that it
-        // leaves storesToMemoryBytes (and prefetchInserts)
-        // cumulative, and bit-equality with the per-geometry path
-        // requires mirroring that.
-        m.accesses -= w.accesses;
-        m.loads -= w.loads;
-        m.stores -= w.stores;
-        m.hits -= w.hits;
-        m.misses -= w.misses;
-        m.loadMisses -= w.loadMisses;
-        m.storeMisses -= w.storeMisses;
-        m.fills -= w.fills;
-        m.writebacks -= w.writebacks;
-        m.storesToMemory -= w.storesToMemory;
-        m.coldMisses -= w.coldMisses;
-        m.instructions -= w.instructions;
-    }
+    std::vector<CacheStats> cells;
+    cells.reserve(cells_.size());
+    for (std::size_t i = 0; i < cells_.size(); ++i)
+        cells.push_back(cells_[i].since(warm.cells_[i]));
     return GeometryHitSurface(grid_, std::move(cells));
 }
 

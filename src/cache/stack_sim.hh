@@ -22,9 +22,9 @@
  * line is dirty fully describes all grid geometries.
  *
  * The engine's results are bit-equal to running SetAssocCache per
- * geometry (see tests/test_random_validation.cc); sweepCacheSize
- * and exp::runGeometrySweep dispatch to it when the base config
- * qualifies (stackSimIneligibleReason()).
+ * geometry (see tests/test_random_validation.cc);
+ * exp::runGeometrySweep, the one geometry-sweep driver, dispatches
+ * to it when the base config qualifies (stackSimIneligibleReason()).
  */
 
 #ifndef UATM_CACHE_STACK_SIM_HH
@@ -100,10 +100,8 @@ class GeometryHitSurface
     Expected<CacheStats> statsFor(const CacheConfig &config) const;
 
     /**
-     * The post-warmup window: this surface's counters minus
-     * @p warm's, field for field, mirroring runCacheSim's
-     * subtraction exactly (including its quirk of leaving
-     * storesToMemoryBytes cumulative).
+     * The post-warmup window: each cell's CacheStats::since its
+     * cell in @p warm, the same subtraction runCacheSim makes.
      */
     GeometryHitSurface minus(const GeometryHitSurface &warm) const;
 

@@ -1,18 +1,19 @@
 /**
  * @file
- * Convenience drivers: run a workload through a cache configuration
- * and sweep geometry parameters.  These produce the measured
- * hit-ratio curves that stand in for the paper's trace-driven
- * numbers (Short & Levy sizes in Example 1, Smith MR(L) in Fig. 6).
+ * Run a workload through one cache configuration (runCacheSim), and
+ * keep the process-wide tally of how geometry sweeps were priced.
+ * The sweeps themselves — the measured hit-ratio curves that stand
+ * in for the paper's trace-driven numbers (Short & Levy sizes in
+ * Example 1, Smith MR(L) in Fig. 6) — have one driver,
+ * exp::runGeometrySweep, which prices a point either from one
+ * stack-sim pass (cache/stack_sim) or with runCacheSim.
  */
 
 #ifndef UATM_CACHE_SWEEP_HH
 #define UATM_CACHE_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "trace/source.hh"
@@ -53,33 +54,6 @@ struct SweepPoint
 };
 
 /**
- * Hit ratio as a function of cache size, geometry otherwise fixed.
- * The source is reset before each run so every size sees the same
- * reference stream.
- *
- * When the base config qualifies (LRU + write-allocate, see
- * stackSimIneligibleReason), the whole sweep runs as ONE
- * stack-distance pass (cache/stack_sim) instead of one simulation
- * per size — bit-identical results, roughly one trace traversal.
- * A sweep that cannot take the fast path is never a silent
- * fallback: it logs the reason and bumps
- * sweepDispatchCounters().declined.
- */
-std::vector<SweepPoint>
-sweepCacheSize(const CacheConfig &base, TraceSource &source,
-               const std::vector<std::uint64_t> &sizes,
-               std::uint64_t refs, std::uint64_t warmup_refs = 0);
-
-/**
- * Miss ratio as a function of line size at fixed capacity — the
- * MR(L) input to the Smith line-size validation.
- */
-std::vector<SweepPoint>
-sweepLineSize(const CacheConfig &base, TraceSource &source,
-              const std::vector<std::uint32_t> &line_sizes,
-              std::uint64_t refs, std::uint64_t warmup_refs = 0);
-
-/**
  * Process-wide tally of how geometry sweeps were dispatched, so a
  * workload silently losing the single-pass engine is observable.
  * All three counters are cumulative; see resetSweepDispatchStats.
@@ -106,9 +80,9 @@ SweepDispatchCounters sweepDispatchCounters();
 /** Zero the global dispatch counters (tests, benchmarks). */
 void resetSweepDispatchStats();
 
-/** Internal: bump one counter (used by the exp layer's sweeps so
- *  both dispatch sites share one tally).  @p reason, when
- *  non-empty, is logged for declined sweeps. */
+/** Internal: bump one counter (exp::runGeometrySweep's dispatch
+ *  decision).  @p reason, when non-empty, is logged for declined
+ *  sweeps. */
 void noteSweepDispatch(bool fast_path, bool structural,
                        const std::string &reason);
 

@@ -5,7 +5,7 @@
 
 #include "exp/scenarios.hh"
 
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "cache/stack_sim.hh"
@@ -24,57 +24,76 @@ geometryAxisName(GeometrySweep::Axis axis)
     return axis == GeometrySweep::Axis::Size ? "size" : "line";
 }
 
-SweepPoint
-evalGeometryPoint(const Point &point, std::uint64_t value)
-{
-    auto source = okOrThrow(point.workload.make());
-    const auto run = runCacheSim(point.cache, *source, point.refs,
-                                 point.warmupRefs);
-    return SweepPoint{value, run.hitRatio(), run.missRatio(),
-                      run.flushRatio()};
-}
-
+/** The hit/miss/flush cells of one priced geometry. */
 std::vector<Cell>
-sweepPointCells(const SweepPoint &sample)
+ratioCells(const CacheRunResult &run)
 {
-    return {Cell::num(sample.hitRatio, kRatioPrecision),
-            Cell::num(sample.missRatio, kRatioPrecision),
-            Cell::num(sample.flushRatio, kRatioPrecision)};
+    return {Cell::num(run.hitRatio(), kRatioPrecision),
+            Cell::num(run.missRatio(), kRatioPrecision),
+            Cell::num(run.flushRatio(), kRatioPrecision)};
 }
 
-/** How runGeometrySweep decided to evaluate one sweep. */
-struct EnginePlan
+/**
+ * One stack-sim pass that prices every valid size of @p spec, or
+ * nullopt with @p reason naming why the sweep declines it.
+ */
+std::optional<GeometryHitSurface>
+stackSimSurface(const GeometrySweep &spec, std::string &reason)
 {
-    bool fast = false;
-    /** Per-point by design (line axis, forced engine), as opposed
-     *  to a declined fast path. */
-    bool structural = false;
-    std::string reason;
-};
+    if (const char *ineligible = stackSimIneligibleReason(spec.base)) {
+        reason = ineligible;
+        return std::nullopt;
+    }
+    auto source = spec.workload.make();
+    if (!source.ok()) {
+        // The per-point kernel reproduces the identical error row
+        // for every point, so decline rather than fail.
+        reason = "workload construction failed: " +
+                 source.status().message();
+        return std::nullopt;
+    }
+    GeometryGrid grid;
+    grid.lineBytes = spec.base.lineBytes;
+    grid.write = spec.base.write;
+    grid.writeMiss = spec.base.writeMiss;
+    for (std::uint64_t value : spec.values) {
+        CacheConfig config = spec.base;
+        config.sizeBytes = value;
+        if (config.validate().ok())
+            grid.addConfig(config);
+    }
+    if (grid.setCounts.empty()) {
+        reason = "no sweep value yields a valid geometry";
+        return std::nullopt;
+    }
+    return runStackSim(grid, *source.value(), spec.refs,
+                       spec.warmupRefs);
+}
 
-EnginePlan
-planGeometryEngine(const GeometrySweep &spec)
+/** One point's cells looked up in @p surface.  An invalid point
+ *  fails with the CacheConfig::validate() status the per-point
+ *  cache constructor raises. */
+Expected<std::vector<Cell>>
+lookUpGeometryPoint(const GeometryHitSurface &surface,
+                    const Point &point)
 {
-    EnginePlan plan;
-    if (spec.engine == GeometrySweep::Engine::PerPoint) {
-        plan.structural = true;
-        plan.reason = "engine forced to per-point";
-        return plan;
-    }
-    if (spec.axis == GeometrySweep::Axis::Line) {
-        plan.structural = true;
-        plan.reason = "the line axis varies the line size";
-        return plan;
-    }
-    if (const char *reason = stackSimIneligibleReason(spec.base)) {
-        plan.reason = reason;
-        return plan;
-    }
-    plan.fast = true;
-    return plan;
+    auto stats = surface.statsFor(point.cache);
+    if (!stats.ok())
+        return stats.status();
+    return ratioCells(CacheRunResult{point.cache, stats.value()});
 }
 
 } // namespace
+
+Expected<std::vector<Cell>>
+priceGeometryPoint(const Point &point)
+{
+    auto source = point.workload.make();
+    if (!source.ok())
+        return source.status();
+    return ratioCells(runCacheSim(point.cache, *source.value(),
+                                  point.refs, point.warmupRefs));
+}
 
 Scenario
 makeGeometryScenario(const GeometrySweep &spec)
@@ -116,121 +135,43 @@ runGeometrySweep(const GeometrySweep &spec, Runner &runner,
     Scenario scenario = makeGeometryScenario(spec);
     const std::string axis = geometryAxisName(spec.axis);
 
-    EnginePlan plan = planGeometryEngine(spec);
-    GeometryGrid grid;
-    std::unique_ptr<TraceSource> source;
-    if (plan.fast) {
-        auto made = spec.workload.make();
-        if (!made.ok()) {
-            // The per-point kernel reproduces the identical error
-            // row for every point, so decline rather than fail.
-            plan.fast = false;
-            plan.reason = "workload construction failed: " +
-                          made.status().message();
-        } else {
-            source = std::move(made).value();
-            grid.lineBytes = spec.base.lineBytes;
-            grid.write = spec.base.write;
-            grid.writeMiss = spec.base.writeMiss;
-            for (std::uint64_t value : spec.values) {
-                CacheConfig config = spec.base;
-                config.sizeBytes = value;
-                if (config.validate().ok())
-                    grid.addConfig(config);
-            }
-            if (grid.setCounts.empty()) {
-                plan.fast = false;
-                plan.reason = "no sweep value yields a valid "
-                              "geometry";
-            }
-        }
-    }
-    if (!plan.fast && spec.engine == GeometrySweep::Engine::StackSim)
-        throw StatusError(Status::invalidArgument(
-            "geometry sweep cannot use the stack-sim engine: ",
-            plan.reason));
-    noteSweepDispatch(plan.fast, plan.structural, plan.reason);
+    // The one dispatch decision.  The line axis (a new line size
+    // remaps every reference) and a forced per-point engine are
+    // per-point by design; any other sweep takes one stack-sim
+    // pass unless it declines, which is logged and counted.
+    const bool structural =
+        spec.axis == GeometrySweep::Axis::Line ||
+        spec.engine == GeometrySweep::Engine::PerPoint;
+    std::string reason;
+    const std::optional<GeometryHitSurface> surface =
+        structural ? std::nullopt : stackSimSurface(spec, reason);
+    noteSweepDispatch(surface.has_value(), structural, reason);
 
+    // The one kernel: look the point up when the surface exists,
+    // price it on its own otherwise.  The surface was computed on
+    // this thread, so the merged table is byte-identical across
+    // engines and thread counts.
     std::vector<SweepPoint> samples(scenario.pointCount());
-    ResultTable table;
-    if (plan.fast) {
-        // One trace traversal prices every point; the sharded run
-        // below only looks results up, so any invalid point still
-        // fails with the same status the per-point kernel's cache
-        // constructor raises and the merged table stays
-        // byte-identical at every thread count.
-        const GeometryHitSurface surface =
-            runStackSim(grid, *source, spec.refs, spec.warmupRefs);
-        table = runner.run(
-            scenario, {"hit_ratio", "miss_ratio", "flush_ratio"},
-            [&axis, &samples, &surface](const Point &point) {
-                const auto value = static_cast<std::uint64_t>(
-                    okOrThrow(point.coord(axis)));
-                okOrThrow(point.cache.validate());
-                const CacheRunResult run{
-                    point.cache,
-                    surface.stats(point.cache.numSets(),
-                                  point.cache.assoc)};
-                const SweepPoint sample{value, run.hitRatio(),
-                                        run.missRatio(),
-                                        run.flushRatio()};
-                samples[point.index] = sample;
-                return sweepPointCells(sample);
-            });
-    } else {
-        table = runner.run(
-            scenario, {"hit_ratio", "miss_ratio", "flush_ratio"},
-            [&axis, &samples](const Point &point) {
-                const auto value = static_cast<std::uint64_t>(
-                    okOrThrow(point.coord(axis)));
-                SweepPoint sample = evalGeometryPoint(point, value);
-                samples[point.index] = sample;
-                return sweepPointCells(sample);
-            });
-    }
+    ResultTable table = runner.run(
+        scenario, {"hit_ratio", "miss_ratio", "flush_ratio"},
+        [&axis, &samples, &surface](const Point &point)
+            -> Expected<std::vector<Cell>> {
+            auto cells = surface
+                             ? lookUpGeometryPoint(*surface, point)
+                             : priceGeometryPoint(point);
+            if (!cells.ok())
+                return cells.status();
+            const std::vector<Cell> &ratios = cells.value();
+            samples[point.index] = SweepPoint{
+                static_cast<std::uint64_t>(
+                    okOrThrow(point.coord(axis))),
+                ratios[0].value(), ratios[1].value(),
+                ratios[2].value()};
+            return cells;
+        });
     if (points)
         *points = std::move(samples);
     return table;
-}
-
-std::vector<SweepPoint>
-sweepCacheSizeParallel(const CacheConfig &base,
-                       const WorkloadSpec &workload,
-                       const std::vector<std::uint64_t> &sizes,
-                       std::uint64_t refs, std::uint64_t warmup_refs,
-                       unsigned threads)
-{
-    GeometrySweep spec;
-    spec.axis = GeometrySweep::Axis::Size;
-    spec.base = base;
-    spec.workload = workload;
-    spec.values = sizes;
-    spec.refs = refs;
-    spec.warmupRefs = warmup_refs;
-    Runner runner(RunnerOptions{threads});
-    std::vector<SweepPoint> points;
-    runGeometrySweep(spec, runner, &points);
-    return points;
-}
-
-std::vector<SweepPoint>
-sweepLineSizeParallel(const CacheConfig &base,
-                      const WorkloadSpec &workload,
-                      const std::vector<std::uint32_t> &line_sizes,
-                      std::uint64_t refs, std::uint64_t warmup_refs,
-                      unsigned threads)
-{
-    GeometrySweep spec;
-    spec.axis = GeometrySweep::Axis::Line;
-    spec.base = base;
-    spec.workload = workload;
-    spec.values.assign(line_sizes.begin(), line_sizes.end());
-    spec.refs = refs;
-    spec.warmupRefs = warmup_refs;
-    Runner runner(RunnerOptions{threads});
-    std::vector<SweepPoint> points;
-    runGeometrySweep(spec, runner, &points);
-    return points;
 }
 
 Scenario

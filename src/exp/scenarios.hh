@@ -5,12 +5,15 @@
  * the cache-geometry sweeps, the phi measurement (Figure 1), the
  * Sec. 5.3 feature grid, and the Sec. 5.4 line-size tradeoff.
  *
- * Each experiment keeps its serial kernel in its home module
- * (cache/sweep, cpu/phi_measurement, core/tradeoff,
- * linesize/line_tradeoff); this layer only declares the grid and
- * shards it.  The *Parallel drop-ins return the same result types
- * as their serial counterparts and are bit-identical to them at
- * any thread count.
+ * runGeometrySweep is the only geometry-sweep driver: it decides
+ * once per sweep between one stack-sim pass (cache/stack_sim) and
+ * per-point runCacheSim, and priceGeometryPoint is the per-point
+ * kernel the serve layer shares.  The other experiments keep
+ * their serial kernel in its home module (cpu/phi_measurement,
+ * core/tradeoff, linesize/line_tradeoff); this layer only declares
+ * the grid and shards it.  measurePhiAllProfilesParallel returns
+ * the same result type as its serial counterpart and is
+ * bit-identical to it at any thread count.
  */
 
 #ifndef UATM_EXP_SCENARIOS_HH
@@ -29,7 +32,7 @@
 namespace uatm::exp {
 
 // ---------------------------------------------------------------
-// Cache geometry sweeps (cache/sweep through the runner).
+// Cache geometry sweeps.
 // ---------------------------------------------------------------
 
 struct GeometrySweep
@@ -51,7 +54,6 @@ struct GeometrySweep
     enum class Engine : std::uint8_t
     {
         Auto,     ///< stack-sim when eligible, else per-point
-        StackSim, ///< require the fast path; throws if ineligible
         PerPoint, ///< force one simulation per grid point
     };
 
@@ -79,25 +81,13 @@ ResultTable runGeometrySweep(const GeometrySweep &spec,
                                  nullptr);
 
 /**
- * Parallel drop-in for uatm::sweepCacheSize: same result, any
- * thread count (0 = hardware concurrency).
+ * Price one geometry point on its own: make the point's workload,
+ * run runCacheSim over its cache and return the hit_ratio /
+ * miss_ratio / flush_ratio cells.  runGeometrySweep's per-point
+ * engine and the serve "cache" kernel both call it, so offline and
+ * served cells render byte-identically.
  */
-std::vector<SweepPoint>
-sweepCacheSizeParallel(const CacheConfig &base,
-                       const WorkloadSpec &workload,
-                       const std::vector<std::uint64_t> &sizes,
-                       std::uint64_t refs,
-                       std::uint64_t warmup_refs = 0,
-                       unsigned threads = 0);
-
-/** Parallel drop-in for uatm::sweepLineSize. */
-std::vector<SweepPoint>
-sweepLineSizeParallel(const CacheConfig &base,
-                      const WorkloadSpec &workload,
-                      const std::vector<std::uint32_t> &line_sizes,
-                      std::uint64_t refs,
-                      std::uint64_t warmup_refs = 0,
-                      unsigned threads = 0);
+Expected<std::vector<Cell>> priceGeometryPoint(const Point &point);
 
 // ---------------------------------------------------------------
 // Stalling-factor measurement (Figure 1) over the six profiles.

@@ -152,9 +152,17 @@ JsonWriter::formatNumber(double v)
     if (!std::isfinite(v))
         return "null";
     // Exact integers render without a decimal point so counters
-    // round-trip textually ("fills": 7, not 7.0).
+    // round-trip textually ("fills": 7, not 7.0).  %.12g is exact
+    // only below 1e12, so the larger integers a double still holds
+    // exactly (below 2^53, e.g. a 2^40 seed) are printed in full.
+    constexpr double kTwoTo53 = 9007199254740992.0;
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
+    const double magnitude = std::fabs(v);
+    if (magnitude >= 1e12 && magnitude < kTwoTo53 &&
+        v == std::floor(v))
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+    else
+        std::snprintf(buf, sizeof(buf), "%.12g", v);
     return buf;
 }
 

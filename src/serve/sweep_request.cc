@@ -6,19 +6,16 @@
 #include "serve/sweep_request.hh"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
-#include "cache/sweep.hh"
 #include "cpu/stall_feature.hh"
+#include "exp/scenarios.hh"
 #include "obs/json.hh"
 
 namespace uatm::serve {
 
 namespace {
-
-// Must match exp/scenarios.cc so a served geometry sweep renders
-// byte-identically to the offline one.
-constexpr int kRatioPrecision = 6;
 
 Status
 typeError(const char *object, const std::string &field,
@@ -37,18 +34,42 @@ asNumber(const char *object, const std::string &field,
     return value.asNumber();
 }
 
+/**
+ * The one integer conversion every integer field and axis value
+ * goes through: @p v as a non-negative integer no larger than
+ * @p max, the destination field's maximum, so no request number
+ * reaches a truncating or undefined cast.  @p what names the field
+ * or axis in the ParseError.
+ */
 Expected<std::uint64_t>
+checkedUint(double v, std::uint64_t max, const std::string &what)
+{
+    // 2^64, the first double no std::uint64_t holds.
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    if (v >= 0.0 && v < kTwoTo64 && v == std::floor(v) &&
+        static_cast<std::uint64_t>(v) <= max)
+        return static_cast<std::uint64_t>(v);
+    return Status::parseError("sweep request: ", what,
+                              " must be an integer in [0, ", max,
+                              "] (got ",
+                              obs::JsonWriter::formatNumber(v), ")");
+}
+
+template <typename T>
+Expected<T>
 asUint(const char *object, const std::string &field,
        const obs::JsonValue &value)
 {
     auto number = asNumber(object, field, value);
     if (!number.ok())
         return number.status();
-    const double v = number.value();
-    if (v < 0.0 || v != std::floor(v))
-        return typeError(object, field,
-                         "a non-negative integer");
-    return static_cast<std::uint64_t>(v);
+    auto v = checkedUint(number.value(),
+                         std::numeric_limits<T>::max(),
+                         "\"" + std::string(object) + "." + field +
+                             "\"");
+    if (!v.ok())
+        return v.status();
+    return static_cast<T>(v.value());
 }
 
 Expected<bool>
@@ -89,22 +110,20 @@ parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
 {
     for (const auto &[field, value] : json.members()) {
         if (field == "size") {
-            auto v = asUint("cache", field, value);
+            auto v = asUint<std::uint64_t>("cache", field, value);
             if (!v.ok())
                 return v.status();
             config.sizeBytes = v.value();
         } else if (field == "assoc") {
-            auto v = asUint("cache", field, value);
+            auto v = asUint<std::uint32_t>("cache", field, value);
             if (!v.ok())
                 return v.status();
-            config.assoc =
-                static_cast<std::uint32_t>(v.value());
+            config.assoc = v.value();
         } else if (field == "line") {
-            auto v = asUint("cache", field, value);
+            auto v = asUint<std::uint32_t>("cache", field, value);
             if (!v.ok())
                 return v.status();
-            config.lineBytes =
-                static_cast<std::uint32_t>(v.value());
+            config.lineBytes = v.value();
         } else if (field == "write_miss") {
             constexpr WriteMissPolicy kPolicies[] = {
                 WriteMissPolicy::WriteAllocate,
@@ -133,7 +152,7 @@ parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
                 return v.status();
             config.replacement = v.value();
         } else if (field == "replacement_seed") {
-            auto v = asUint("cache", field, value);
+            auto v = asUint<std::uint64_t>("cache", field, value);
             if (!v.ok())
                 return v.status();
             config.replacementSeed = v.value();
@@ -151,13 +170,12 @@ parseMemoryConfig(const obs::JsonValue &json, MemoryConfig &config)
 {
     for (const auto &[field, value] : json.members()) {
         if (field == "bus_width") {
-            auto v = asUint("memory", field, value);
+            auto v = asUint<std::uint32_t>("memory", field, value);
             if (!v.ok())
                 return v.status();
-            config.busWidthBytes =
-                static_cast<std::uint32_t>(v.value());
+            config.busWidthBytes = v.value();
         } else if (field == "cycle_time") {
-            auto v = asUint("memory", field, value);
+            auto v = asUint<std::uint64_t>("memory", field, value);
             if (!v.ok())
                 return v.status();
             config.cycleTime = v.value();
@@ -167,7 +185,7 @@ parseMemoryConfig(const obs::JsonValue &json, MemoryConfig &config)
                 return v.status();
             config.pipelined = v.value();
         } else if (field == "pipeline_interval") {
-            auto v = asUint("memory", field, value);
+            auto v = asUint<std::uint64_t>("memory", field, value);
             if (!v.ok())
                 return v.status();
             config.pipelineInterval = v.value();
@@ -186,11 +204,10 @@ parseWriteBufferConfig(const obs::JsonValue &json,
 {
     for (const auto &[field, value] : json.members()) {
         if (field == "depth") {
-            auto v = asUint("wbuf", field, value);
+            auto v = asUint<std::uint32_t>("wbuf", field, value);
             if (!v.ok())
                 return v.status();
-            config.depth =
-                static_cast<std::uint32_t>(v.value());
+            config.depth = v.value();
         } else if (field == "read_bypass") {
             auto v = asBool("wbuf", field, value);
             if (!v.ok())
@@ -220,11 +237,10 @@ parseCpuConfig(const obs::JsonValue &json, CpuConfig &config)
                 return v.status();
             config.feature = v.value();
         } else if (field == "mshrs") {
-            auto v = asUint("cpu", field, value);
+            auto v = asUint<std::uint32_t>("cpu", field, value);
             if (!v.ok())
                 return v.status();
-            config.mshrs =
-                static_cast<std::uint32_t>(v.value());
+            config.mshrs = v.value();
         } else if (field == "suppress_flush") {
             auto v = asBool("cpu", field, value);
             if (!v.ok())
@@ -296,50 +312,45 @@ workloadFromJsonValue(const obs::JsonValue &value)
 struct AxisEntry
 {
     exp::Scenario::Applier apply;
+
+    /** Largest value the knob's field holds.  parseAxis rejects
+     *  any axis value above it, so apply's cast is exact. */
+    std::uint64_t max;
 };
+
+/** The axis that sets @p field of the point's @p config. */
+template <typename Config, typename Field>
+AxisEntry
+fieldAxis(Config exp::Point::*config, Field Config::*field)
+{
+    return {[config, field](exp::Point &p, const exp::AxisValue &v) {
+                (p.*config).*field = static_cast<Field>(v.value);
+            },
+            std::numeric_limits<Field>::max()};
+}
 
 const std::map<std::string, AxisEntry> &
 axisRegistry()
 {
     static const std::map<std::string, AxisEntry> kAxes = {
         {"cache.size",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.sizeBytes =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::cache, &CacheConfig::sizeBytes)},
         {"cache.assoc",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.assoc = static_cast<std::uint32_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::cache, &CacheConfig::assoc)},
         {"cache.line",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cache.lineBytes =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::cache, &CacheConfig::lineBytes)},
         {"memory.bus_width",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.busWidthBytes =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::memory,
+                   &MemoryConfig::busWidthBytes)},
         {"memory.cycle_time",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.cycleTime =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::memory, &MemoryConfig::cycleTime)},
         {"memory.pipeline_interval",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.memory.pipelineInterval =
-                 static_cast<std::uint64_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::memory,
+                   &MemoryConfig::pipelineInterval)},
         {"wbuf.depth",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.writeBuffer.depth =
-                 static_cast<std::uint32_t>(v.value);
-         }}},
-        {"cpu.mshrs",
-         {[](exp::Point &p, const exp::AxisValue &v) {
-             p.cpu.mshrs = static_cast<std::uint32_t>(v.value);
-         }}},
+         fieldAxis(&exp::Point::writeBuffer,
+                   &WriteBufferConfig::depth)},
+        {"cpu.mshrs", fieldAxis(&exp::Point::cpu, &CpuConfig::mshrs)},
     };
     return kAxes;
 }
@@ -423,6 +434,10 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
                 "sweep request: axis \"", name,
                 "\" values must be numbers");
         }
+        auto v = checkedUint(value.asNumber(), it->second.max,
+                             "axis \"" + name + "\" value");
+        if (!v.ok())
+            return v.status();
         values.push_back(value.asNumber());
     }
     scenario.sweep(name, values, it->second.apply);
@@ -434,25 +449,12 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
 const ServeKernel *
 findServeKernel(const std::string &name)
 {
-    // The kernel's cells must stay byte-identical to the offline
-    // exp layer: same runCacheSim call, same Cell::num precision.
+    // The offline per-point kernel, so a served point renders
+    // byte-identically to the same point of runGeometrySweep.
     static const std::vector<ServeKernel> kKernels = {
         {"cache", "cache/v1",
          {"hit_ratio", "miss_ratio", "flush_ratio"},
-         [](const exp::Point &point)
-             -> Expected<std::vector<exp::Cell>> {
-             auto source = point.workload.make();
-             if (!source.ok())
-                 return source.status();
-             const auto run =
-                 runCacheSim(point.cache, *source.value(),
-                             point.refs, point.warmupRefs);
-             return std::vector<exp::Cell>{
-                 exp::Cell::num(run.hitRatio(), kRatioPrecision),
-                 exp::Cell::num(run.missRatio(), kRatioPrecision),
-                 exp::Cell::num(run.flushRatio(),
-                                kRatioPrecision)};
-         }},
+         exp::priceGeometryPoint},
     };
     for (const ServeKernel &kernel : kKernels) {
         if (kernel.name == name)
@@ -513,7 +515,7 @@ parseSweepRequest(std::string_view json)
                 return typeError("request", field, "a string");
             request.kernel = value.asString();
         } else if (field == "refs") {
-            auto v = asUint("request", field, value);
+            auto v = asUint<std::uint64_t>("request", field, value);
             if (!v.ok())
                 return v.status();
             if (v.value() == 0)
@@ -521,16 +523,15 @@ parseSweepRequest(std::string_view json)
                     "sweep request: \"refs\" must be positive");
             request.scenario.refs = v.value();
         } else if (field == "warmup") {
-            auto v = asUint("request", field, value);
+            auto v = asUint<std::uint64_t>("request", field, value);
             if (!v.ok())
                 return v.status();
             request.scenario.warmupRefs = v.value();
         } else if (field == "threads") {
-            auto v = asUint("request", field, value);
+            auto v = asUint<unsigned>("request", field, value);
             if (!v.ok())
                 return v.status();
-            request.threads =
-                static_cast<unsigned>(v.value());
+            request.threads = v.value();
         } else if (field == "workload") {
             auto spec = workloadFromJsonValue(value);
             if (!spec.ok())

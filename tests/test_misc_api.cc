@@ -47,16 +47,19 @@ TEST(ShortLevy, CurveRisesThroughTheExampleRange)
     // The whole point of the mix: the size -> HR curve rises
     // meaningfully from 8K through 128K, like [14]'s data.
     auto workload = ShortLevyWorkload::make(42);
-    CacheConfig base;
-    base.assoc = 2;
-    base.lineBytes = 32;
-    const auto points = sweepCacheSize(
-        base, *workload, {8192, 32768, 131072}, 60000, 6000);
-    ASSERT_EQ(points.size(), 3u);
-    EXPECT_GT(points[1].hitRatio, points[0].hitRatio + 0.02);
-    EXPECT_GT(points[2].hitRatio, points[1].hitRatio + 0.005);
-    EXPECT_GT(points[0].hitRatio, 0.80);
-    EXPECT_LT(points[2].hitRatio, 1.0);
+    CacheConfig config;
+    config.assoc = 2;
+    config.lineBytes = 32;
+    std::vector<double> hr;
+    for (std::uint64_t size : {8192, 32768, 131072}) {
+        config.sizeBytes = size;
+        hr.push_back(
+            runCacheSim(config, *workload, 60000, 6000).hitRatio());
+    }
+    EXPECT_GT(hr[1], hr[0] + 0.02);
+    EXPECT_GT(hr[2], hr[1] + 0.005);
+    EXPECT_GT(hr[0], 0.80);
+    EXPECT_LT(hr[2], 1.0);
 }
 
 // --------------------------------------------------- writeTransfers

@@ -72,6 +72,28 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull)
     EXPECT_EQ(w.str(), "{\"bad\":null}");
 }
 
+TEST(JsonWriter, LargeExactIntegersRenderInFull)
+{
+    using obs::JsonWriter;
+    // %.12g alone rounds a 2^40 seed to 1099511627780.
+    EXPECT_EQ(JsonWriter::formatNumber(1099511627776.0),
+              "1099511627776");
+    EXPECT_EQ(JsonWriter::formatNumber(-1099511627776.0),
+              "-1099511627776");
+    EXPECT_EQ(JsonWriter::formatNumber(1e12), "1000000000000");
+    EXPECT_EQ(JsonWriter::formatNumber(9007199254740991.0),
+              "9007199254740991");
+    // Every other value keeps its %.12g rendering.
+    EXPECT_EQ(JsonWriter::formatNumber(999999999999.0),
+              "999999999999");
+    EXPECT_EQ(JsonWriter::formatNumber(9007199254740992.0),
+              "9.00719925474e+15");
+    EXPECT_EQ(JsonWriter::formatNumber(1099511627776.5),
+              "1.09951162778e+12");
+    EXPECT_EQ(JsonWriter::formatNumber(0.1), "0.1");
+    EXPECT_EQ(JsonWriter::formatNumber(1e300), "1e+300");
+}
+
 TEST(JsonWriter, BoolsRenderAsLiterals)
 {
     obs::JsonWriter w;

@@ -326,6 +326,71 @@ TEST(SweepRequest, RejectsUnknownFieldsAndAxes)
     }
 }
 
+TEST(SweepRequest, IntegersOutsideTheirFieldAreParseErrors)
+{
+    // Each body used to parse: its number was cast to the field
+    // unchecked, wrapping, truncating or undefined.
+    struct Case
+    {
+        const char *json;
+        const char *message;
+    };
+    const Case cases[] = {
+        {R"({"cache": {"assoc": 4294967298}})",
+         "\"cache.assoc\" must be an integer in [0, 4294967295]"},
+        {R"({"axes": [{"axis": "cache.size",
+                       "values": [4096.5]}]})",
+         "axis \"cache.size\" value must be an integer in "
+         "[0, 18446744073709551615] (got 4096.5)"},
+        {R"({"axes": [{"axis": "cache.size",
+                       "values": [-8192]}]})",
+         "axis \"cache.size\" value must be an integer in "
+         "[0, 18446744073709551615] (got -8192)"},
+        {R"({"axes": [{"axis": "cache.assoc",
+                       "values": [4294967298]}]})",
+         "axis \"cache.assoc\" value must be an integer in "
+         "[0, 4294967295]"},
+        {R"({"refs": 1e300})",
+         "\"request.refs\" must be an integer in "
+         "[0, 18446744073709551615] (got 1e+300)"},
+    };
+    for (const Case &c : cases) {
+        auto request = serve::parseSweepRequest(c.json);
+        ASSERT_FALSE(request.ok()) << c.json;
+        EXPECT_EQ(request.status().code(), ErrorCode::ParseError)
+            << c.json;
+        EXPECT_NE(request.status().message().find(c.message),
+                  std::string::npos)
+            << request.status().message();
+    }
+
+    // Each field's own maximum still parses.
+    auto widest = serve::parseSweepRequest(R"({
+      "cache": {"assoc": 4294967295},
+      "axes": [{"axis": "cache.assoc", "values": [4294967295]}]
+    })");
+    ASSERT_TRUE(widest.ok()) << widest.status().toString();
+    EXPECT_EQ(widest.value().scenario.cache.assoc, 4294967295u);
+}
+
+TEST(SweepRequest, LargeWorkloadSeedsSurviveParsing)
+{
+    // The parser re-renders the workload subtree to JSON; a 2^40
+    // seed must come back exactly, as WorkloadSpec::fromJson reads
+    // it from the same text.
+    const std::string workload =
+        R"({"method": "spec92", "params": {"profile": "nasa7"},
+            "seed": 1099511627776})";
+    auto request =
+        serve::parseSweepRequest(R"({"workload": )" + workload + "}");
+    ASSERT_TRUE(request.ok()) << request.status().toString();
+    auto direct = exp::WorkloadSpec::fromJson(workload);
+    ASSERT_TRUE(direct.ok()) << direct.status().toString();
+    EXPECT_EQ(direct.value().seed, 1099511627776u);
+    EXPECT_EQ(request.value().scenario.workload.seed,
+              direct.value().seed);
+}
+
 TEST(SweepRequest, UnknownAxisErrorListsTheKnownOnes)
 {
     auto request = serve::parseSweepRequest(
@@ -432,10 +497,12 @@ TEST(SweepService, MatchesTheStackSimEngine)
     spec.values = {4096, 8192, 16384};
     spec.refs = 2000;
     spec.warmupRefs = 200;
-    spec.engine = exp::GeometrySweep::Engine::StackSim;
+    spec.engine = exp::GeometrySweep::Engine::Auto;
     exp::Runner runner(exp::RunnerOptions{1});
+    const std::uint64_t fast_before = sweepDispatchCounters().fastPath;
     const exp::ResultTable stack =
         exp::runGeometrySweep(spec, runner);
+    EXPECT_EQ(sweepDispatchCounters().fastPath, fast_before + 1);
 
     auto request = serve::parseSweepRequest(R"({
       "refs": 2000, "warmup": 200,
