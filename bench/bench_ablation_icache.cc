@@ -37,7 +37,6 @@ runIcache(double loop_back, std::uint64_t fetches)
     icache.assoc = 2;
     icache.lineBytes = 32;
     SetAssocCache cache(icache);
-    cache.setColdTracking(false);
     for (std::uint64_t i = 0; i < fetches; ++i)
         cache.access(*gen.next());
     return IcacheRun{

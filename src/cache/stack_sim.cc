@@ -187,14 +187,6 @@ StackSimulator::StackSimulator(const GeometryGrid &grid)
 }
 
 void
-StackSimulator::setColdTracking(bool enabled)
-{
-    trackCold_ = enabled;
-    if (!enabled)
-        touchedLines_.clear();
-}
-
-void
 StackSimulator::access(const MemoryReference &ref)
 {
     // Same input contract as SetAssocCache::access.
@@ -214,8 +206,6 @@ StackSimulator::access(const MemoryReference &ref)
     } else {
         ++loads_;
     }
-    if (trackCold_ && touchedLines_.insert(line).second)
-        ++coldMisses_; // first touch misses in every geometry
 
     const bool write_back = grid_.write == WritePolicy::WriteBack;
     const std::uint32_t clean = maxAssoc_ + 1;
@@ -301,7 +291,6 @@ StackSimulator::surface() const
             stats.loads = loads_;
             stats.stores = stores_;
             stats.instructions = instructions_;
-            stats.coldMisses = coldMisses_;
 
             // Misses = accesses at distance >= assoc (clamped
             // histogram: the pool slot maxAssoc_ is >= assoc too).
@@ -350,8 +339,6 @@ runStackSim(const GeometryGrid &grid, TraceSource &source,
                 "warmup longer than the whole run");
     source.reset();
     StackSimulator sim(grid);
-    // Same switch point as runCacheSim.
-    sim.setColdTracking(refs <= (1u << 22));
 
     BatchPump pump(source);
     const auto access = [&](const MemoryReference *batch,

@@ -31,7 +31,6 @@
 #define UATM_CACHE_STACK_SIM_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -129,9 +128,6 @@ class StackSimulator
     /** Apply @p count references from @p refs in order. */
     void accessBatch(const MemoryReference *refs, std::size_t count);
 
-    /** Same switch as SetAssocCache::setColdTracking. */
-    void setColdTracking(bool enabled);
-
     /** Current cumulative per-geometry statistics. */
     GeometryHitSurface surface() const;
 
@@ -179,16 +175,13 @@ class StackSimulator
     std::uint64_t stores_ = 0;
     std::uint64_t instructions_ = 0;
     std::uint64_t storeBytes_ = 0;
-    std::uint64_t coldMisses_ = 0;
-    bool trackCold_ = true;
-    std::unordered_set<Addr> touchedLines_;
 };
 
 /**
  * Run @p refs references of @p source (reset first) through one
  * stack-simulation pass — the single-pass counterpart of calling
- * runCacheSim once per grid cell, with identical warmup-window and
- * cold-tracking semantics.  Consumes the source via fillBatch.
+ * runCacheSim once per grid cell, with identical warmup-window
+ * semantics.  Consumes the source via fillBatch.
  */
 GeometryHitSurface runStackSim(const GeometryGrid &grid,
                                TraceSource &source,

@@ -65,8 +65,6 @@ runCacheSim(const CacheConfig &config, TraceSource &source,
                 "warmup longer than the whole run");
     source.reset();
     SetAssocCache cache(config);
-    // Long runs don't need the cold-miss hash set.
-    cache.setColdTracking(refs <= (1u << 22));
 
     BatchPump pump(source);
     const auto access = [&](const MemoryReference *batch,

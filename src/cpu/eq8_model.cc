@@ -26,7 +26,6 @@ estimatePhiEq8(TraceSource &source, std::uint64_t max_refs,
 
     source.reset();
     SetAssocCache cache(cache_config);
-    cache.setColdTracking(false);
 
     const std::uint64_t chunks =
         cache_config.lineBytes / bus_width_bytes;

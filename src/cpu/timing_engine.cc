@@ -360,7 +360,6 @@ TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
     obs::EventTracer &tracer = *tracer_;
     source.reset();
     cache_.reset();
-    cache_.setColdTracking(max_refs <= (1u << 22));
     scheduler_.reset();
     inflight_.clear();
     prefetchedUntouched_.clear();

@@ -6,7 +6,7 @@
 #include "exp/workload_spec.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "exp/workload_registry.hh"
 #include "obs/json.hh"
@@ -218,16 +218,17 @@ WorkloadSpec::fromJson(std::string_view text)
                 return params.status();
             spec.params = std::move(params).value();
         } else if (key == "seed") {
-            if (!value.isNumber() ||
-                value.asNumber() < 0.0 ||
-                value.asNumber() !=
-                    std::floor(value.asNumber())) {
+            if (!value.isNumber()) {
                 return Status::parseError(
-                    "workload spec \"seed\" must be a "
-                    "non-negative integer");
+                    "workload spec \"seed\" must be a number");
             }
-            spec.seed =
-                static_cast<std::uint64_t>(value.asNumber());
+            auto seed = obs::checkedUint(
+                value.asNumber(),
+                std::numeric_limits<std::uint64_t>::max(),
+                "workload spec \"seed\"");
+            if (!seed.ok())
+                return seed.status();
+            spec.seed = seed.value();
         } else if (key == "ifetch") {
             if (!value.isBool()) {
                 return Status::parseError(

@@ -166,6 +166,19 @@ JsonWriter::formatNumber(double v)
     return buf;
 }
 
+Expected<std::uint64_t>
+checkedUint(double v, std::uint64_t max, const std::string &what)
+{
+    // 2^64, the first double no std::uint64_t holds.
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    if (v >= 0.0 && v < kTwoTo64 && v == std::floor(v) &&
+        static_cast<std::uint64_t>(v) <= max)
+        return static_cast<std::uint64_t>(v);
+    return Status::parseError(what, " must be an integer in [0, ",
+                              max, "] (got ",
+                              JsonWriter::formatNumber(v), ")");
+}
+
 void
 JsonWriter::beforeValue()
 {

@@ -25,6 +25,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/status.hh"
+
 namespace uatm::obs {
 
 class JsonWriter
@@ -158,6 +160,16 @@ class JsonValue
     std::vector<JsonValue> items_;
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/**
+ * The one conversion of a JSON number to an unsigned field: @p v as
+ * a non-negative integer no larger than @p max, the destination
+ * field's maximum, so no document number reaches a truncating or
+ * undefined cast.  Otherwise a ParseError reading "<what> must be
+ * an integer in [0, max] (got v)".
+ */
+Expected<std::uint64_t> checkedUint(double v, std::uint64_t max,
+                                    const std::string &what);
 
 /** Outcome of parseJson(): a value or a positioned error. */
 struct JsonParseResult

@@ -295,14 +295,14 @@ HttpServer::stop()
             acceptThread_.join();
         return;
     }
-    // Closing the listener unblocks accept() with an error.
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // Shutting the listener down wakes accept() with an error.  The
+    // accept thread reads listenFd_ until it exits, so the fd is
+    // closed and reset only after the join.
+    ::shutdown(listenFd_, SHUT_RDWR);
     if (acceptThread_.joinable())
         acceptThread_.join();
+    ::close(listenFd_);
+    listenFd_ = -1;
     std::vector<Connection> connections;
     {
         std::lock_guard<std::mutex> lock(connectionsMutex_);

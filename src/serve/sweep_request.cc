@@ -5,7 +5,6 @@
 
 #include "serve/sweep_request.hh"
 
-#include <cmath>
 #include <limits>
 #include <map>
 
@@ -34,27 +33,6 @@ asNumber(const char *object, const std::string &field,
     return value.asNumber();
 }
 
-/**
- * The one integer conversion every integer field and axis value
- * goes through: @p v as a non-negative integer no larger than
- * @p max, the destination field's maximum, so no request number
- * reaches a truncating or undefined cast.  @p what names the field
- * or axis in the ParseError.
- */
-Expected<std::uint64_t>
-checkedUint(double v, std::uint64_t max, const std::string &what)
-{
-    // 2^64, the first double no std::uint64_t holds.
-    constexpr double kTwoTo64 = 18446744073709551616.0;
-    if (v >= 0.0 && v < kTwoTo64 && v == std::floor(v) &&
-        static_cast<std::uint64_t>(v) <= max)
-        return static_cast<std::uint64_t>(v);
-    return Status::parseError("sweep request: ", what,
-                              " must be an integer in [0, ", max,
-                              "] (got ",
-                              obs::JsonWriter::formatNumber(v), ")");
-}
-
 template <typename T>
 Expected<T>
 asUint(const char *object, const std::string &field,
@@ -63,10 +41,11 @@ asUint(const char *object, const std::string &field,
     auto number = asNumber(object, field, value);
     if (!number.ok())
         return number.status();
-    auto v = checkedUint(number.value(),
-                         std::numeric_limits<T>::max(),
-                         "\"" + std::string(object) + "." + field +
-                             "\"");
+    auto v = obs::checkedUint(number.value(),
+                              std::numeric_limits<T>::max(),
+                              "sweep request: \"" +
+                                  std::string(object) + "." + field +
+                                  "\"");
     if (!v.ok())
         return v.status();
     return static_cast<T>(v.value());
@@ -434,8 +413,9 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
                 "sweep request: axis \"", name,
                 "\" values must be numbers");
         }
-        auto v = checkedUint(value.asNumber(), it->second.max,
-                             "axis \"" + name + "\" value");
+        auto v = obs::checkedUint(value.asNumber(), it->second.max,
+                                  "sweep request: axis \"" + name +
+                                      "\" value");
         if (!v.ok())
             return v.status();
         values.push_back(value.asNumber());
@@ -573,6 +553,15 @@ parseSweepRequest(std::string_view json)
             return Status::parseError(
                 "sweep request: unknown field \"", field, "\"");
         }
+    }
+
+    // Both fields are read, or defaulted, by now.  A warm-up longer
+    // than the run has no measured window to report.
+    if (request.scenario.warmupRefs > request.scenario.refs) {
+        return Status::parseError(
+            "sweep request: \"warmup\" (", request.scenario.warmupRefs,
+            ") must not exceed \"refs\" (", request.scenario.refs,
+            ")");
     }
 
     if (!findServeKernel(request.kernel)) {

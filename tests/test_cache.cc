@@ -9,6 +9,7 @@
 #include "cache/cache.hh"
 #include "cache/sweep.hh"
 #include "trace/generators.hh"
+#include "trace/trace_stats.hh"
 
 namespace uatm {
 namespace {
@@ -86,7 +87,6 @@ TEST(Cache, MissThenHit)
     auto first = cache.access(load(0x100));
     EXPECT_FALSE(first.hit);
     EXPECT_TRUE(first.fill);
-    EXPECT_TRUE(first.coldMiss);
 
     auto second = cache.access(load(0x104)); // same line
     EXPECT_TRUE(second.hit);
@@ -236,14 +236,69 @@ TEST(Cache, FlushRatioIsFlushedOverRead)
 
 TEST(Cache, ColdMissClassification)
 {
+    // Compulsory misses are a property of the stream: its distinct
+    // lines.  Every further miss is a conflict or capacity miss.
+    const MemoryReference refs[] = {
+        load(0x000), // cold
+        load(0x080),
+        load(0x100), // evicts 0x000
+        load(0x000), // conflict miss
+    };
     SetAssocCache cache(smallCache());
-    cache.access(load(0x000)); // cold
-    cache.access(load(0x080));
-    cache.access(load(0x100)); // evicts 0x000
-    const auto again = cache.access(load(0x000)); // conflict miss
-    EXPECT_FALSE(again.coldMiss);
-    EXPECT_EQ(cache.stats().coldMisses, 3u);
+    WorkloadProfile profile(smallCache().lineBytes);
+    for (const MemoryReference &ref : refs) {
+        cache.access(ref);
+        profile.add(ref);
+    }
+    EXPECT_EQ(profile.footprintBlocks(), 3u);
     EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST(Cache, EmptySetFillsEveryWayBeforeEvicting)
+{
+    // The cache fills a set's invalid ways itself and asks the
+    // policy for a victim only once the set is full, under every
+    // policy, through both access() and installLine().
+    for (ReplacementKind kind :
+         {ReplacementKind::LRU, ReplacementKind::FIFO,
+          ReplacementKind::Random, ReplacementKind::TreePLRU}) {
+        CacheConfig config;
+        config.sizeBytes = 512; // 4 sets x 4 ways x 32B
+        config.assoc = 4;
+        config.lineBytes = 32;
+        config.replacement = kind;
+        SetAssocCache cache(config);
+        const std::string label = replacementKindName(kind);
+        // Lines `stride` apart share a set; set 1 is filled by
+        // installLine, set 0 by access.
+        const Addr stride = config.numSets() * config.lineBytes;
+        const Addr set1 = config.lineBytes;
+
+        for (Addr i = 0; i < config.assoc; ++i) {
+            const AccessOutcome out = cache.access(load(i * stride));
+            EXPECT_TRUE(out.fill) << label;
+            EXPECT_FALSE(out.evictedValid) << label;
+            const InstallOutcome in =
+                cache.installLine(set1 + i * stride, false);
+            EXPECT_TRUE(in.inserted) << label;
+            EXPECT_FALSE(in.evictedValid) << label;
+        }
+        for (Addr i = 0; i < config.assoc; ++i) {
+            EXPECT_TRUE(cache.probe(i * stride)) << label;
+            EXPECT_TRUE(cache.probe(set1 + i * stride)) << label;
+        }
+
+        const Addr next = config.assoc * stride;
+        const AccessOutcome out = cache.access(load(next));
+        EXPECT_TRUE(out.evictedValid) << label;
+        EXPECT_EQ(out.evictedLineAddr % stride, 0u) << label;
+        EXPECT_LT(out.evictedLineAddr, next) << label;
+        const InstallOutcome in = cache.installLine(set1 + next, false);
+        EXPECT_TRUE(in.evictedValid) << label;
+        EXPECT_EQ(in.evictedLineAddr % stride, set1) << label;
+        EXPECT_LT(in.evictedLineAddr, set1 + next) << label;
+        EXPECT_EQ(cache.stats().misses, config.assoc + 1) << label;
+    }
 }
 
 TEST(Cache, InvalidateAllCountsDirtyLines)
@@ -263,8 +318,8 @@ TEST(Cache, ResetClearsEverything)
     cache.reset();
     EXPECT_EQ(cache.stats().accesses, 0u);
     EXPECT_FALSE(cache.probe(0x000));
-    // Cold tracking restarts too.
-    EXPECT_TRUE(cache.access(load(0x000)).coldMiss);
+    cache.access(load(0x000));
+    EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 // ---------------------------------------------------------- direct-mapped

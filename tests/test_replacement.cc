@@ -14,20 +14,7 @@
 namespace uatm {
 namespace {
 
-std::vector<bool>
-allValid(std::uint32_t assoc)
-{
-    return std::vector<bool>(assoc, true);
-}
-
 // ------------------------------------------------------------------ LRU
-
-TEST(LruPolicy, PrefersInvalidWays)
-{
-    LruPolicy lru(1, 4);
-    std::vector<bool> valid = {true, false, true, true};
-    EXPECT_EQ(lru.victim(0, valid), 1u);
-}
 
 TEST(LruPolicy, EvictsLeastRecentlyTouched)
 {
@@ -35,7 +22,7 @@ TEST(LruPolicy, EvictsLeastRecentlyTouched)
     for (std::uint32_t w : {0u, 1u, 2u, 3u})
         lru.touch(0, w);
     lru.touch(0, 0); // refresh way 0
-    EXPECT_EQ(lru.victim(0, allValid(4)), 1u);
+    EXPECT_EQ(lru.victim(0), 1u);
 }
 
 TEST(LruPolicy, SetsAreIndependent)
@@ -45,8 +32,8 @@ TEST(LruPolicy, SetsAreIndependent)
     lru.touch(0, 1);
     lru.touch(1, 1);
     lru.touch(1, 0);
-    EXPECT_EQ(lru.victim(0, allValid(2)), 0u);
-    EXPECT_EQ(lru.victim(1, allValid(2)), 1u);
+    EXPECT_EQ(lru.victim(0), 0u);
+    EXPECT_EQ(lru.victim(1), 1u);
 }
 
 TEST(LruPolicy, ResetForgetsHistory)
@@ -56,7 +43,7 @@ TEST(LruPolicy, ResetForgetsHistory)
     lru.touch(0, 1);
     lru.reset();
     lru.touch(0, 1);
-    EXPECT_EQ(lru.victim(0, allValid(2)), 0u);
+    EXPECT_EQ(lru.victim(0), 0u);
 }
 
 // ----------------------------------------------------------------- FIFO
@@ -64,19 +51,11 @@ TEST(LruPolicy, ResetForgetsHistory)
 TEST(FifoPolicy, RoundRobinIgnoringTouches)
 {
     FifoPolicy fifo(1, 3);
-    const auto valid = allValid(3);
-    EXPECT_EQ(fifo.victim(0, valid), 0u);
+    EXPECT_EQ(fifo.victim(0), 0u);
     fifo.touch(0, 0); // a hit must not reorder FIFO
-    EXPECT_EQ(fifo.victim(0, valid), 1u);
-    EXPECT_EQ(fifo.victim(0, valid), 2u);
-    EXPECT_EQ(fifo.victim(0, valid), 0u);
-}
-
-TEST(FifoPolicy, PrefersInvalidWays)
-{
-    FifoPolicy fifo(1, 3);
-    std::vector<bool> valid = {true, true, false};
-    EXPECT_EQ(fifo.victim(0, valid), 2u);
+    EXPECT_EQ(fifo.victim(0), 1u);
+    EXPECT_EQ(fifo.victim(0), 2u);
+    EXPECT_EQ(fifo.victim(0), 0u);
 }
 
 // --------------------------------------------------------------- Random
@@ -84,31 +63,28 @@ TEST(FifoPolicy, PrefersInvalidWays)
 TEST(RandomPolicy, DeterministicFromSeed)
 {
     RandomPolicy a(4, 99), b(4, 99);
-    const auto valid = allValid(4);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(a.victim(0, valid), b.victim(0, valid));
+        EXPECT_EQ(a.victim(0), b.victim(0));
 }
 
 TEST(RandomPolicy, CoversAllWays)
 {
     RandomPolicy rnd(4, 5);
-    const auto valid = allValid(4);
     std::set<std::uint32_t> seen;
     for (int i = 0; i < 200; ++i)
-        seen.insert(rnd.victim(0, valid));
+        seen.insert(rnd.victim(0));
     EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(RandomPolicy, ResetReplays)
 {
     RandomPolicy rnd(4, 5);
-    const auto valid = allValid(4);
     std::vector<std::uint32_t> first;
     for (int i = 0; i < 20; ++i)
-        first.push_back(rnd.victim(0, valid));
+        first.push_back(rnd.victim(0));
     rnd.reset();
     for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(rnd.victim(0, valid), first[i]);
+        EXPECT_EQ(rnd.victim(0), first[i]);
 }
 
 // ------------------------------------------------------------- TreePLRU
@@ -116,37 +92,27 @@ TEST(RandomPolicy, ResetReplays)
 TEST(TreePlruPolicy, VictimAvoidsMostRecent)
 {
     TreePlruPolicy plru(1, 4);
-    const auto valid = allValid(4);
     plru.touch(0, 2);
     // The victim must never be the way just touched.
-    EXPECT_NE(plru.victim(0, valid), 2u);
-}
-
-TEST(TreePlruPolicy, FillsInvalidFirst)
-{
-    TreePlruPolicy plru(1, 4);
-    std::vector<bool> valid = {true, true, true, false};
-    EXPECT_EQ(plru.victim(0, valid), 3u);
+    EXPECT_NE(plru.victim(0), 2u);
 }
 
 TEST(TreePlruPolicy, TwoWayBehavesLikeLru)
 {
     TreePlruPolicy plru(1, 2);
-    const auto valid = allValid(2);
     plru.touch(0, 0);
-    EXPECT_EQ(plru.victim(0, valid), 1u);
+    EXPECT_EQ(plru.victim(0), 1u);
     plru.touch(0, 1);
-    EXPECT_EQ(plru.victim(0, valid), 0u);
+    EXPECT_EQ(plru.victim(0), 0u);
 }
 
 TEST(TreePlruPolicy, SequentialTouchesCycleVictims)
 {
     TreePlruPolicy plru(1, 8);
-    const auto valid = allValid(8);
     // After touching 0..7 in order the tree points away from 7.
     for (std::uint32_t w = 0; w < 8; ++w)
         plru.touch(0, w);
-    const auto victim = plru.victim(0, valid);
+    const auto victim = plru.victim(0);
     EXPECT_NE(victim, 7u);
 }
 
@@ -161,7 +127,7 @@ TEST(ReplacementFactory, CreatesEveryKind)
         config.replacement = kind;
         auto policy = ReplacementPolicy::create(config);
         ASSERT_NE(policy, nullptr);
-        EXPECT_LT(policy->victim(0, allValid(config.assoc)),
+        EXPECT_LT(policy->victim(0),
                   config.assoc);
     }
 }

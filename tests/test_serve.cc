@@ -373,6 +373,28 @@ TEST(SweepRequest, IntegersOutsideTheirFieldAreParseErrors)
     EXPECT_EQ(widest.value().scenario.cache.assoc, 4294967295u);
 }
 
+TEST(SweepRequest, WarmupLongerThanRefsIsAParseError)
+{
+    // Such a body used to reach runCacheSim's assertion and abort
+    // the daemon.  The default refs (100000) count too.
+    for (const char *json :
+         {R"({"refs": 1000, "warmup": 5000})",
+          R"({"warmup": 5000, "refs": 1000})",
+          R"({"warmup": 100001})"}) {
+        auto request = serve::parseSweepRequest(json);
+        ASSERT_FALSE(request.ok()) << json;
+        EXPECT_EQ(request.status().code(), ErrorCode::ParseError)
+            << json;
+        EXPECT_NE(request.status().message().find("\"warmup\""),
+                  std::string::npos)
+            << request.status().message();
+    }
+    auto equal = serve::parseSweepRequest(
+        R"({"refs": 1000, "warmup": 1000})");
+    ASSERT_TRUE(equal.ok()) << equal.status().toString();
+    EXPECT_EQ(equal.value().scenario.warmupRefs, 1000u);
+}
+
 TEST(SweepRequest, LargeWorkloadSeedsSurviveParsing)
 {
     // The parser re-renders the workload subtree to JSON; a 2^40
@@ -722,6 +744,20 @@ TEST_F(ServerTest, TypedErrorsMapToHttpStatuses)
     // Wrong method and unknown route.
     EXPECT_EQ(fetch("GET", "/sweep").status, 405);
     EXPECT_EQ(fetch("GET", "/nope").status, 404);
+}
+
+TEST_F(ServerTest, WarmupLongerThanRefsAnswers400AndKeepsServing)
+{
+    startServer();
+    const auto bad = fetch("POST", "/sweep",
+                           R"({"refs": 1000, "warmup": 5000})");
+    EXPECT_EQ(bad.status, 400);
+    EXPECT_NE(bad.body.find("\"parse_error\""), std::string::npos);
+    EXPECT_NE(bad.body.find("warmup"), std::string::npos);
+
+    const auto health = fetch("GET", "/healthz");
+    EXPECT_EQ(health.status, 200);
+    EXPECT_EQ(health.body, "ok\n");
 }
 
 TEST_F(ServerTest, FullQueueAnswers429OverHttp)

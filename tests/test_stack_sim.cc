@@ -36,7 +36,6 @@ expectStatsEqual(const CacheStats &got, const CacheStats &want,
     EXPECT_EQ(got.storesToMemory, want.storesToMemory) << label;
     EXPECT_EQ(got.storesToMemoryBytes, want.storesToMemoryBytes)
         << label;
-    EXPECT_EQ(got.coldMisses, want.coldMisses) << label;
     EXPECT_EQ(got.prefetchInserts, want.prefetchInserts) << label;
     EXPECT_EQ(got.instructions, want.instructions) << label;
 }

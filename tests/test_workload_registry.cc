@@ -696,6 +696,37 @@ TEST(WorkloadSpecJson, StrictSchemaRejectsMalformedDocuments)
     }
 }
 
+TEST(WorkloadSpecJson, SeedsMustFitTheirField)
+{
+    // Casting either seed to std::uint64_t was undefined behaviour.
+    for (const char *seed : {"1e300", "18446744073709551616"}) {
+        const std::string text =
+            std::string("{\"method\":\"ycsb\",\"params\":{},"
+                        "\"seed\":") +
+            seed + "}";
+        const auto spec = WorkloadSpec::fromJson(text);
+        ASSERT_FALSE(spec.ok()) << text;
+        EXPECT_EQ(spec.status().code(), ErrorCode::ParseError)
+            << text;
+        EXPECT_NE(spec.status().message().find("\"seed\""),
+                  std::string::npos)
+            << spec.status().message();
+    }
+
+    // 2^53 parses exactly and survives toJson/fromJson.
+    const std::uint64_t big = std::uint64_t{1} << 53;
+    const auto spec = WorkloadSpec::fromJson(
+        "{\"method\":\"ycsb\",\"params\":{},"
+        "\"seed\":9007199254740992}");
+    ASSERT_TRUE(spec.ok()) << spec.status().toString();
+    EXPECT_EQ(spec.value().seed, big);
+    const auto json = spec.value().toJson();
+    ASSERT_TRUE(json.ok()) << json.status().toString();
+    const auto back = WorkloadSpec::fromJson(json.value());
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back.value().seed, big);
+}
+
 TEST(WorkloadSpecJson, UnknownMethodParsesButFailsAtMake)
 {
     // Deliberate: a deserialized grid degrades per point, so the
