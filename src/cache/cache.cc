@@ -225,13 +225,20 @@ SetAssocCache::wayToFill(std::uint64_t set)
     return victim;
 }
 
+void
+throwAccessWiderThanLine(unsigned size, std::uint32_t line_bytes)
+{
+    throw StatusError(Status::invalidArgument(
+        "access size ", size, " exceeds the line size ", line_bytes));
+}
+
 AccessOutcome
 SetAssocCache::access(const MemoryReference &ref)
 {
     UATM_ASSERT(isValidAccessSize(ref.size),
                 "invalid access size ", int(ref.size));
-    UATM_ASSERT(ref.size <= config_.lineBytes,
-                "access size exceeds the line size");
+    if (ref.size > config_.lineBytes) [[unlikely]]
+        throwAccessWiderThanLine(ref.size, config_.lineBytes);
 
     AccessOutcome out;
     const Addr laddr = lineAddr(ref.addr);

@@ -152,6 +152,15 @@ struct InstallOutcome
 };
 
 /**
+ * Throw the InvalidArgument StatusError for an access of @p size
+ * bytes that a @p line_bytes line cannot hold.  Both simulators'
+ * access() call it; it is out of line and cold, so their check
+ * stays one branch.
+ */
+[[noreturn, gnu::cold]] void
+throwAccessWiderThanLine(unsigned size, std::uint32_t line_bytes);
+
+/**
  * The cache proper.  Purely functional (no timing): the timing
  * engine in src/cpu layers stall behaviour on top of the outcomes
  * this model reports.
@@ -161,7 +170,8 @@ class SetAssocCache
   public:
     explicit SetAssocCache(const CacheConfig &config);
 
-    /** Apply one reference and report what happened. */
+    /** Apply one reference and report what happened.  An access
+     *  wider than a line throws StatusError (InvalidArgument). */
     AccessOutcome access(const MemoryReference &ref);
 
     /**

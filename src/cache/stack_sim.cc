@@ -192,8 +192,8 @@ StackSimulator::access(const MemoryReference &ref)
     // Same input contract as SetAssocCache::access.
     UATM_ASSERT(isValidAccessSize(ref.size),
                 "invalid access size ", int(ref.size));
-    UATM_ASSERT(ref.size <= grid_.lineBytes,
-                "access size exceeds the line size");
+    if (ref.size > grid_.lineBytes) [[unlikely]]
+        throwAccessWiderThanLine(ref.size, grid_.lineBytes);
 
     const Addr line = ref.addr >> lineShift_;
     const bool is_store = ref.kind == RefKind::Store;

@@ -122,7 +122,9 @@ class StackSimulator
     /** Throws StatusError when the grid fails validate(). */
     explicit StackSimulator(const GeometryGrid &grid);
 
-    /** Apply one reference to every grid geometry at once. */
+    /** Apply one reference to every grid geometry at once.  An
+     *  access wider than a line throws StatusError
+     *  (InvalidArgument). */
     void access(const MemoryReference &ref);
 
     /** Apply @p count references from @p refs in order. */

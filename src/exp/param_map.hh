@@ -142,8 +142,11 @@ class ParamMap
 
     /**
      * Read a JSON object: strings, bools, and numbers (integral
-     * numbers become Int, others Double).  Null/array/object
-     * members are ParseError.
+     * numbers become Int, others Double).  A number is read as the
+     * value its rendering (obs::JsonWriter::formatNumber) parses
+     * back to, so equal renderings hold equal values.
+     * Null/array/object members and non-finite numbers are
+     * ParseError.
      */
     static Expected<ParamMap> fromJson(const obs::JsonValue &value);
 

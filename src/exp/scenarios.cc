@@ -66,8 +66,15 @@ stackSimSurface(const GeometrySweep &spec, std::string &reason)
         reason = "no sweep value yields a valid geometry";
         return std::nullopt;
     }
-    return runStackSim(grid, *source.value(), spec.refs,
-                       spec.warmupRefs);
+    try {
+        return runStackSim(grid, *source.value(), spec.refs,
+                           spec.warmupRefs);
+    } catch (const StatusError &e) {
+        // An access wider than the line: the per-point kernel
+        // raises the identical error for every point, so decline.
+        reason = "stack-sim pass failed: " + e.status().message();
+        return std::nullopt;
+    }
 }
 
 /** One point's cells looked up in @p surface.  An invalid point

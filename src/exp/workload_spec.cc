@@ -195,7 +195,12 @@ WorkloadSpec::fromJson(std::string_view text)
         return Status::parseError("bad workload spec JSON: ",
                                   parsed.error);
     }
-    const obs::JsonValue &root = parsed.value;
+    return fromJson(parsed.value);
+}
+
+Expected<WorkloadSpec>
+WorkloadSpec::fromJson(const obs::JsonValue &root)
+{
     if (!root.isObject()) {
         return Status::parseError(
             "workload spec JSON must be an object");

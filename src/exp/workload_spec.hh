@@ -31,6 +31,10 @@
 #include "trace/source.hh"
 #include "util/status.hh"
 
+namespace uatm::obs {
+class JsonValue;
+}
+
 namespace uatm::exp {
 
 struct WorkloadSpec
@@ -122,6 +126,10 @@ struct WorkloadSpec
      *  *method name* is deliberately left for make() to report,
      *  so deserialized grids degrade per point. */
     static Expected<WorkloadSpec> fromJson(std::string_view text);
+
+    /** The same, over an already-parsed document (a sweep
+     *  request's workload subtree). */
+    static Expected<WorkloadSpec> fromJson(const obs::JsonValue &root);
 
     /**
      * Build a fresh source, rewound to the stream's beginning.

@@ -6,9 +6,9 @@
 #include "serve/sweep_request.hh"
 
 #include <limits>
-#include <map>
+#include <type_traits>
+#include <utility>
 
-#include "cpu/stall_feature.hh"
 #include "exp/scenarios.hh"
 #include "obs/json.hh"
 
@@ -24,40 +24,18 @@ typeError(const char *object, const std::string &field,
                               field, "\" must be ", want);
 }
 
-Expected<double>
-asNumber(const char *object, const std::string &field,
-         const obs::JsonValue &value)
+/** An integer field in [0, @p max]; a ParseError naming
+ *  "<object>.<field>" otherwise. */
+Expected<std::uint64_t>
+asUint(const char *object, const std::string &field,
+       const obs::JsonValue &value,
+       std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (!value.isNumber())
         return typeError(object, field, "a number");
-    return value.asNumber();
-}
-
-template <typename T>
-Expected<T>
-asUint(const char *object, const std::string &field,
-       const obs::JsonValue &value)
-{
-    auto number = asNumber(object, field, value);
-    if (!number.ok())
-        return number.status();
-    auto v = obs::checkedUint(number.value(),
-                              std::numeric_limits<T>::max(),
-                              "sweep request: \"" +
-                                  std::string(object) + "." + field +
-                                  "\"");
-    if (!v.ok())
-        return v.status();
-    return static_cast<T>(v.value());
-}
-
-Expected<bool>
-asBool(const char *object, const std::string &field,
-       const obs::JsonValue &value)
-{
-    if (!value.isBool())
-        return typeError(object, field, "a bool");
-    return value.asBool();
+    return obs::checkedUint(value.asNumber(), max,
+                            "sweep request: \"" + std::string(object) +
+                                "." + field + "\"");
 }
 
 /** Parse a string field against an enum's name() table. */
@@ -84,25 +62,58 @@ asEnum(const char *object, const std::string &field,
                               " (got \"", value.asString(), "\")");
 }
 
+/**
+ * One sweepable cache field.  The "cache" object and the
+ * "cache.<name>" axis both set it through @ref set, each after
+ * checking the value against @ref max, so set's cast is exact.
+ */
+struct CacheField
+{
+    std::string_view name;
+    std::uint64_t max;
+    void (*set)(CacheConfig &, std::uint64_t);
+};
+
+template <auto Member>
+constexpr CacheField
+cacheField(std::string_view name)
+{
+    using Field = std::remove_reference_t<
+        decltype(std::declval<CacheConfig &>().*Member)>;
+    return {name, std::numeric_limits<Field>::max(),
+            [](CacheConfig &config, std::uint64_t v) {
+                config.*Member = static_cast<Field>(v);
+            }};
+}
+
+/** Sorted by wire name; serveAxisNames() lists them in order. */
+constexpr CacheField kCacheFields[] = {
+    cacheField<&CacheConfig::assoc>("assoc"),
+    cacheField<&CacheConfig::lineBytes>("line"),
+    cacheField<&CacheConfig::sizeBytes>("size"),
+};
+
+constexpr std::string_view kCacheAxisPrefix = "cache.";
+
+const CacheField *
+findCacheField(std::string_view name)
+{
+    for (const CacheField &field : kCacheFields) {
+        if (field.name == name)
+            return &field;
+    }
+    return nullptr;
+}
+
 Status
 parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
 {
     for (const auto &[field, value] : json.members()) {
-        if (field == "size") {
-            auto v = asUint<std::uint64_t>("cache", field, value);
+        if (const CacheField *numeric = findCacheField(field)) {
+            auto v = asUint("cache", field, value, numeric->max);
             if (!v.ok())
                 return v.status();
-            config.sizeBytes = v.value();
-        } else if (field == "assoc") {
-            auto v = asUint<std::uint32_t>("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.assoc = v.value();
-        } else if (field == "line") {
-            auto v = asUint<std::uint32_t>("cache", field, value);
-            if (!v.ok())
-                return v.status();
-            config.lineBytes = v.value();
+            numeric->set(config, v.value());
         } else if (field == "write_miss") {
             constexpr WriteMissPolicy kPolicies[] = {
                 WriteMissPolicy::WriteAllocate,
@@ -131,7 +142,7 @@ parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
                 return v.status();
             config.replacement = v.value();
         } else if (field == "replacement_seed") {
-            auto v = asUint<std::uint64_t>("cache", field, value);
+            auto v = asUint("cache", field, value);
             if (!v.ok())
                 return v.status();
             config.replacementSeed = v.value();
@@ -142,196 +153,6 @@ parseCacheConfig(const obs::JsonValue &json, CacheConfig &config)
         }
     }
     return Status();
-}
-
-Status
-parseMemoryConfig(const obs::JsonValue &json, MemoryConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "bus_width") {
-            auto v = asUint<std::uint32_t>("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.busWidthBytes = v.value();
-        } else if (field == "cycle_time") {
-            auto v = asUint<std::uint64_t>("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.cycleTime = v.value();
-        } else if (field == "pipelined") {
-            auto v = asBool("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.pipelined = v.value();
-        } else if (field == "pipeline_interval") {
-            auto v = asUint<std::uint64_t>("memory", field, value);
-            if (!v.ok())
-                return v.status();
-            config.pipelineInterval = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown memory field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-Status
-parseWriteBufferConfig(const obs::JsonValue &json,
-                       WriteBufferConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "depth") {
-            auto v = asUint<std::uint32_t>("wbuf", field, value);
-            if (!v.ok())
-                return v.status();
-            config.depth = v.value();
-        } else if (field == "read_bypass") {
-            auto v = asBool("wbuf", field, value);
-            if (!v.ok())
-                return v.status();
-            config.readBypass = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown wbuf field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-Status
-parseCpuConfig(const obs::JsonValue &json, CpuConfig &config)
-{
-    for (const auto &[field, value] : json.members()) {
-        if (field == "feature") {
-            constexpr StallFeature kFeatures[] = {
-                StallFeature::FS,   StallFeature::BL,
-                StallFeature::BNL1, StallFeature::BNL2,
-                StallFeature::BNL3, StallFeature::NB};
-            auto v = asEnum("cpu", field, value, kFeatures,
-                            stallFeatureName);
-            if (!v.ok())
-                return v.status();
-            config.feature = v.value();
-        } else if (field == "mshrs") {
-            auto v = asUint<std::uint32_t>("cpu", field, value);
-            if (!v.ok())
-                return v.status();
-            config.mshrs = v.value();
-        } else if (field == "suppress_flush") {
-            auto v = asBool("cpu", field, value);
-            if (!v.ok())
-                return v.status();
-            config.suppressFlushTraffic = v.value();
-        } else if (field == "prefetch") {
-            constexpr PrefetchPolicy kPolicies[] = {
-                PrefetchPolicy::None, PrefetchPolicy::OnMiss,
-                PrefetchPolicy::Tagged};
-            auto v = asEnum("cpu", field, value, kPolicies,
-                            prefetchPolicyName);
-            if (!v.ok())
-                return v.status();
-            config.prefetch = v.value();
-        } else {
-            return Status::parseError(
-                "sweep request: unknown cpu field \"", field,
-                "\"");
-        }
-    }
-    return Status();
-}
-
-/** Re-render a parsed subtree to JSON text, so the workload spec
- *  can reuse WorkloadSpec::fromJson's strict schema validation. */
-void
-writeJsonValue(obs::JsonWriter &writer,
-               const obs::JsonValue &value)
-{
-    switch (value.kind()) {
-      case obs::JsonValue::Kind::Null:
-        writer.rawValue("null");
-        return;
-      case obs::JsonValue::Kind::Bool:
-        writer.value(value.asBool());
-        return;
-      case obs::JsonValue::Kind::Number:
-        writer.value(value.asNumber());
-        return;
-      case obs::JsonValue::Kind::String:
-        writer.value(value.asString());
-        return;
-      case obs::JsonValue::Kind::Array:
-        writer.beginArray();
-        for (const obs::JsonValue &item : value.items())
-            writeJsonValue(writer, item);
-        writer.endArray();
-        return;
-      case obs::JsonValue::Kind::Object:
-        writer.beginObject();
-        for (const auto &[key, member] : value.members()) {
-            writer.key(key);
-            writeJsonValue(writer, member);
-        }
-        writer.endObject();
-        return;
-    }
-}
-
-Expected<exp::WorkloadSpec>
-workloadFromJsonValue(const obs::JsonValue &value)
-{
-    obs::JsonWriter writer;
-    writeJsonValue(writer, value);
-    return exp::WorkloadSpec::fromJson(writer.str());
-}
-
-/** One registered sweepable knob. */
-struct AxisEntry
-{
-    exp::Scenario::Applier apply;
-
-    /** Largest value the knob's field holds.  parseAxis rejects
-     *  any axis value above it, so apply's cast is exact. */
-    std::uint64_t max;
-};
-
-/** The axis that sets @p field of the point's @p config. */
-template <typename Config, typename Field>
-AxisEntry
-fieldAxis(Config exp::Point::*config, Field Config::*field)
-{
-    return {[config, field](exp::Point &p, const exp::AxisValue &v) {
-                (p.*config).*field = static_cast<Field>(v.value);
-            },
-            std::numeric_limits<Field>::max()};
-}
-
-const std::map<std::string, AxisEntry> &
-axisRegistry()
-{
-    static const std::map<std::string, AxisEntry> kAxes = {
-        {"cache.size",
-         fieldAxis(&exp::Point::cache, &CacheConfig::sizeBytes)},
-        {"cache.assoc",
-         fieldAxis(&exp::Point::cache, &CacheConfig::assoc)},
-        {"cache.line",
-         fieldAxis(&exp::Point::cache, &CacheConfig::lineBytes)},
-        {"memory.bus_width",
-         fieldAxis(&exp::Point::memory,
-                   &MemoryConfig::busWidthBytes)},
-        {"memory.cycle_time",
-         fieldAxis(&exp::Point::memory, &MemoryConfig::cycleTime)},
-        {"memory.pipeline_interval",
-         fieldAxis(&exp::Point::memory,
-                   &MemoryConfig::pipelineInterval)},
-        {"wbuf.depth",
-         fieldAxis(&exp::Point::writeBuffer,
-                   &WriteBufferConfig::depth)},
-        {"cpu.mshrs", fieldAxis(&exp::Point::cpu, &CpuConfig::mshrs)},
-    };
-    return kAxes;
 }
 
 Status
@@ -373,7 +194,7 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
         specs.reserve(specs_json->size());
         for (const obs::JsonValue &spec_json :
              specs_json->items()) {
-            auto spec = workloadFromJsonValue(spec_json);
+            auto spec = exp::WorkloadSpec::fromJson(spec_json);
             if (!spec.ok())
                 return spec.status();
             specs.push_back(std::move(spec).value());
@@ -382,8 +203,12 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
         return Status();
     }
 
-    const auto it = axisRegistry().find(name);
-    if (it == axisRegistry().end()) {
+    const CacheField *field =
+        name.starts_with(kCacheAxisPrefix)
+            ? findCacheField(std::string_view(name).substr(
+                  kCacheAxisPrefix.size()))
+            : nullptr;
+    if (!field) {
         std::string known;
         for (const std::string &axis : serveAxisNames()) {
             if (!known.empty())
@@ -413,21 +238,25 @@ parseAxis(const obs::JsonValue &json, exp::Scenario &scenario)
                 "sweep request: axis \"", name,
                 "\" values must be numbers");
         }
-        auto v = obs::checkedUint(value.asNumber(), it->second.max,
+        auto v = obs::checkedUint(value.asNumber(), field->max,
                                   "sweep request: axis \"" + name +
                                       "\" value");
         if (!v.ok())
             return v.status();
         values.push_back(value.asNumber());
     }
-    scenario.sweep(name, values, it->second.apply);
+    scenario.sweep(name, values,
+                   [set = field->set](exp::Point &point,
+                                      const exp::AxisValue &v) {
+                       set(point.cache,
+                           static_cast<std::uint64_t>(v.value));
+                   });
     return Status();
 }
 
-} // namespace
-
-const ServeKernel *
-findServeKernel(const std::string &name)
+/** Every kernel a request can name. */
+const std::vector<ServeKernel> &
+serveKernels()
 {
     // The offline per-point kernel, so a served point renders
     // byte-identically to the same point of runGeometrySweep.
@@ -436,7 +265,15 @@ findServeKernel(const std::string &name)
          {"hit_ratio", "miss_ratio", "flush_ratio"},
          exp::priceGeometryPoint},
     };
-    for (const ServeKernel &kernel : kKernels) {
+    return kKernels;
+}
+
+} // namespace
+
+const ServeKernel *
+findServeKernel(const std::string &name)
+{
+    for (const ServeKernel &kernel : serveKernels()) {
         if (kernel.name == name)
             return &kernel;
     }
@@ -446,18 +283,19 @@ findServeKernel(const std::string &name)
 std::vector<std::string>
 serveKernelNames()
 {
-    return {"cache"};
+    std::vector<std::string> names;
+    for (const ServeKernel &kernel : serveKernels())
+        names.push_back(kernel.name);
+    return names;
 }
 
 std::vector<std::string>
 serveAxisNames()
 {
     std::vector<std::string> names;
-    names.reserve(axisRegistry().size() + 1);
-    for (const auto &[name, entry] : axisRegistry()) {
-        (void)entry;
-        names.push_back(name);
-    }
+    for (const CacheField &field : kCacheFields)
+        names.push_back(std::string(kCacheAxisPrefix) +
+                        std::string(field.name));
     names.push_back("workload");
     return names;
 }
@@ -473,11 +311,10 @@ parseSweepRequest(std::string_view json)
         return Status::parseError(
             "sweep request must be a JSON object");
 
-    SweepRequest request;
+    // The scenario is built around its name and description, so
+    // they are read first.
     std::string name = "sweep";
     std::string description;
-    const obs::JsonValue *axes = nullptr;
-
     for (const auto &[field, value] : root.members()) {
         if (field == "name") {
             if (!value.isString())
@@ -490,12 +327,20 @@ parseSweepRequest(std::string_view json)
             if (!value.isString())
                 return typeError("request", field, "a string");
             description = value.asString();
+        }
+    }
+    SweepRequest request{.scenario = exp::Scenario(name, description)};
+    const obs::JsonValue *axes = nullptr;
+
+    for (const auto &[field, value] : root.members()) {
+        if (field == "name" || field == "description") {
+            continue;
         } else if (field == "kernel") {
             if (!value.isString())
                 return typeError("request", field, "a string");
             request.kernel = value.asString();
         } else if (field == "refs") {
-            auto v = asUint<std::uint64_t>("request", field, value);
+            auto v = asUint("request", field, value);
             if (!v.ok())
                 return v.status();
             if (v.value() == 0)
@@ -503,17 +348,18 @@ parseSweepRequest(std::string_view json)
                     "sweep request: \"refs\" must be positive");
             request.scenario.refs = v.value();
         } else if (field == "warmup") {
-            auto v = asUint<std::uint64_t>("request", field, value);
+            auto v = asUint("request", field, value);
             if (!v.ok())
                 return v.status();
             request.scenario.warmupRefs = v.value();
         } else if (field == "threads") {
-            auto v = asUint<unsigned>("request", field, value);
+            auto v = asUint("request", field, value,
+                            std::numeric_limits<unsigned>::max());
             if (!v.ok())
                 return v.status();
-            request.threads = v.value();
+            request.threads = static_cast<unsigned>(v.value());
         } else if (field == "workload") {
-            auto spec = workloadFromJsonValue(value);
+            auto spec = exp::WorkloadSpec::fromJson(value);
             if (!spec.ok())
                 return spec.status();
             request.scenario.workload = std::move(spec).value();
@@ -522,27 +368,6 @@ parseSweepRequest(std::string_view json)
                 return typeError("request", field, "an object");
             const Status status =
                 parseCacheConfig(value, request.scenario.cache);
-            if (!status.ok())
-                return status;
-        } else if (field == "memory") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status =
-                parseMemoryConfig(value, request.scenario.memory);
-            if (!status.ok())
-                return status;
-        } else if (field == "wbuf") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status = parseWriteBufferConfig(
-                value, request.scenario.writeBuffer);
-            if (!status.ok())
-                return status;
-        } else if (field == "cpu") {
-            if (!value.isObject())
-                return typeError("request", field, "an object");
-            const Status status =
-                parseCpuConfig(value, request.scenario.cpu);
             if (!status.ok())
                 return status;
         } else if (field == "axes") {
@@ -575,19 +400,6 @@ parseSweepRequest(std::string_view json)
             "sweep request: unknown kernel \"", request.kernel,
             "\" (known: ", known, ")");
     }
-
-    // The scenario was default-constructed before name/description
-    // were known; rebuild it around them, keeping the parsed
-    // configuration.
-    exp::Scenario scenario(name, description);
-    scenario.cache = request.scenario.cache;
-    scenario.memory = request.scenario.memory;
-    scenario.writeBuffer = request.scenario.writeBuffer;
-    scenario.cpu = request.scenario.cpu;
-    scenario.workload = request.scenario.workload;
-    scenario.refs = request.scenario.refs;
-    scenario.warmupRefs = request.scenario.warmupRefs;
-    request.scenario = std::move(scenario);
 
     if (axes) {
         for (const obs::JsonValue &axis : axes->items()) {

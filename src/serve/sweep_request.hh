@@ -3,14 +3,17 @@
  * The wire schema of a sweep request: a JSON scenario description
  * parsed onto the existing exp::Scenario machinery.
  *
- * A request names a base machine (cache/memory/write-buffer/CPU
- * configs, every field optional over the library defaults), a
- * workload spec (the registered-method JSON from exp/workload_spec),
- * the swept axes, and the kernel that prices each point.  Axes are
- * addressed by registered name ("cache.size", "memory.bus_width",
- * ...) so the server never evaluates caller-supplied code — the
- * applier is looked up, the values come from the request.  The
- * special axis "workload" sweeps whole workload specs.
+ * A request names a base cache config (every field optional over
+ * the library defaults), a workload spec (the registered-method
+ * JSON from exp/workload_spec), the swept axes, and the kernel that
+ * prices each point.  The schema holds only what the kernel reads:
+ * the memory, write-buffer and CPU configs enter the timing engine
+ * and Eq. 2, not the hit ratio, so a request cannot set them and
+ * served points keep their defaults.  Axes are addressed by
+ * registered name ("cache.size", "cache.assoc", "cache.line") so
+ * the server never evaluates caller-supplied code — the applier is
+ * looked up, the values come from the request.  The special axis
+ * "workload" sweeps whole workload specs.
  *
  * Parsing is strict: unknown fields, unknown axis or kernel names,
  * and mistyped values are typed ParseError/NotFound Statuses (the

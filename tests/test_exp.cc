@@ -616,6 +616,35 @@ TEST(Scenarios, DeclinedSweepFallsBackToIdenticalPerPointRun)
     resetSweepDispatchStats();
 }
 
+TEST(Scenarios, AccessWiderThanTheLineIsTheSameErrorRowOnBothEngines)
+{
+    // ycsb-a issues 8-byte accesses, which a 4-byte line cannot
+    // hold.  Each point fails with InvalidArgument, and the
+    // stack-sim pass declines instead of aborting the process.
+    GeometrySweep spec;
+    spec.axis = GeometrySweep::Axis::Size;
+    spec.base.assoc = 2;
+    spec.base.lineBytes = 4;
+    spec.workload =
+        valueOrFatal(WorkloadSpec::parse("ycsb-a:records=5000", 3));
+    spec.values = {4096, 8192};
+    spec.refs = 2000;
+
+    resetSweepDispatchStats();
+    GeometrySweep brute = spec;
+    brute.engine = GeometrySweep::Engine::PerPoint;
+    Runner a(RunnerOptions{2});
+    Runner b(RunnerOptions{2});
+    const std::string fast = runGeometrySweep(spec, a).renderCsv();
+    EXPECT_EQ(fast, runGeometrySweep(brute, b).renderCsv());
+    EXPECT_NE(fast.find("!invalid_argument"), std::string::npos)
+        << fast;
+    EXPECT_EQ(a.lastStats().pointsFailed, 2u);
+    EXPECT_EQ(b.lastStats().pointsFailed, 2u);
+    EXPECT_EQ(sweepDispatchCounters().declined, 1u);
+    resetSweepDispatchStats();
+}
+
 TEST(SweepDispatchTest, CountersTrackFastAndDeclinedSweeps)
 {
     // Under the Auto engine each sweep bumps exactly one counter:
