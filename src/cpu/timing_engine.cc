@@ -16,12 +16,12 @@
 namespace uatm {
 
 // Drift guard: every numeric field of TimingStats must appear in
-// counters(), registerStats() and the test drift guard.  If this
-// fires you added/removed a field — update all three (and the JSON
-// schema note in docs/OBSERVABILITY.md), then adjust the count.
+// registerStats() and the test drift guard.  If this fires you
+// added/removed a field — update both (and the JSON schema note in
+// docs/OBSERVABILITY.md), then adjust the count.
 static_assert(sizeof(TimingStats) == 15 * sizeof(std::uint64_t),
-              "TimingStats changed: update counters(), "
-              "registerStats() and tests/test_obs.cc");
+              "TimingStats changed: update registerStats() and "
+              "tests/test_obs.cc");
 
 const char *
 prefetchPolicyName(PrefetchPolicy policy)
@@ -110,29 +110,6 @@ TimingStats::format() const
        << prefetchesLate << ")\n"
        << "  mean memory delay   = " << meanMemoryDelay() << '\n';
     return os.str();
-}
-
-CounterGroup
-TimingStats::counters() const
-{
-    CounterGroup group;
-    group.increment("sim.cycles", cycles);
-    group.increment("sim.instructions", instructions);
-    group.increment("sim.references", references);
-    group.increment("sim.fills", fills);
-    group.increment("sim.write_arounds", writeArounds);
-    group.increment("stall.initial_miss_wait", initialMissWait);
-    group.increment("stall.inflight_access", inflightAccessStall);
-    group.increment("stall.miss_serialization",
-                    missSerializationStall);
-    group.increment("stall.flush", flushStall);
-    group.increment("stall.write", writeStall);
-    group.increment("stall.buffer_full", bufferFullStall);
-    group.increment("port.contention_wait", portContentionWait);
-    group.increment("prefetch.issued", prefetchesIssued);
-    group.increment("prefetch.useful", prefetchesUseful);
-    group.increment("prefetch.late", prefetchesLate);
-    return group;
 }
 
 void

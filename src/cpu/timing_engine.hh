@@ -39,7 +39,6 @@
 #include "memory/timing.hh"
 #include "memory/write_buffer.hh"
 #include "trace/source.hh"
-#include "util/stats.hh"
 
 namespace uatm::obs {
 class EventTracer;
@@ -163,15 +162,11 @@ struct TimingStats
     /** Human-readable breakdown. */
     std::string format() const;
 
-    /** The same breakdown as a named counter group (for tooling
-     *  that consumes gem5-style stat dumps). */
-    CounterGroup counters() const;
-
     /**
      * Register every counter plus the derived formulas (CPI, mean
      * memory delay, and phi when @p mu_m is nonzero) into the stat
      * registry under @p prefix (e.g. "engine" -> "engine.sim.*",
-     * "engine.stall.*").  Names match counters() exactly.
+     * "engine.stall.*").
      */
     void registerStats(obs::StatRegistry &registry,
                        const std::string &prefix,

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hh"
 
@@ -135,63 +134,6 @@ Histogram::quantile(double q) const
         cum = next;
     }
     return lo_ + width_ * static_cast<double>(counts_.size());
-}
-
-void
-CounterGroup::increment(const std::string &name, std::uint64_t delta)
-{
-    if (auto *slot = find(name)) {
-        *slot += delta;
-        return;
-    }
-    entries_.emplace_back(name, delta);
-}
-
-std::uint64_t
-CounterGroup::value(const std::string &name) const
-{
-    const auto *slot = find(name);
-    return slot ? *slot : 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-CounterGroup::entries() const
-{
-    return entries_;
-}
-
-std::string
-CounterGroup::format() const
-{
-    std::ostringstream os;
-    std::size_t width = 0;
-    for (const auto &[name, value] : entries_)
-        width = std::max(width, name.size());
-    for (const auto &[name, value] : entries_) {
-        os << name << std::string(width - name.size(), ' ')
-           << " = " << value << '\n';
-    }
-    return os.str();
-}
-
-std::uint64_t *
-CounterGroup::find(const std::string &name)
-{
-    for (auto &[key, value] : entries_) {
-        if (key == name)
-            return &value;
-    }
-    return nullptr;
-}
-
-const std::uint64_t *
-CounterGroup::find(const std::string &name) const
-{
-    for (const auto &[key, value] : entries_) {
-        if (key == name)
-            return &value;
-    }
-    return nullptr;
 }
 
 } // namespace uatm

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace uatm {
@@ -89,32 +88,6 @@ class Histogram
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
-};
-
-/**
- * Named counter group: insertion-ordered key -> uint64 counters with
- * a formatted dump, mirroring a simulator stats block.
- */
-class CounterGroup
-{
-  public:
-    /** Add delta to the named counter, creating it at zero if new. */
-    void increment(const std::string &name, std::uint64_t delta = 1);
-
-    /** Value of the named counter; zero if it was never touched. */
-    std::uint64_t value(const std::string &name) const;
-
-    /** All counters in insertion order as (name, value). */
-    std::vector<std::pair<std::string, std::uint64_t>> entries() const;
-
-    /** Render a "name = value" block, one counter per line. */
-    std::string format() const;
-
-  private:
-    std::vector<std::pair<std::string, std::uint64_t>> entries_;
-
-    std::uint64_t *find(const std::string &name);
-    const std::uint64_t *find(const std::string &name) const;
 };
 
 } // namespace uatm

@@ -204,11 +204,12 @@ TEST(StatCounters, MirrorTheBreakdown)
     stats.cycles = 100;
     stats.fills = 7;
     stats.prefetchesIssued = 3;
-    const CounterGroup group = stats.counters();
-    EXPECT_EQ(group.value("sim.cycles"), 100u);
-    EXPECT_EQ(group.value("sim.fills"), 7u);
-    EXPECT_EQ(group.value("prefetch.issued"), 3u);
-    EXPECT_NE(group.format().find("stall.flush"),
+    obs::StatRegistry registry;
+    stats.registerStats(registry, "engine");
+    EXPECT_EQ(registry.value("engine.sim.cycles"), 100.0);
+    EXPECT_EQ(registry.value("engine.sim.fills"), 7.0);
+    EXPECT_EQ(registry.value("engine.prefetch.issued"), 3.0);
+    EXPECT_NE(registry.formatText().find("stall.flush"),
               std::string::npos);
 }
 

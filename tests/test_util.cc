@@ -318,30 +318,6 @@ TEST(Histogram, FractionsSumToOne)
     EXPECT_DOUBLE_EQ(sum, 1.0);
 }
 
-// ----------------------------------------------------------- CounterGroup
-
-TEST(CounterGroup, IncrementAndQuery)
-{
-    CounterGroup g;
-    g.increment("hits");
-    g.increment("hits", 4);
-    g.increment("misses", 2);
-    EXPECT_EQ(g.value("hits"), 5u);
-    EXPECT_EQ(g.value("misses"), 2u);
-    EXPECT_EQ(g.value("absent"), 0u);
-}
-
-TEST(CounterGroup, FormatPreservesInsertionOrder)
-{
-    CounterGroup g;
-    g.increment("zebra");
-    g.increment("apple");
-    const auto entries = g.entries();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].first, "zebra");
-    EXPECT_EQ(entries[1].first, "apple");
-}
-
 // ------------------------------------------------------------- TextTable
 
 TEST(TextTable, RendersAlignedColumns)
