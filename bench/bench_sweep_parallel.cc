@@ -67,23 +67,6 @@ sweepCsv(unsigned threads, bool telemetry = false,
     return exp::runGeometrySweep(spec, runner).renderCsv();
 }
 
-/** $UATM_BENCH_OUT (default bench_out/), created if missing. */
-std::filesystem::path
-benchOutDir()
-{
-    const char *env = std::getenv("UATM_BENCH_OUT");
-    const std::filesystem::path dir =
-        std::filesystem::path(env && *env ? env : "bench_out")
-            .lexically_normal();
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        fatal("cannot create benchmark output directory '",
-              dir.string(), "': ", ec.message());
-    }
-    return dir;
-}
-
 /**
  * One telemetry-armed run per thread count: write the
  * RUNNER_*.json artifacts, print each diagnosis, and return the
@@ -92,7 +75,7 @@ benchOutDir()
 std::vector<std::pair<unsigned, double>>
 runTelemetrySweeps(const unsigned (&threadCounts)[4])
 {
-    const std::filesystem::path dir = benchOutDir();
+    const std::filesystem::path dir = obs::benchOutDir();
     std::vector<std::pair<unsigned, double>> samples;
     for (unsigned threads : threadCounts) {
         exp::RunnerOptions options;

@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "cpu/stall_feature.hh"
+#include "obs/bench.hh"
 #include "obs/profile.hh"
 #include "obs/registry.hh"
 #include "obs/trace_event.hh"
@@ -147,19 +148,7 @@ recordStats(const TimingStats &stats, Cycles mu_m)
 void
 exportCsv(const std::string &name, const TextTable &table)
 {
-    // Tolerate a trailing slash (UATM_BENCH_OUT="out/") and any
-    // embedded "./" noise: lexically_normal gives one canonical
-    // path per artifact, so log-scraping and docs agree on it.
-    const char *env = std::getenv("UATM_BENCH_OUT");
-    const std::filesystem::path dir =
-        std::filesystem::path(env && *env ? env : "bench_out")
-            .lexically_normal();
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        fatal("cannot create CSV output directory '", dir.string(),
-              "': ", ec.message());
-    }
+    const std::filesystem::path dir = obs::benchOutDir();
     const std::filesystem::path path =
         (dir / (name + ".csv")).lexically_normal();
     std::ofstream out(path);

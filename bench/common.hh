@@ -63,10 +63,10 @@ void emitTable(const TextTable &table);
 void emitChart(const AsciiChart &chart);
 
 /**
- * Write a CSV snapshot under $UATM_BENCH_OUT (default
- * "bench_out/"), creating the directory recursively, plus a
- * sibling <name>.manifest.json run manifest; prints the paths
- * written.  fatal() when the directory or files are unwritable.
+ * Write a CSV snapshot under obs::benchOutDir() ($UATM_BENCH_OUT,
+ * default "bench_out/"), plus a sibling <name>.manifest.json run
+ * manifest; prints the paths written.  fatal() when the directory
+ * or files are unwritable.
  */
 void exportCsv(const std::string &name, const TextTable &table);
 

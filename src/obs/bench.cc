@@ -230,6 +230,25 @@ BenchSuite::runOne(const std::string &name, const BenchFn &fn,
     return result;
 }
 
+std::filesystem::path
+benchOutDir()
+{
+    // Tolerate a trailing slash (UATM_BENCH_OUT="out/") and any
+    // embedded "./" noise: lexically_normal gives one canonical
+    // path per artifact, so log-scraping and docs agree on it.
+    const char *env = std::getenv("UATM_BENCH_OUT");
+    const std::filesystem::path dir =
+        std::filesystem::path(env && *env ? env : "bench_out")
+            .lexically_normal();
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        fatal("cannot create benchmark output directory '",
+              dir.string(), "': ", ec.message());
+    }
+    return dir;
+}
+
 std::size_t
 BenchSuite::run(const RunOptions &options)
 {
@@ -271,19 +290,8 @@ BenchSuite::run(const RunOptions &options)
     }
 
     if (options.writeJson && !results_.empty()) {
-        const char *env = std::getenv("UATM_BENCH_OUT");
-        const std::filesystem::path dir =
-            !options.outDir.empty() ? options.outDir
-            : (env && *env)        ? env
-                                    : "bench_out";
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        if (ec) {
-            fatal("cannot create benchmark output directory '",
-                  dir.string(), "': ", ec.message());
-        }
         const std::filesystem::path path =
-            (dir / ("BENCH_" + name_ + ".json"))
+            (benchOutDir() / ("BENCH_" + name_ + ".json"))
                 .lexically_normal();
         std::ofstream out(path);
         if (!out) {

@@ -28,6 +28,7 @@
 #define UATM_OBS_BENCH_HH
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <utility>
@@ -190,10 +191,6 @@ class BenchSuite
 
         /** Skip writing BENCH_<suite>.json (tests). */
         bool writeJson = true;
-
-        /** Output directory; empty = $UATM_BENCH_OUT or
-         *  "bench_out". */
-        std::string outDir;
     };
 
     explicit BenchSuite(std::string name) : name_(std::move(name))
@@ -209,7 +206,7 @@ class BenchSuite
     /**
      * Run every benchmark matching the filter, print an aligned
      * result table, and (unless disabled) write
-     * <outDir>/BENCH_<suite>.json.  Returns the number run (or,
+     * benchOutDir()/BENCH_<suite>.json.  Returns the number run (or,
      * with listOnly, the number of names printed).
      */
     std::size_t run(const RunOptions &options);
@@ -232,6 +229,14 @@ class BenchSuite
     BenchResult runOne(const std::string &name, const BenchFn &fn,
                        const RunOptions &options) const;
 };
+
+/**
+ * Where benchmarks write their artifacts: $UATM_BENCH_OUT, or
+ * "bench_out" when that is unset or empty, lexically normalised
+ * and created (recursively) if missing.  A directory that cannot
+ * be created is fatal: the run could not record its results.
+ */
+std::filesystem::path benchOutDir();
 
 /** How one benchmark's median ns/op moved between two runs. */
 struct PerfDelta
