@@ -195,8 +195,7 @@ run(int argc, char **argv)
                                 cpu);
             // Fresh stream, distinct seed from the sweeps above.
             exp::WorkloadSpec check = workload;
-            if (check.serializable())
-                check.seed = workload.seed + 1;
+            check.seed = workload.seed + 1;
             auto source = okOrThrow(check.make());
             return engine.run(*source, refs);
         };

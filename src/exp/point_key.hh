@@ -12,11 +12,12 @@
  * under the same kernel, which is what makes sweep results safely
  * memoizable (the serve layer's PointCache, ROADMAP item 2).
  *
- * Non-serializable points — custom() workload specs carry an
- * in-process factory — refuse a key with a typed InvalidArgument
- * Status rather than silently hashing an incomplete description:
- * a bogus cache key that aliases two different workloads would
- * serve wrong results, so "no key" is the only safe answer.
+ * Every workload spec is data, so every point gets a key, except
+ * one whose spec has an empty method: it names no stream, and it
+ * refuses a key with a typed InvalidArgument Status rather than
+ * hashing a description that could alias another point's.  A
+ * bogus cache key would serve wrong results, so "no key" is the
+ * only safe answer.
  */
 
 #ifndef UATM_EXP_POINT_KEY_HH
@@ -42,8 +43,8 @@ constexpr int kPointKeySchemaVersion = 1;
  * not participate: by the time a Point reaches a kernel its axis
  * values have been applied to the configs, so two points at
  * different coordinates that resolve to the same configuration
- * correctly share a key.  InvalidArgument for custom() workload
- * specs (never a silent partial key).
+ * correctly share a key.  InvalidArgument for a workload spec
+ * with an empty method (never a silent partial key).
  */
 Expected<std::string> canonicalPointKey(const Point &point,
                                         std::string_view kernel_id);

@@ -135,9 +135,9 @@ SweepService::runSweep(const SweepRequest &request)
         const auto point_start = std::chrono::steady_clock::now();
         auto key = exp::canonicalPointKey(point, kernel->id);
         if (!key.ok()) {
-            // A point the cache cannot address (custom workload
-            // spec) is refused, never silently cached or priced:
-            // the Runner turns this into a typed error cell.
+            // A point the cache cannot address (a workload spec
+            // with no method) is refused, never silently cached or
+            // priced: the Runner turns this into a typed error cell.
             return key.status();
         }
         if (auto cells = cache_.lookup(key.value())) {

@@ -17,9 +17,9 @@
  *
  * Each point is priced through the cache: canonical key (point_key)
  * -> lookup -> on miss, the kernel runs and the cells are inserted.
- * Key refusal (custom workload specs) and kernel failures become
- * per-point error Statuses — the Runner degrades them to typed
- * error cells, and failures are never cached.  Because keys are
+ * Key refusal (a workload spec with no method) and kernel
+ * failures become per-point error Statuses — the Runner degrades
+ * them to typed error cells, and failures are never cached.  Because keys are
  * complete content addresses and cells round-trip with their exact
  * rendered text, a warm request is byte-identical to a cold one.
  */

@@ -59,14 +59,6 @@ StrideGenerator::reset()
     index_ = 0;
 }
 
-std::unique_ptr<TraceSource>
-StrideGenerator::clone() const
-{
-    // Rebuild from (config, initial RNG): the clone replays from
-    // the beginning even when this instance is mid-stream.
-    return std::make_unique<StrideGenerator>(config_, initialRng_);
-}
-
 std::size_t
 StrideGenerator::fillBatch(MemoryReference *out,
                            std::size_t max_refs)
@@ -142,12 +134,6 @@ LoopNestGenerator::reset()
     leg_ = 0;
 }
 
-std::unique_ptr<TraceSource>
-LoopNestGenerator::clone() const
-{
-    return std::make_unique<LoopNestGenerator>(config_, initialRng_);
-}
-
 std::size_t
 LoopNestGenerator::fillBatch(MemoryReference *out,
                              std::size_t max_refs)
@@ -218,13 +204,6 @@ PointerChaseGenerator::reset()
     rng_ = initialRng_;
     node_ = 0;
     field_ = 0;
-}
-
-std::unique_ptr<TraceSource>
-PointerChaseGenerator::clone() const
-{
-    return std::make_unique<PointerChaseGenerator>(config_,
-                                                   initialRng_);
 }
 
 std::size_t
@@ -314,13 +293,6 @@ WorkingSetGenerator::reset()
 {
     rng_ = initialRng_;
     seedStack();
-}
-
-std::unique_ptr<TraceSource>
-WorkingSetGenerator::clone() const
-{
-    return std::make_unique<WorkingSetGenerator>(config_,
-                                                 initialRng_);
 }
 
 std::size_t
@@ -417,20 +389,6 @@ PhaseMixGenerator::reset()
         phase.source->reset();
     current_ = 0;
     emitted_ = 0;
-}
-
-std::unique_ptr<TraceSource>
-PhaseMixGenerator::clone() const
-{
-    std::vector<Phase> copies;
-    copies.reserve(phases_.size());
-    for (const auto &phase : phases_) {
-        auto child = phase.source->clone();
-        if (!child)
-            return nullptr;
-        copies.push_back(Phase{std::move(child), phase.length});
-    }
-    return std::make_unique<PhaseMixGenerator>(std::move(copies));
 }
 
 // --------------------------------------------------------------------

@@ -72,7 +72,6 @@ class StrideGenerator : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
 
@@ -111,7 +110,6 @@ class LoopNestGenerator : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
 
@@ -153,7 +151,6 @@ class PointerChaseGenerator : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
 
@@ -200,7 +197,6 @@ class WorkingSetGenerator : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
 
@@ -239,10 +235,6 @@ class PhaseMixGenerator : public TraceSource
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
-
-    /** Clones every child from its beginning; nullptr when any
-     *  child is itself uncloneable. */
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::vector<Phase> phases_;

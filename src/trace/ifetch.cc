@@ -83,12 +83,6 @@ IFetchGenerator::reset()
     seedTargets();
 }
 
-std::unique_ptr<TraceSource>
-IFetchGenerator::clone() const
-{
-    return std::make_unique<IFetchGenerator>(config_, initialRng_);
-}
-
 IFetchInterleaver::IFetchInterleaver(
     std::unique_ptr<TraceSource> data, const IFetchConfig &config,
     Rng rng)
@@ -125,16 +119,6 @@ IFetchInterleaver::reset()
     fetch_.reset();
     fetchesOwed_ = 0;
     held_.reset();
-}
-
-std::unique_ptr<TraceSource>
-IFetchInterleaver::clone() const
-{
-    auto data = data_->clone();
-    if (!data)
-        return nullptr;
-    return std::make_unique<IFetchInterleaver>(
-        std::move(data), fetch_.config(), fetch_.initialRng());
 }
 
 } // namespace uatm

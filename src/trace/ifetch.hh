@@ -57,12 +57,6 @@ class IFetchGenerator : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
-
-    const IFetchConfig &config() const { return config_; }
-
-    /** The seed state the stream (re)starts from. */
-    const Rng &initialRng() const { return initialRng_; }
 
   private:
     IFetchConfig config_;
@@ -98,10 +92,6 @@ class IFetchInterleaver : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-
-    /** Clones the data stream from its beginning; nullptr when the
-     *  data source is uncloneable. */
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::unique_ptr<TraceSource> data_;

@@ -262,13 +262,6 @@ ReuseDistanceWorkload::reset()
     nextFreshLine_ = config_.base / config_.lineBytes;
 }
 
-std::unique_ptr<TraceSource>
-ReuseDistanceWorkload::clone() const
-{
-    return std::make_unique<ReuseDistanceWorkload>(config_,
-                                                   initialRng_);
-}
-
 std::size_t
 ReuseDistanceWorkload::fillBatch(MemoryReference *out,
                                  std::size_t max_refs)

@@ -83,13 +83,6 @@ Trace::next()
     return refs_[cursor_++];
 }
 
-std::unique_ptr<TraceSource>
-Trace::clone() const
-{
-    // The copy starts rewound whatever this instance's cursor says.
-    return std::make_unique<Trace>(refs_);
-}
-
 std::size_t
 Trace::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
@@ -100,29 +93,6 @@ Trace::fillBatch(MemoryReference *out, std::size_t max_refs)
                     count * sizeof(MemoryReference));
     cursor_ += count;
     return count;
-}
-
-LimitedSource::LimitedSource(TraceSource &source, std::uint64_t limit)
-    : source_(source), limit_(limit)
-{
-}
-
-std::optional<MemoryReference>
-LimitedSource::next()
-{
-    if (emitted_ >= limit_)
-        return std::nullopt;
-    auto ref = source_.next();
-    if (ref)
-        ++emitted_;
-    return ref;
-}
-
-void
-LimitedSource::reset()
-{
-    source_.reset();
-    emitted_ = 0;
 }
 
 } // namespace uatm

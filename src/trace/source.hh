@@ -4,7 +4,10 @@
  *
  * Simulation runs of hundreds of millions of references should not
  * require materialising the trace, so generators implement a pull
- * interface; small traces for tests use the Trace container.
+ * interface; small traces for tests use the Trace container.  A
+ * source is a cursor over one stream: reset() rewinds it, and a
+ * second, independent cursor over the same stream is another
+ * exp::WorkloadSpec::make().
  */
 
 #ifndef UATM_TRACE_SOURCE_HH
@@ -12,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -33,23 +35,6 @@ class TraceSource
 
     /** Restart the source from the beginning. */
     virtual void reset() = 0;
-
-    /**
-     * An independent source that replays the identical stream *from
-     * the beginning* — regardless of how far this instance has been
-     * consumed.  This is what lets a parallel runner hand every
-     * shard its own deterministically reseeded copy of one
-     * workload.  Note the rewound semantics: a raw copy of a used
-     * generator would resume mid-stream with mutated RNG state,
-     * which is exactly the cloning bug clone() exists to prevent.
-     *
-     * Sources that borrow external state they cannot duplicate
-     * return nullptr (e.g. LimitedSource).
-     */
-    virtual std::unique_ptr<TraceSource> clone() const
-    {
-        return nullptr;
-    }
 
     /**
      * Fill @p out with up to @p max_refs references, returning the
@@ -141,32 +126,12 @@ class Trace : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override { cursor_ = 0; }
-    std::unique_ptr<TraceSource> clone() const override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
 
   private:
     std::vector<MemoryReference> refs_;
     std::size_t cursor_ = 0;
-};
-
-/**
- * Caps another source at a fixed number of references.  Generators
- * are typically endless; benchmarks wrap them in a LimitedSource.
- */
-class LimitedSource : public TraceSource
-{
-  public:
-    /** @param source borrowed; must outlive this wrapper. */
-    LimitedSource(TraceSource &source, std::uint64_t limit);
-
-    std::optional<MemoryReference> next() override;
-    void reset() override;
-
-  private:
-    TraceSource &source_;
-    std::uint64_t limit_;
-    std::uint64_t emitted_ = 0;
 };
 
 } // namespace uatm

@@ -37,15 +37,6 @@ OffsetSource::reset()
     inner_->reset();
 }
 
-std::unique_ptr<TraceSource>
-OffsetSource::clone() const
-{
-    auto inner = inner_->clone();
-    if (!inner)
-        return nullptr;
-    return std::make_unique<OffsetSource>(std::move(inner), offset_);
-}
-
 // --------------------------------------------------------------------
 // SampleSource
 // --------------------------------------------------------------------
@@ -87,15 +78,6 @@ SampleSource::reset()
     inner_->reset();
 }
 
-std::unique_ptr<TraceSource>
-SampleSource::clone() const
-{
-    auto inner = inner_->clone();
-    if (!inner)
-        return nullptr;
-    return std::make_unique<SampleSource>(std::move(inner), period_);
-}
-
 // --------------------------------------------------------------------
 // KindFilterSource
 // --------------------------------------------------------------------
@@ -129,16 +111,6 @@ void
 KindFilterSource::reset()
 {
     inner_->reset();
-}
-
-std::unique_ptr<TraceSource>
-KindFilterSource::clone() const
-{
-    auto inner = inner_->clone();
-    if (!inner)
-        return nullptr;
-    return std::make_unique<KindFilterSource>(
-        std::move(inner), keepLoads_, keepStores_, keepIFetch_);
 }
 
 // --------------------------------------------------------------------
@@ -196,21 +168,6 @@ TimeSliceSource::reset()
     current_ = 0;
     emitted_ = 0;
     pendingSwitch_ = false;
-}
-
-std::unique_ptr<TraceSource>
-TimeSliceSource::clone() const
-{
-    std::vector<std::unique_ptr<TraceSource>> copies;
-    copies.reserve(sources_.size());
-    for (const auto &source : sources_) {
-        auto copy = source->clone();
-        if (!copy)
-            return nullptr;
-        copies.push_back(std::move(copy));
-    }
-    return std::make_unique<TimeSliceSource>(std::move(copies),
-                                             quantum_, switchGap_);
 }
 
 } // namespace uatm

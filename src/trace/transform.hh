@@ -29,7 +29,6 @@ class OffsetSource : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::unique_ptr<TraceSource> inner_;
@@ -49,7 +48,6 @@ class SampleSource : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::unique_ptr<TraceSource> inner_;
@@ -66,7 +64,6 @@ class KindFilterSource : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::unique_ptr<TraceSource> inner_;
@@ -95,7 +92,6 @@ class TimeSliceSource : public TraceSource
 
     std::optional<MemoryReference> next() override;
     void reset() override;
-    std::unique_ptr<TraceSource> clone() const override;
 
   private:
     std::vector<std::unique_ptr<TraceSource>> sources_;

@@ -324,12 +324,6 @@ YcsbWorkload::reset()
     key_ = 0;
 }
 
-std::unique_ptr<TraceSource>
-YcsbWorkload::clone() const
-{
-    return std::make_unique<YcsbWorkload>(config_, initialRng_);
-}
-
 std::size_t
 YcsbWorkload::fillBatch(MemoryReference *out, std::size_t max_refs)
 {

@@ -225,17 +225,12 @@ TEST(ReuseDistanceWorkload, MeasureAndStackSimAgreeExactly)
     }
 }
 
-TEST(ReuseDistanceWorkload, ResetAndCloneRewind)
+TEST(ReuseDistanceWorkload, ResetRewinds)
 {
     ReuseDistanceWorkload gen(synthConfig(), Rng(53));
     const auto head = gen.drain(1000);
     gen.reset();
     EXPECT_EQ(gen.drain(1000), head);
-
-    gen.drain(123);
-    auto copy = gen.clone();
-    ASSERT_NE(copy, nullptr);
-    EXPECT_EQ(copy->drain(1000), head);
 }
 
 TEST(ReuseDistanceWorkload, StoreFractionIsHonoured)

@@ -107,28 +107,6 @@ TEST(Trace, DrainStopsAtLimitAndEnd)
     EXPECT_EQ(t.drain(50).size(), 5u);
 }
 
-// --------------------------------------------------------- LimitedSource
-
-TEST(LimitedSource, CapsAnEndlessSource)
-{
-    Trace t;
-    for (int i = 0; i < 10; ++i)
-        t.append(makeRef(RefKind::Load, 4 * i));
-    LimitedSource limited(t, 4);
-    EXPECT_EQ(limited.drain(100).size(), 4u);
-}
-
-TEST(LimitedSource, ResetRestoresBudget)
-{
-    Trace t;
-    for (int i = 0; i < 10; ++i)
-        t.append(makeRef(RefKind::Load, 4 * i));
-    LimitedSource limited(t, 4);
-    limited.drain(100);
-    limited.reset();
-    EXPECT_EQ(limited.drain(100).size(), 4u);
-}
-
 // ------------------------------------------------------------ text format
 
 TEST(TextTrace, RoundTrips)

@@ -231,16 +231,6 @@ TEST(YcsbWorkload, ResetRewindsInsertsAndRngState)
     EXPECT_EQ(gen.drain(2000), head);
 }
 
-TEST(YcsbWorkload, CloneOfUsedSourceRewindsToStart)
-{
-    YcsbWorkload gen(smallConfig(YcsbWorkload::Mix::D), Rng(29));
-    const auto head = gen.clone()->drain(1500);
-    gen.drain(777); // leave the original mid-stream, post-insert
-    auto copy = gen.clone();
-    ASSERT_NE(copy, nullptr);
-    EXPECT_EQ(copy->drain(1500), head);
-}
-
 TEST(YcsbWorkload, SeedsChangeTheStream)
 {
     YcsbWorkload a(smallConfig(YcsbWorkload::Mix::A), Rng(1));
