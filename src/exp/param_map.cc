@@ -126,17 +126,18 @@ ParamValue::render() const
 
 namespace {
 
-/** strtod over the whole of @p text; nullopt on trailing junk. */
+/** strtod over the whole of @p text; nullopt on trailing junk and
+ *  NaN, and with @p out_of_range set on an infinity ("inf", or an
+ *  overflow such as "1e999"). */
 std::optional<double>
 parseFullDouble(const std::string &text, bool &out_of_range)
 {
     out_of_range = false;
     char *end = nullptr;
-    errno = 0;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
+    if (end == text.c_str() || *end != '\0' || std::isnan(v))
         return std::nullopt;
-    if (errno == ERANGE && (v >= HUGE_VAL || v <= -HUGE_VAL)) {
+    if (std::isinf(v)) {
         out_of_range = true;
         return std::nullopt;
     }
@@ -149,6 +150,19 @@ fitsInt64(double v)
 {
     return v == std::floor(v) && v >= -9.223372036854776e18 &&
            v < 9.223372036854776e18;
+}
+
+/**
+ * The value @p v's rendering (obs::JsonWriter::formatNumber, 12
+ * significant digits) parses back to.  A point key carries only
+ * the rendered text, so a param holds this value wherever it was
+ * read from: equal keys must build equal streams.  @p v is finite.
+ */
+double
+asRendered(double v)
+{
+    return std::strtod(obs::JsonWriter::formatNumber(v).c_str(),
+                       nullptr);
 }
 
 } // namespace
@@ -220,7 +234,7 @@ ParamValue::parse(Type type, std::string_view text)
         if (!d)
             return Status::parseError("'", value,
                                       "' is not a number");
-        return ofDouble(*d);
+        return ofDouble(asRendered(*d));
       }
     }
     return Status::invalidArgument("unknown param type");
@@ -385,18 +399,7 @@ ParamMap::fromJson(const obs::JsonValue &value)
         } else if (member.isBool()) {
             map.setBool(name, member.asBool());
         } else if (member.isNumber()) {
-            // A param holds the value its rendering parses back
-            // to: a point key carries only the rendered text, so
-            // equal keys must build equal streams.
-            if (!std::isfinite(member.asNumber())) {
-                return Status::parseError(
-                    "workload param '", name,
-                    "' must be a finite number");
-            }
-            const double v = std::strtod(
-                obs::JsonWriter::formatNumber(member.asNumber())
-                    .c_str(),
-                nullptr);
+            const double v = asRendered(member.asNumber());
             if (fitsInt64(v))
                 map.setInt(name, static_cast<std::int64_t>(v));
             else

@@ -74,7 +74,9 @@ class ParamValue
     /**
      * Parse @p text as a @p type value.  Ints accept decimal and
      * scientific forms with an integral value ("1e6"); overflow is
-     * OutOfRange and a malformed number is ParseError.
+     * OutOfRange and a malformed number is ParseError.  A Double
+     * holds the value its render() parses back to, as a number
+     * read by ParamMap::fromJson does.
      */
     static Expected<ParamValue> parse(Type type,
                                       std::string_view text);
@@ -145,8 +147,8 @@ class ParamMap
      * numbers become Int, others Double).  A number is read as the
      * value its rendering (obs::JsonWriter::formatNumber) parses
      * back to, so equal renderings hold equal values.
-     * Null/array/object members and non-finite numbers are
-     * ParseError.
+     * Null/array/object members are ParseError; obs::parseJson
+     * already refuses a number that overflows a double.
      */
     static Expected<ParamMap> fromJson(const obs::JsonValue &value);
 

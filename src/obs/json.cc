@@ -495,6 +495,13 @@ class JsonParser
             fail("malformed number");
             return;
         }
+        // JSON has no infinity; an underflow (1e-999) still reads
+        // as 0.
+        if (std::isinf(parsed)) {
+            pos_ = start;
+            fail("number overflows a double");
+            return;
+        }
         out.kind_ = JsonValue::Kind::Number;
         out.number_ = parsed;
     }

@@ -185,7 +185,10 @@ struct JsonParseResult
  * Parse one JSON document (leading/trailing whitespace allowed,
  * nothing else may follow).  Strict RFC 8259: no comments, no
  * trailing commas; \uXXXX escapes (including surrogate pairs)
- * decode to UTF-8.  Nesting deeper than 256 levels is rejected.
+ * decode to UTF-8.  Nesting deeper than 256 levels is rejected, and
+ * so is a number that overflows a double (JSON has no infinity); a
+ * number that underflows reads as the nearest double, 0 or a
+ * denormal.
  */
 JsonParseResult parseJson(std::string_view text);
 

@@ -391,6 +391,33 @@ TEST(JsonParser, RejectsMalformedInputWithPosition)
     }
 }
 
+TEST(JsonParser, NumbersThatOverflowADoubleAreRejected)
+{
+    // JSON has no infinity, so an overflow is a positioned error,
+    // not a number that error text would render as null.
+    struct Case
+    {
+        const char *text;
+        const char *error;
+    };
+    for (const Case &c :
+         {Case{"1e999", "byte 0: number overflows a double"},
+          Case{"-1e999", "byte 0: number overflows a double"},
+          Case{"{\"refs\": 1e999}",
+               "byte 9: number overflows a double"}}) {
+        const auto parsed = obs::parseJson(c.text);
+        EXPECT_FALSE(parsed.ok) << "accepted: " << c.text;
+        EXPECT_EQ(parsed.error, c.error) << c.text;
+    }
+
+    // An underflow still reads as 0.
+    for (const char *tiny : {"1e-999", "-1e-999"}) {
+        const auto parsed = obs::parseJson(tiny);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        EXPECT_EQ(parsed.value.asNumber(), 0.0) << tiny;
+    }
+}
+
 // ------------------------------------------------- Prometheus exposition
 
 TEST(Prometheus, GaugeWithHelpTypeAndUnitSuffix)
