@@ -1,14 +1,12 @@
 /**
  * @file
- * Implementation of the statistics accumulators.
+ * Implementation of the statistics accumulator.
  */
 
 #include "util/stats.hh"
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/logging.hh"
 
 namespace uatm {
 
@@ -71,69 +69,6 @@ double
 RunningStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    UATM_ASSERT(bins >= 1, "histogram needs at least one bin");
-    UATM_ASSERT(hi > lo, "histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) {
-        ++overflow_;
-        return;
-    }
-    ++counts_[idx];
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    UATM_ASSERT(i < counts_.size(), "bin index out of range");
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::binFraction(std::size_t i) const
-{
-    UATM_ASSERT(i < counts_.size(), "bin index out of range");
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_[i]) /
-           static_cast<double>(total_);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    UATM_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-    if (total_ == 0)
-        return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cum = static_cast<double>(underflow_);
-    if (cum >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double next = cum + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            const double inside =
-                (target - cum) / static_cast<double>(counts_[i]);
-            return binLow(i) + inside * width_;
-        }
-        cum = next;
-    }
-    return lo_ + width_ * static_cast<double>(counts_.size());
 }
 
 } // namespace uatm

@@ -246,78 +246,6 @@ TEST(RunningStats, ResetReturnsToEmpty)
     EXPECT_DOUBLE_EQ(s.max(), 1.0);
 }
 
-// ------------------------------------------------------------ Histogram
-
-TEST(Histogram, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0); // underflow
-    h.add(0.0);  // bin 0
-    h.add(9.99); // bin 9
-    h.add(10.0); // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, QuantileInterpolates)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, OnlyOutOfRangeSamples)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-100.0);
-    h.add(-0.0001);
-    h.add(10.0001);
-    EXPECT_EQ(h.underflow(), 2u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 3u);
-    for (std::size_t i = 0; i < h.bins(); ++i)
-        EXPECT_EQ(h.binCount(i), 0u);
-}
-
-TEST(Histogram, OverflowCountsInFractionDenominator)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.0);  // bin 1
-    h.add(99.0); // overflow
-    // Fractions are of *all* samples, so the regular bins sum to
-    // one half here.
-    EXPECT_DOUBLE_EQ(h.binFraction(1), 0.5);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < h.bins(); ++i)
-        sum += h.binFraction(i);
-    EXPECT_DOUBLE_EQ(sum, 0.5);
-}
-
-TEST(Histogram, ExactUpperEdgeOverflows)
-{
-    Histogram h(0.0, 8.0, 8);
-    h.add(8.0); // [lo, hi) — the upper edge is out
-    EXPECT_EQ(h.overflow(), 1u);
-    h.add(7.999999);
-    EXPECT_EQ(h.binCount(7), 1u);
-}
-
-TEST(Histogram, FractionsSumToOne)
-{
-    Histogram h(0.0, 4.0, 4);
-    for (double v : {0.5, 1.5, 2.5, 3.5})
-        h.add(v);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < h.bins(); ++i)
-        sum += h.binFraction(i);
-    EXPECT_DOUBLE_EQ(sum, 1.0);
-}
-
 // ------------------------------------------------------------- TextTable
 
 TEST(TextTable, RendersAlignedColumns)
