@@ -5,17 +5,24 @@
  * obs::BenchSuite harness.  Writes BENCH_sweep_parallel.json for
  * tools/perf_diff, and reports the wall-clock speedup of each
  * thread count over the serial run.  Before timing anything, it
- * asserts the merged CSV is byte-identical at every thread count —
- * both disarmed and with telemetry armed — the runner's core
+ * asserts the merged CSV is byte-identical at every thread count,
+ * and to brute-force per-point simulation — the runner's core
  * determinism contract.
  *
- * After the timed reps, one telemetry-armed run per thread count
- * writes RUNNER_sweep_parallel_t<n>.json next to the BENCH json
- * and the scaling diagnosis (per-worker utilization, load
- * imbalance, Amdahl serial-fraction fit) prints inline; feed the
- * same files to tools/run_report for the standalone report.  With
- * UATM_TRACE set, the runner additionally emits one Chrome-trace
- * track per worker.
+ * Each timed rep prices the sweep kSweepsPerRep times, so a rep
+ * lasts tens of milliseconds and the spread of the reps within
+ * one run stays small.
+ *
+ * After the timed reps it fits Amdahl's law to the median rep of
+ * each thread count, which times whole runGeometrySweep calls:
+ * trace generation and the stack-sim pass as well as the
+ * runner's per-point lookups.  One more run per thread count
+ * writes its record to RUNNER_sweep_parallel_t<n>.json next to
+ * the BENCH json and prints the per-worker diagnosis (utilization,
+ * load imbalance, slowest points); feed the same files to
+ * tools/run_report for the standalone report.  With UATM_TRACE
+ * set, the runner additionally emits one Chrome-trace track per
+ * worker.
  *
  *   bench_sweep_parallel [--filter=<substr>] [--list] [--reps=<n>]
  */
@@ -38,6 +45,9 @@ namespace {
 
 constexpr std::uint64_t kRefs = 20000;
 
+/** Sweeps priced per timed rep (one sweep is ~2 ms at t1). */
+constexpr unsigned kSweepsPerRep = 8;
+
 exp::GeometrySweep
 benchSweep()
 {
@@ -54,58 +64,59 @@ benchSweep()
 }
 
 std::string
-sweepCsv(unsigned threads, bool telemetry = false,
-         exp::GeometrySweep::Engine engine =
-             exp::GeometrySweep::Engine::Auto)
+sweepCsv(unsigned threads, exp::GeometrySweep::Engine engine =
+                               exp::GeometrySweep::Engine::Auto)
 {
-    exp::RunnerOptions options;
-    options.threads = threads;
-    options.telemetry = telemetry;
-    exp::Runner runner(options);
+    exp::Runner runner(exp::RunnerOptions{threads});
     exp::GeometrySweep spec = benchSweep();
     spec.engine = engine;
     return exp::runGeometrySweep(spec, runner).renderCsv();
 }
 
+/** One timed rep: kSweepsPerRep whole sweeps on @p threads. */
+void
+timeSweeps(obs::BenchState &state, unsigned threads,
+           exp::GeometrySweep::Engine engine)
+{
+    exp::GeometrySweep spec = benchSweep();
+    spec.engine = engine;
+    state.setItems(kSweepsPerRep * spec.values.size() * spec.refs);
+    exp::Runner runner(exp::RunnerOptions{threads});
+    for (unsigned i = 0; i < kSweepsPerRep; ++i) {
+        const auto table = exp::runGeometrySweep(spec, runner);
+        obs::doNotOptimize(table.rows());
+    }
+    state.setThreads(threads, runner.lastStats().threadsUsed);
+}
+
 /**
- * One telemetry-armed run per thread count: write the
- * RUNNER_*.json artifacts, print each diagnosis, and return the
- * (threads, wall ns) samples for the Amdahl fit.
+ * One more run per thread count: write its RUNNER_*.json record
+ * and print its per-worker diagnosis.
  */
-std::vector<std::pair<unsigned, double>>
-runTelemetrySweeps(const unsigned (&threadCounts)[4])
+void
+writeRunRecords(const unsigned (&threadCounts)[4])
 {
     const std::filesystem::path dir = obs::benchOutDir();
-    std::vector<std::pair<unsigned, double>> samples;
     for (unsigned threads : threadCounts) {
-        exp::RunnerOptions options;
-        options.threads = threads;
-        options.telemetry = true;
-        exp::Runner runner(options);
+        exp::Runner runner(exp::RunnerOptions{threads});
         const auto table =
             exp::runGeometrySweep(benchSweep(), runner);
         obs::doNotOptimize(table.rows());
-        const exp::RunnerTelemetry &telemetry =
-            runner.lastTelemetry();
+        const exp::RunnerTelemetry &record = runner.lastStats();
 
         const std::filesystem::path path =
             (dir / ("RUNNER_sweep_parallel_t" +
                     std::to_string(threads) + ".json"))
                 .lexically_normal();
-        okOrFatal(telemetry.writeJson(path.string()));
+        okOrFatal(record.writeJson(path.string()));
         std::printf("[runner-json] wrote %s\n",
                     path.string().c_str());
 
         std::fputs(
-            exp::formatDiagnosis(exp::diagnoseRun(telemetry, 3))
+            exp::formatDiagnosis(exp::diagnoseRun(record, 3))
                 .c_str(),
             stdout);
-        if (telemetry.wallNs > 0)
-            samples.emplace_back(
-                telemetry.threadsUsed,
-                static_cast<double>(telemetry.wallNs));
     }
-    return samples;
 }
 
 } // namespace
@@ -122,9 +133,7 @@ run(int argc, char **argv)
     if (!args.listOnly) {
         // Determinism gate first: a timing table for a runner
         // that merges differently per thread count would be
-        // meaningless.  Telemetry-armed runs are held to the
-        // same contract — instrumentation must not perturb the
-        // merge.
+        // meaningless.
         const std::string serial = sweepCsv(1);
         for (unsigned threads : threadCounts) {
             if (sweepCsv(threads) != serial) {
@@ -134,18 +143,10 @@ run(int argc, char **argv)
                              threads);
                 return EXIT_FAILURE;
             }
-            if (sweepCsv(threads, true) != serial) {
-                std::fprintf(stderr,
-                             "FAIL: telemetry-armed sweep output "
-                             "at %u threads differs from the "
-                             "serial run\n",
-                             threads);
-                return EXIT_FAILURE;
-            }
             // Cross-engine gate: the single-pass stack engine
             // must merge byte-identically to brute-force
             // per-point simulation at every thread count.
-            if (sweepCsv(threads, false,
+            if (sweepCsv(threads,
                          exp::GeometrySweep::Engine::PerPoint) !=
                 serial) {
                 std::fprintf(stderr,
@@ -174,42 +175,25 @@ run(int argc, char **argv)
         }
         resetSweepDispatchStats();
         std::printf("sweep output byte-identical at 1/2/4/8 "
-                    "threads (disarmed, telemetry-armed and "
-                    "brute-force); timing the pool...\n");
+                    "threads (single-pass and brute-force); "
+                    "timing the pool...\n");
     }
 
     obs::BenchSuite suite("sweep_parallel");
     for (unsigned threads : threadCounts) {
-        const std::string name =
-            "sweep/geometry/t" + std::to_string(threads);
-        suite.add(name, [threads](obs::BenchState &state) {
-            const exp::GeometrySweep spec = benchSweep();
-            state.setItems(spec.values.size() * spec.refs);
-            exp::Runner runner(exp::RunnerOptions{threads});
-            const auto table =
-                exp::runGeometrySweep(spec, runner);
-            obs::doNotOptimize(table.rows());
-            state.setThreads(threads,
-                             runner.lastStats().threadsUsed);
-        });
+        suite.add("sweep/geometry/t" + std::to_string(threads),
+                  [threads](obs::BenchState &state) {
+                      timeSweeps(state, threads,
+                                 exp::GeometrySweep::Engine::Auto);
+                  });
     }
     // Brute-force reference: one simulation per grid point, same
     // scenario, one thread.  Recorded in the same JSON so
     // tools/perf_diff can gate the single-pass speedup
     // (--require-speedup) against it.
-    suite.add("sweep/geometry/brute/t1",
-              [](obs::BenchState &state) {
-                  exp::GeometrySweep spec = benchSweep();
-                  spec.engine =
-                      exp::GeometrySweep::Engine::PerPoint;
-                  state.setItems(spec.values.size() * spec.refs);
-                  exp::Runner runner(exp::RunnerOptions{1});
-                  const auto table =
-                      exp::runGeometrySweep(spec, runner);
-                  obs::doNotOptimize(table.rows());
-                  state.setThreads(1,
-                                   runner.lastStats().threadsUsed);
-              });
+    suite.add("sweep/geometry/brute/t1", [](obs::BenchState &state) {
+        timeSweeps(state, 1, exp::GeometrySweep::Engine::PerPoint);
+    });
 
     obs::BenchSuite::RunOptions options;
     options.filter = args.filter;
@@ -223,6 +207,9 @@ run(int argc, char **argv)
         const double serial =
             suite.results().front().nsPerRepMedian;
         double brute = 0;
+        // (threads, ns per sweep) at each thread count's median
+        // rep: whole runGeometrySweep calls.
+        std::vector<std::pair<unsigned, double>> samples;
         std::printf("\nspeedup over 1 thread (wall clock, "
                     "%u-core host):\n",
                     std::thread::hardware_concurrency());
@@ -233,6 +220,9 @@ run(int argc, char **argv)
             }
             std::printf("  %-24s %6.2fx\n", result.name.c_str(),
                         serial / result.nsPerRepMedian);
+            samples.emplace_back(result.threadsRequested,
+                                 result.nsPerRepMedian /
+                                     kSweepsPerRep);
         }
         if (brute > 0) {
             std::printf("\nsingle-pass stack engine vs "
@@ -241,13 +231,18 @@ run(int argc, char **argv)
                         brute / serial);
         }
 
-        std::printf("\nscaling diagnosis (one telemetry-armed "
-                    "run per thread count):\n");
-        const auto samples = runTelemetrySweeps(threadCounts);
+        std::printf("\nscaling diagnosis: Amdahl fit over whole "
+                    "runGeometrySweep calls (trace generation, "
+                    "stack-sim pass and point lookups; median "
+                    "timed rep / %u):\n",
+                    kSweepsPerRep);
         std::fputs(
             exp::formatAmdahlFit(exp::fitAmdahl(samples), samples)
                 .c_str(),
             stdout);
+        std::printf("\nper-worker diagnosis (one more run per "
+                    "thread count):\n");
+        writeRunRecords(threadCounts);
     }
     return 0;
 }

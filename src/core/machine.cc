@@ -72,15 +72,6 @@ Machine::withPipelining(double q) const
 }
 
 Machine
-Machine::withLineBytes(double line_bytes) const
-{
-    Machine m = *this;
-    m.lineBytes = line_bytes;
-    okOrThrow(m.validate());
-    return m;
-}
-
-Machine
 Machine::withCycleTime(double mu_m) const
 {
     Machine m = *this;

@@ -60,9 +60,6 @@ struct Machine
     /** A copy with pipelining enabled at interval @p q. */
     Machine withPipelining(double q) const;
 
-    /** A copy with a different line size. */
-    Machine withLineBytes(double line_bytes) const;
-
     /** A copy with a different memory cycle time. */
     Machine withCycleTime(double mu_m) const;
 

@@ -48,12 +48,6 @@ parseStallFeature(const std::string &name)
           "' (expected FS, BL, BNL1, BNL2, BNL3 or NB)");
 }
 
-bool
-isPartiallyStalling(StallFeature feature)
-{
-    return feature != StallFeature::FS;
-}
-
 PhiBounds
 phiBounds(StallFeature feature, double line_over_bus)
 {

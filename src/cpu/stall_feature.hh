@@ -41,9 +41,6 @@ const char *stallFeatureName(StallFeature feature);
 /** Parse "FS"/"BL"/"BNL1"/... (case-sensitive); fatal() otherwise. */
 StallFeature parseStallFeature(const std::string &name);
 
-/** True for the partially-stalling features (everything but FS). */
-bool isPartiallyStalling(StallFeature feature);
-
 /**
  * Stalling-factor bounds from Table 2, in units of mu_m, given the
  * line-to-bus ratio L/D.

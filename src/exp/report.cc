@@ -343,8 +343,8 @@ analyzeCounterScaling(const std::vector<RunnerTelemetry> &runs)
     }
     if (scaling.points.empty()) {
         scaling.verdict =
-            "no hardware counters recorded (perf unavailable "
-            "or pre-v2 telemetry)";
+            "no hardware counters recorded (UATM_PERF unset, "
+            "perf unavailable, or pre-v2 telemetry)";
         return scaling;
     }
     scaling.ok = true;

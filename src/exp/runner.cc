@@ -17,33 +17,11 @@
 #include <thread>
 #include <utility>
 
-#include "obs/registry.hh"
+#include "obs/perf_counters.hh"
 #include "obs/trace_event.hh"
 #include "util/logging.hh"
 
 namespace uatm::exp {
-
-void
-RunnerStats::registerStats(obs::StatRegistry &registry,
-                           const std::string &prefix) const
-{
-    registry.addScalar(prefix + ".points",
-                       static_cast<double>(points),
-                       "scenario points evaluated");
-    registry.addScalar(prefix + ".points_failed",
-                       static_cast<double>(pointsFailed),
-                       "points whose kernel failed");
-    registry.addScalar(prefix + ".threads_requested",
-                       threadsRequested,
-                       "worker threads requested");
-    registry.addScalar(prefix + ".threads_used", threadsUsed,
-                       "worker threads actually spawned");
-    registry.addScalar(prefix + ".wall_seconds", wallSeconds,
-                       "wall-clock time of the run", "s");
-    registry.addScalar(prefix + ".point_seconds_total",
-                       pointSecondsTotal,
-                       "summed per-point kernel time", "s");
-}
 
 namespace {
 
@@ -56,13 +34,6 @@ nsBetween(Clock::time_point from, Clock::time_point to)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             to - from)
             .count());
-}
-
-bool
-envTelemetryArmed()
-{
-    const char *env = std::getenv("UATM_RUNNER_TELEMETRY");
-    return env && *env && std::string_view(env) != "0";
 }
 
 /** UATM_PROGRESS: 0/unset = off, numeric N = every N points,
@@ -82,7 +53,7 @@ envProgressEvery()
 }
 
 /**
- * Replay the merged telemetry into the (single-threaded) tracer
+ * Replay the run's record into the (single-threaded) tracer
  * as one track per worker: point spans named by their coordinate
  * label, idle gaps between them, all timestamps in microseconds
  * relative to the pool start.
@@ -182,25 +153,21 @@ Runner::run(const Scenario &scenario,
 
     obs::EventTracer &tracer = obs::globalTracer();
     const bool traceArmed = tracer.enabled();
-    const bool telemetryArmed = options_.telemetry || traceArmed ||
-                                envTelemetryArmed();
+    const bool countersArmed = obs::perfArmed();
 
     std::vector<std::vector<Cell>> slots(points.size());
     // One failure slot per point keeps the merge deterministic:
     // failures land by index, not by completion order.
     std::vector<std::optional<Status>> errors(points.size());
     std::atomic<std::size_t> next{0};
-    std::atomic<double> kernelSeconds{0.0};
     std::exception_ptr firstError;
     std::mutex errorMutex;
 
     // Progress heartbeat: 1 means auto-size the interval to ~5%
     // of the grid so big sweeps print ~20 lines, small ones one.
-    std::size_t progressEvery = options_.progressEvery
-                                    ? options_.progressEvery
-                                    : envProgressEvery();
-    if (progressEvery == 1)
-        progressEvery =
+    std::size_t heartbeatEvery = envProgressEvery();
+    if (heartbeatEvery == 1)
+        heartbeatEvery =
             std::max<std::size_t>(1, points.size() / 20);
     std::atomic<std::size_t> completed{0};
     std::mutex progressMutex;
@@ -208,33 +175,31 @@ Runner::run(const Scenario &scenario,
     const bool failFast = options_.failFast;
     const unsigned lanes = std::max(threads, 1u);
 
-    // Telemetry lands in per-lane slots sized before the pool
-    // spawns: workers write only their own lane, so recording is
-    // lock-free and needs no synchronisation beyond the join.
-    std::vector<WorkerTelemetry> laneTelemetry(
-        telemetryArmed ? lanes : 0);
-    std::vector<std::vector<PointTiming>> lanePoints(
-        telemetryArmed ? lanes : 0);
-    std::vector<std::uint64_t> laneStartNs(
-        telemetryArmed ? lanes : 0, 0);
+    // The record lands in slots sized before the pool spawns:
+    // point timings by index, like the cells, and worker totals
+    // by lane.  A worker writes only the slots it owns, so
+    // recording is lock-free and needs no synchronisation beyond
+    // the join.  timed[i] stays 0 for a point a fail-fast run
+    // skipped or aborted on.
+    std::vector<PointTiming> timings(points.size());
+    std::vector<char> timed(points.size(), 0);
+    std::vector<WorkerTelemetry> laneTelemetry(lanes);
+    std::vector<std::uint64_t> laneStartNs(lanes, 0);
 
     const auto wallStart = Clock::now();
 
     auto worker = [&](unsigned lane) {
-        double localSeconds = 0.0;
         WorkerTelemetry tel;
         tel.worker = lane;
-        std::vector<PointTiming> localPoints;
-        // Per-worker hardware counters: opened on the worker's
-        // own thread so the group counts exactly this worker.
-        // Unavailability (paranoid, seccomp, no PMU) is recorded,
-        // never fatal.
+        const auto lifeStart = Clock::now();
+        laneStartNs[lane] = nsBetween(wallStart, lifeStart);
+        // Per-worker hardware counters under UATM_PERF: opened on
+        // the worker's own thread so the group counts exactly
+        // this worker.  Unavailability (paranoid, seccomp, no
+        // PMU) is recorded, never fatal.
         std::optional<obs::PerfCounterGroup> counters;
         obs::PerfReading counterBegin;
-        const auto lifeStart = Clock::now();
-        if (telemetryArmed) {
-            laneStartNs[lane] = nsBetween(wallStart, lifeStart);
-            localPoints.reserve(points.size() / lanes + 1);
+        if (countersArmed) {
             counters.emplace();
             if (counters->available()) {
                 counters->start();
@@ -242,16 +207,13 @@ Runner::run(const Scenario &scenario,
             }
         }
         while (true) {
-            Clock::time_point acquireStart;
-            if (telemetryArmed)
-                acquireStart = Clock::now();
+            const auto acquireStart = Clock::now();
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= points.size())
                 break;
-            auto start = Clock::now();
-            if (telemetryArmed)
-                tel.acquireNs += nsBetween(acquireStart, start);
+            const auto start = Clock::now();
+            tel.acquireNs += nsBetween(acquireStart, start);
             bool failed = false;
             std::exception_ptr thrown;
             try {
@@ -293,28 +255,19 @@ Runner::run(const Scenario &scenario,
                            std::memory_order_relaxed);
                 break;
             }
-            auto end = Clock::now();
-            localSeconds +=
-                std::chrono::duration<double>(end - start)
-                    .count();
-            if (telemetryArmed) {
-                const std::uint64_t durationNs =
-                    nsBetween(start, end);
-                tel.kernelNs += durationNs;
-                ++tel.points;
-                PointTiming timing;
-                timing.index = i;
-                timing.worker = lane;
-                timing.startNs = nsBetween(wallStart, start);
-                timing.durationNs = durationNs;
-                localPoints.push_back(std::move(timing));
-            }
-            if (progressEvery) {
+            const std::uint64_t durationNs =
+                nsBetween(start, Clock::now());
+            tel.kernelNs += durationNs;
+            ++tel.points;
+            timings[i] = PointTiming{
+                i, lane, nsBetween(wallStart, start), durationNs, {}};
+            timed[i] = 1;
+            if (heartbeatEvery) {
                 const std::size_t done =
                     completed.fetch_add(
                         1, std::memory_order_relaxed) +
                     1;
-                if (done % progressEvery == 0 ||
+                if (done % heartbeatEvery == 0 ||
                     done == points.size()) {
                     const double elapsed =
                         static_cast<double>(nsBetween(
@@ -341,24 +294,15 @@ Runner::run(const Scenario &scenario,
                 }
             }
         }
-        double expected =
-            kernelSeconds.load(std::memory_order_relaxed);
-        while (!kernelSeconds.compare_exchange_weak(
-            expected, expected + localSeconds,
-            std::memory_order_relaxed))
-            ;
-        if (telemetryArmed) {
-            tel.lifetimeNs = nsBetween(lifeStart, Clock::now());
-            const std::uint64_t busy = tel.kernelNs + tel.acquireNs;
-            tel.idleNs =
-                tel.lifetimeNs > busy ? tel.lifetimeNs - busy : 0;
-            if (counters && counters->available()) {
-                tel.counters = obs::scaleDelta(counterBegin,
-                                               counters->read());
-            }
-            laneTelemetry[lane] = tel;
-            lanePoints[lane] = std::move(localPoints);
+        tel.lifetimeNs = nsBetween(lifeStart, Clock::now());
+        const std::uint64_t busy = tel.kernelNs + tel.acquireNs;
+        tel.idleNs =
+            tel.lifetimeNs > busy ? tel.lifetimeNs - busy : 0;
+        if (counters && counters->available()) {
+            tel.counters = obs::scaleDelta(counterBegin,
+                                           counters->read());
         }
+        laneTelemetry[lane] = tel;
     };
 
     unsigned spawned = 0;
@@ -367,7 +311,7 @@ Runner::run(const Scenario &scenario,
     } else {
         // The tracer's ring is not synchronised.  Suspend it while
         // the pool is alive (kernel-internal record() calls become
-        // inline no-ops) and replay the per-worker telemetry as
+        // inline no-ops) and replay the per-worker record as
         // spans from this thread after the join.
         if (traceArmed)
             tracer.setEnabled(false);
@@ -383,62 +327,36 @@ Runner::run(const Scenario &scenario,
     }
     const std::uint64_t wallNs =
         nsBetween(wallStart, Clock::now());
-    const double wallSeconds =
-        static_cast<double>(wallNs) / 1e9;
 
-    failures_.clear();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (errors[i]) {
-            failures_.push_back(
-                PointFailure{i, points[i].label(), *errors[i]});
-        }
-    }
-
-    // Stats first, rethrow second: a fail-fast abort must not leave
-    // lastStats() describing the previous run.
-    stats_.points = points.size();
-    stats_.pointsFailed = failures_.size();
+    // The record first, rethrow second: a fail-fast abort must not
+    // leave lastStats() describing the previous run.
+    stats_ = RunnerTelemetry();
+    stats_.scenario = scenario.name();
     stats_.threadsRequested = requested;
     stats_.threadsUsed = spawned;
-    stats_.wallSeconds = wallSeconds;
-    stats_.pointSecondsTotal =
-        kernelSeconds.load(std::memory_order_relaxed);
-
-    telemetry_ = RunnerTelemetry{};
-    telemetry_.armed = telemetryArmed;
-    if (telemetryArmed) {
-        telemetry_.scenario = scenario.name();
-        telemetry_.threadsRequested = requested;
-        telemetry_.threadsUsed = spawned;
-        telemetry_.pointCount = points.size();
-        telemetry_.pointsFailed = failures_.size();
-        telemetry_.wallNs = wallNs;
-        telemetry_.expandNs = expandNs;
-        telemetry_.workers = laneTelemetry;
-        std::size_t total = 0;
-        for (const auto &lane : lanePoints)
-            total += lane.size();
-        telemetry_.points.reserve(total);
-        for (auto &lane : lanePoints)
-            for (auto &timing : lane)
-                telemetry_.points.push_back(std::move(timing));
-        std::sort(telemetry_.points.begin(),
-                  telemetry_.points.end(),
-                  [](const PointTiming &a, const PointTiming &b) {
-                      return a.index < b.index;
-                  });
-        for (auto &timing : telemetry_.points) {
-            timing.label = points[timing.index].label();
-            telemetry_.pointLatency.add(
-                static_cast<double>(timing.durationNs));
+    stats_.pointCount = points.size();
+    stats_.wallNs = wallNs;
+    stats_.expandNs = expandNs;
+    stats_.workers = std::move(laneTelemetry);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (errors[i]) {
+            stats_.failures.push_back(
+                PointFailure{i, points[i].label(), *errors[i]});
         }
-        if (traceArmed)
-            emitWorkerSpans(tracer, telemetry_, laneStartNs);
+        if (timed[i]) {
+            timings[i].label = points[i].label();
+            stats_.pointLatency.add(
+                static_cast<double>(timings[i].durationNs));
+            stats_.points.push_back(std::move(timings[i]));
+        }
     }
+    stats_.pointsFailed = stats_.failures.size();
+    if (traceArmed)
+        emitWorkerSpans(tracer, stats_, laneStartNs);
 
     // Log after the join, from one thread, so warn() lines do not
     // interleave.
-    for (const auto &failure : failures_) {
+    for (const auto &failure : stats_.failures) {
         warn("point ", failure.index, " (", failure.label,
              ") failed: ", failure.status.toString());
     }
@@ -465,8 +383,7 @@ Runner::run(const Scenario &scenario,
         }
         table.addRow(std::move(row));
     }
-    if (telemetryArmed)
-        telemetry_.mergeNs = nsBetween(mergeStart, Clock::now());
+    stats_.mergeNs = nsBetween(mergeStart, Clock::now());
 
     return table;
 }

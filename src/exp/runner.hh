@@ -14,9 +14,9 @@
  * an error Status marks only its own point as failed.  The other
  * points still run, the failed point's row is emitted with typed
  * error cells ("!invalid_argument"-style), and the failure is
- * counted in RunnerStats::pointsFailed and recorded in
- * lastFailures().  Set RunnerOptions::failFast to restore the old
- * first-failure-aborts-the-run behaviour.
+ * counted in RunnerTelemetry::pointsFailed and listed in
+ * RunnerTelemetry::failures.  Set RunnerOptions::failFast to
+ * restore the old first-failure-aborts-the-run behaviour.
  *
  * Point kernels must be self-contained: no shared mutable state
  * beyond what the Point carries.  The process-wide event tracer
@@ -27,20 +27,18 @@
  * instead of corrupting the ring.  Serial (inline) runs leave the
  * tracer live, preserving the deep engine-internal traces.
  *
- * With RunnerOptions::telemetry armed (automatic when the tracer
- * is enabled, or via UATM_RUNNER_TELEMETRY=1) each worker also
- * records what it did — points, kernel/acquire/idle time, one
- * timing per point — lock-free into per-worker slots, merged into
- * lastTelemetry() at join.  Disarmed runs skip all of it.  Armed
- * runs additionally open a per-worker hardware counter group
- * (obs/perf_counters.hh) and record lifetime counter deltas into
- * each worker lane; on hosts that forbid perf_event_open the
- * lanes carry counters.available == false and nothing else
- * changes.
+ * Every run fills one RunnerTelemetry (exp/telemetry.hh), read
+ * back through lastStats(): each worker records what it did —
+ * points, kernel/acquire/idle time, one timing per point —
+ * lock-free into its own lane, and the lanes are merged at join.
+ * Under UATM_PERF each worker also opens a hardware counter group
+ * (obs/perf_counters.hh) and records its lifetime counter deltas;
+ * otherwise, and on hosts that forbid perf_event_open, the lanes
+ * carry counters.available == false and nothing else changes.
  *
- * UATM_PROGRESS=1 (or RunnerOptions::progressEvery) adds a
- * stderr heartbeat — done/total, points/s, ETA — that never
- * touches the merged table, so output stays byte-identical.
+ * UATM_PROGRESS=1 adds a stderr heartbeat — done/total, points/s,
+ * ETA — that never touches the merged table, so output stays
+ * byte-identical.
  */
 
 #ifndef UATM_EXP_RUNNER_HH
@@ -56,10 +54,6 @@
 #include "exp/telemetry.hh"
 #include "util/status.hh"
 
-namespace uatm::obs {
-class StatRegistry;
-}
-
 namespace uatm::exp {
 
 struct RunnerOptions
@@ -70,54 +64,10 @@ struct RunnerOptions
     /**
      * Abort the run on the first failed point instead of isolating
      * it: the first kernel exception is rethrown (after the pool
-     * winds down and the stats are updated), and a kernel error
+     * winds down and the record is filled), and a kernel error
      * Status is rethrown as StatusError.
      */
     bool failFast = false;
-
-    /**
-     * Record per-worker telemetry (see lastTelemetry()).  Armed
-     * automatically when the global event tracer is enabled or
-     * UATM_RUNNER_TELEMETRY is set to anything but "0"; costs two
-     * extra clock reads per point plus one timing record.
-     */
-    bool telemetry = false;
-
-    /**
-     * Progress heartbeat to stderr every N completed points.
-     * 0 = off (default), 1 = auto-sized interval (~5% of the
-     * grid), N > 1 = every N points.  UATM_PROGRESS supplies the
-     * same values from the environment when this is 0.  The
-     * heartbeat writes only to stderr — merged results stay
-     * byte-identical with it on or off.
-     */
-    std::size_t progressEvery = 0;
-};
-
-/** One failed point of the most recent run. */
-struct PointFailure
-{
-    std::size_t index = 0; ///< position in expansion order
-    std::string label;     ///< Point::label() of the failed point
-    Status status;         ///< why it failed (never OK)
-};
-
-/** What one run did, for manifests and the observability layer. */
-struct RunnerStats
-{
-    std::size_t points = 0;
-    /** Points whose kernel threw or returned an error Status. */
-    std::size_t pointsFailed = 0;
-    unsigned threadsRequested = 0;
-    /** Worker threads actually spawned; 0 when the run was inline
-     *  on the calling thread. */
-    unsigned threadsUsed = 0;
-    double wallSeconds = 0.0;
-    /** Sum of per-point kernel time across all workers. */
-    double pointSecondsTotal = 0.0;
-
-    void registerStats(obs::StatRegistry &registry,
-                       const std::string &prefix = "runner") const;
 };
 
 class Runner
@@ -146,32 +96,16 @@ class Runner
                     const std::vector<std::string> &value_columns,
                     const Kernel &kernel);
 
-    /** Stats from the most recent run(). */
-    const RunnerStats &lastStats() const { return stats_; }
-
-    /** Failed points of the most recent run, in point order. */
-    const std::vector<PointFailure> &lastFailures() const
-    {
-        return failures_;
-    }
-
-    /**
-     * Telemetry from the most recent run().  armed == false (and
-     * everything else empty) when the run executed disarmed.
-     */
-    const RunnerTelemetry &lastTelemetry() const
-    {
-        return telemetry_;
-    }
+    /** The record of the most recent run(), filled before a
+     *  fail-fast rethrow too. */
+    const RunnerTelemetry &lastStats() const { return stats_; }
 
     /** Threads run() would actually use right now. */
     unsigned effectiveThreads(std::size_t points) const;
 
   private:
     RunnerOptions options_;
-    RunnerStats stats_;
-    std::vector<PointFailure> failures_;
-    RunnerTelemetry telemetry_;
+    RunnerTelemetry stats_;
 };
 
 } // namespace uatm::exp

@@ -129,8 +129,6 @@ class Scenario
      *  come from WorkloadSpec::shortLabel(). */
     Scenario &sweepWorkloadSpecs(std::vector<WorkloadSpec> specs);
 
-    std::size_t axisCount() const { return axes_.size(); }
-
     /** Axis names in declaration order (the coord columns). */
     std::vector<std::string> axisNames() const;
 

@@ -194,52 +194,23 @@ makePhiScenario(const PhiExperiment &experiment)
     return scenario;
 }
 
-namespace {
-
-std::vector<PhiResult>
-runPhiPoints(const PhiExperiment &experiment, Runner &runner,
-             ResultTable *table_out)
-{
-    Scenario scenario = makePhiScenario(experiment);
-    std::vector<PhiResult> results(scenario.pointCount());
-    ResultTable table = runner.run(
-        scenario, {"phi", "pct_of_full"},
-        [&experiment, &results](const Point &point) {
-            PhiResult result = measurePhi(
-                experiment, okOrThrow(point.coordLabel("workload")));
-            results[point.index] = result;
-            return std::vector<Cell>{
-                Cell::num(result.phi, 3),
-                Cell::num(result.percentOfFull, 1)};
-        });
-    if (table_out)
-        *table_out = std::move(table);
-    return results;
-}
-
-} // namespace
-
-ResultTable
-runPhiScenario(const PhiExperiment &experiment, Runner &runner)
-{
-    ResultTable table;
-    std::vector<PhiResult> results =
-        runPhiPoints(experiment, runner, &table);
-    appendPhiAverage(results);
-    const PhiResult &average = results.back();
-    table.addRow({Cell::text(average.workload),
-                  Cell::num(average.phi, 3),
-                  Cell::num(average.percentOfFull, 1)});
-    return table;
-}
-
 std::vector<PhiResult>
 measurePhiAllProfilesParallel(const PhiExperiment &experiment,
                               unsigned threads)
 {
+    Scenario scenario = makePhiScenario(experiment);
+    std::vector<PhiResult> results(scenario.pointCount());
     Runner runner(RunnerOptions{threads});
-    std::vector<PhiResult> results =
-        runPhiPoints(experiment, runner, nullptr);
+    runner.run(scenario, {"phi", "pct_of_full"},
+               [&experiment, &results](const Point &point) {
+                   PhiResult result = measurePhi(
+                       experiment,
+                       okOrThrow(point.coordLabel("workload")));
+                   results[point.index] = result;
+                   return std::vector<Cell>{
+                       Cell::num(result.phi, 3),
+                       Cell::num(result.percentOfFull, 1)};
+               });
     appendPhiAverage(results);
     return results;
 }

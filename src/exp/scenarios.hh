@@ -96,14 +96,6 @@ Expected<std::vector<Cell>> priceGeometryPoint(const Point &point);
 /** One point per SPEC92-like profile (axis "workload"). */
 Scenario makePhiScenario(const PhiExperiment &experiment);
 
-/**
- * Measure phi on every profile on @p runner.  Columns: workload,
- * phi, pct_of_full.  The "average" row Figure 1 plots is appended
- * after the merge (it depends on every point).
- */
-ResultTable runPhiScenario(const PhiExperiment &experiment,
-                           Runner &runner);
-
 /** Parallel drop-in for uatm::measurePhiAllProfiles. */
 std::vector<PhiResult>
 measurePhiAllProfilesParallel(const PhiExperiment &experiment,

@@ -13,14 +13,6 @@
 
 namespace uatm::exp {
 
-obs::LatencyHistogram
-makePointLatencyHistogram()
-{
-    // 1 ns first edge, x2 growth, 64 buckets: covers sub-ns noise
-    // through multi-hour points without reconfiguration.
-    return obs::LatencyHistogram(1.0, 2.0, 64);
-}
-
 double
 WorkerTelemetry::utilization() const
 {
@@ -75,7 +67,6 @@ RunnerTelemetry::toJson() const
     w.beginObject()
         .keyValue("schema_version", kTelemetrySchemaVersion)
         .keyValue("kind", "runner_telemetry")
-        .keyValue("armed", armed)
         .keyValue("scenario", scenario)
         .keyValue("threads_requested", threadsRequested)
         .keyValue("threads_used", threadsUsed)
@@ -153,16 +144,15 @@ RunnerTelemetry::fromJson(const obs::JsonValue &doc)
     const int version = static_cast<int>(
         doc.numberOr("schema_version", -1));
     // v1 documents lack the per-worker counters object and parse
-    // with counters unavailable; anything newer than us is an
-    // error rather than a silent partial read.
+    // with counters unavailable; the "armed" key of v1 and v2 is
+    // ignored.  Anything newer than us is an error rather than a
+    // silent partial read.
     if (version < 1 || version > kTelemetrySchemaVersion)
         return Status::parseError(
             "unsupported telemetry schema_version ", version,
             " (expected 1..", kTelemetrySchemaVersion, ")");
 
     RunnerTelemetry t;
-    const obs::JsonValue *armed = doc.find("armed");
-    t.armed = armed && armed->isBool() ? armed->asBool() : true;
     t.scenario = doc.stringOr("scenario", "");
     t.threadsRequested = static_cast<unsigned>(
         doc.numberOr("threads_requested", 0));

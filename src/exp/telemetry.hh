@@ -1,16 +1,17 @@
 /**
  * @file
- * Per-worker runner telemetry.
+ * The record of one runner run.
  *
- * When RunnerOptions::telemetry is armed (or UATM_RUNNER_TELEMETRY
- * is set), each Runner worker records what it did — points
- * executed, kernel time, work-acquisition time, idle time, and one
- * timing record per point — into thread-local storage, and the
- * runner merges the per-worker records into a RunnerTelemetry at
- * join.  Nothing is shared while the pool runs, so recording is
- * lock-free and the merged ResultTable stays byte-identical.
+ * Every Runner::run fills one RunnerTelemetry: the run's facts
+ * (points, failures, threads, wall/expand/merge time), what each
+ * worker did (points executed, kernel time, work-acquisition time,
+ * idle time, and hardware counter deltas under UATM_PERF) and one
+ * timing record per point.  Workers record into their own lanes
+ * and the runner merges the lanes at join, so nothing is shared
+ * while the pool runs and the merged ResultTable stays
+ * byte-identical.
  *
- * The merged telemetry serialises to a versioned JSON document
+ * The record serialises to a versioned JSON document
  * (RUNNER_*.json) that tools/run_report consumes for the scaling
  * diagnosis (per-worker utilization, load-imbalance index, top-K
  * slowest points, Amdahl serial-fraction fit — see exp/report.hh),
@@ -38,12 +39,19 @@ namespace uatm::exp {
 /**
  * Bumped whenever the RUNNER_*.json layout changes shape.
  * v2 added the per-worker "counters" object (hardware counter
- * deltas); v1 documents still parse, with counters unavailable.
+ * deltas); v3 dropped the "armed" flag, since every run records.
+ * v1 and v2 documents still parse (v1 with counters unavailable),
+ * and their "armed" key is ignored.
  */
-constexpr int kTelemetrySchemaVersion = 2;
+constexpr int kTelemetrySchemaVersion = 3;
 
-/** Shape of the per-point latency histogram (1 ns, x2, 64). */
-obs::LatencyHistogram makePointLatencyHistogram();
+/** One failed point of a run. */
+struct PointFailure
+{
+    std::size_t index = 0; ///< position in expansion order
+    std::string label;     ///< Point::label() of the failed point
+    Status status;         ///< why it failed (never OK)
+};
 
 /** One evaluated point, as timed by the worker that ran it. */
 struct PointTiming
@@ -67,8 +75,8 @@ struct WorkerTelemetry
 
     /**
      * Hardware counter deltas over the worker's lifetime (schema
-     * v2).  available == false when the host forbids perf, the
-     * run was serial-inline, or the document predates v2.
+     * v2).  available == false unless UATM_PERF was set and the
+     * host allowed perf, and in documents that predate v2.
      */
     obs::PerfCounterValues counters;
 
@@ -76,18 +84,15 @@ struct WorkerTelemetry
     double utilization() const;
 };
 
-/** Everything one instrumented run recorded. */
+/** Everything one run recorded. */
 struct RunnerTelemetry
 {
-    /** False when the run executed with telemetry disarmed (the
-     *  other fields are then all empty/zero). */
-    bool armed = false;
-
     std::string scenario;
     unsigned threadsRequested = 0;
     /** Worker threads actually spawned; 0 = inline serial run. */
     unsigned threadsUsed = 0;
     std::uint64_t pointCount = 0;
+    /** Points whose kernel threw or returned an error Status. */
     std::uint64_t pointsFailed = 0;
 
     std::uint64_t wallNs = 0;    ///< pool spawn to last join
@@ -97,11 +102,18 @@ struct RunnerTelemetry
     /** One entry per worker (a serial run has exactly one). */
     std::vector<WorkerTelemetry> workers;
 
-    /** One entry per point, sorted by point index. */
+    /** One entry per point, sorted by point index.  A fail-fast
+     *  run leaves out the point that aborted it and the points
+     *  it skipped. */
     std::vector<PointTiming> points;
 
-    /** Per-point kernel latency, log-bucketed in nanoseconds. */
-    obs::LatencyHistogram pointLatency = makePointLatencyHistogram();
+    /** Failed points in point order; not serialized (JSON keeps
+     *  only points_failed). */
+    std::vector<PointFailure> failures;
+
+    /** Per-point kernel latency, log-bucketed in nanoseconds (the
+     *  default LatencyHistogram shape: 1 ns, x2, 64 buckets). */
+    obs::LatencyHistogram pointLatency;
 
     /** Sum of kernelNs over the workers. */
     std::uint64_t kernelNsTotal() const;

@@ -100,10 +100,10 @@ class BenchState
 
     /**
      * Declare the thread configuration this benchmark ran with
-     * (e.g. from RunnerStats).  Recorded per benchmark in the
-     * JSON so tools/perf_diff can refuse to compare runs whose
-     * thread configs differ; @p used keeps the runner convention
-     * of 0 meaning inline on the calling thread.
+     * (e.g. from Runner::lastStats()).  Recorded per benchmark
+     * in the JSON so tools/perf_diff can refuse to compare runs
+     * whose thread configs differ; @p used keeps the runner
+     * convention of 0 meaning inline on the calling thread.
      */
     void
     setThreads(unsigned requested, unsigned used)

@@ -76,7 +76,9 @@ SweepService::registerStats()
     // so the registered names stay unit-free.
     serve.addLatencyHistogram(
         "point", obs::LatencyHistogram(),
-        "per-point service time, cache hits included", "ns");
+        "per-point service time, cache hits and failed points "
+        "included",
+        "ns");
     serve.addLatencyHistogram(
         "request", obs::LatencyHistogram(),
         "end-to-end sweep request latency", "ns");
@@ -132,7 +134,6 @@ SweepService::runSweep(const SweepRequest &request)
         [this, kernel, &hits,
          &computed](const exp::Point &point)
         -> Expected<std::vector<exp::Cell>> {
-        const auto point_start = std::chrono::steady_clock::now();
         auto key = exp::canonicalPointKey(point, kernel->id);
         if (!key.ok()) {
             // A point the cache cannot address (a workload spec
@@ -142,7 +143,6 @@ SweepService::runSweep(const SweepRequest &request)
         }
         if (auto cells = cache_.lookup(key.value())) {
             ++hits;
-            pointNanos_->add(nanosSince(point_start));
             return *cells;
         }
         auto cells = kernel->eval(point);
@@ -150,7 +150,6 @@ SweepService::runSweep(const SweepRequest &request)
             return cells.status(); // failures are not cached
         cache_.insert(key.value(), cells.value());
         ++computed;
-        pointNanos_->add(nanosSince(point_start));
         return std::move(cells).value();
     };
 
@@ -160,15 +159,17 @@ SweepService::runSweep(const SweepRequest &request)
             ? std::min(request.threads, options_.threads)
             : options_.threads;
 
-    std::size_t failed = 0;
     // One sweep at a time on the pool; the rest of the admitted
     // queue (inflight_) waits here.
     std::unique_lock<std::mutex> run_lock(runMutex_);
     exp::Runner runner(runner_options);
     exp::ResultTable table =
         runner.run(request.scenario, kernel->columns, cached);
-    failed = runner.lastStats().pointsFailed;
     run_lock.unlock();
+    // The runner timed every point, failed ones included, on the
+    // same histogram shape as serve.point.
+    pointNanos_->merge(runner.lastStats().pointLatency);
+    const std::size_t failed = runner.lastStats().pointsFailed;
 
     ++requests_;
     pointsTotal_ += points;

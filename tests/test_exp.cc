@@ -203,7 +203,7 @@ TEST(Runner, OneVsEightThreadsIsByteIdentical)
     EXPECT_EQ(a.renderJson(), b.renderJson());
     // Serial runs execute inline on the calling thread.
     EXPECT_EQ(serial.lastStats().threadsUsed, 0u);
-    EXPECT_EQ(serial.lastStats().points, 6u);
+    EXPECT_EQ(serial.lastStats().pointCount, 6u);
     EXPECT_EQ(serial.lastStats().pointsFailed, 0u);
 }
 
@@ -251,7 +251,7 @@ TEST(Runner, KernelExceptionPropagatesUnderFailFast)
                    }),
         std::runtime_error);
     // Regression: stats must reflect the aborted run, not go stale.
-    EXPECT_EQ(runner.lastStats().points, 4u);
+    EXPECT_EQ(runner.lastStats().pointCount, 4u);
     EXPECT_GE(runner.lastStats().pointsFailed, 1u);
 }
 
@@ -276,13 +276,13 @@ TEST(Runner, FaultIsolationEmitsErrorRows)
     EXPECT_EQ(table.at(2, 1).str(), "!kernel_error");
     EXPECT_FALSE(table.at(1, 1).isError());
 
-    EXPECT_EQ(runner.lastStats().points, 4u);
+    EXPECT_EQ(runner.lastStats().pointCount, 4u);
     EXPECT_EQ(runner.lastStats().pointsFailed, 1u);
-    ASSERT_EQ(runner.lastFailures().size(), 1u);
-    EXPECT_EQ(runner.lastFailures()[0].index, 2u);
-    EXPECT_EQ(runner.lastFailures()[0].status.code(),
-              ErrorCode::KernelError);
-    EXPECT_NE(runner.lastFailures()[0].status.message().find("boom"),
+    const auto &failures = runner.lastStats().failures;
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].index, 2u);
+    EXPECT_EQ(failures[0].status.code(), ErrorCode::KernelError);
+    EXPECT_NE(failures[0].status.message().find("boom"),
               std::string::npos);
 }
 
@@ -396,9 +396,7 @@ TEST(Runner, TracerNoLongerForcesSerialAndArmsTelemetry)
     EXPECT_TRUE(reenabled);
     EXPECT_EQ(runner.lastStats().threadsRequested, 4u);
     EXPECT_EQ(runner.lastStats().threadsUsed, 4u);
-    // An enabled tracer arms telemetry automatically.
-    EXPECT_TRUE(runner.lastTelemetry().armed);
-    EXPECT_EQ(runner.lastTelemetry().workers.size(), 4u);
+    EXPECT_EQ(runner.lastStats().workers.size(), 4u);
 }
 
 TEST(Runner, StatsRegisterUnderPrefix)
@@ -415,7 +413,7 @@ TEST(Runner, StatsRegisterUnderPrefix)
     EXPECT_EQ(registry.value("exp.points"), 2.0);
     EXPECT_EQ(registry.value("exp.points_failed"), 0.0);
     EXPECT_EQ(registry.value("exp.threads_used"), 0.0);
-    EXPECT_TRUE(registry.contains("exp.wall_seconds"));
+    EXPECT_TRUE(registry.contains("exp.wall_ns"));
 }
 
 // ------------------------------------------- parallel == serial

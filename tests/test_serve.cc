@@ -802,6 +802,26 @@ TEST(SweepService, AccessWiderThanTheLineIsAnErrorRow)
     EXPECT_EQ(service.cache().size(), 1u);
 }
 
+TEST(SweepService, ServePointCountsFailedPoints)
+{
+    // serve.point takes the runner's per-point timings, so the
+    // failed point is counted with the priced one.
+    serve::ServiceOptions options;
+    options.threads = 2;
+    serve::SweepService service(options);
+    const auto request =
+        serve::parseSweepRequest(kLineNarrowerThanAccess);
+    ASSERT_TRUE(request.ok()) << request.status().toString();
+    auto outcome = service.runSweep(request.value());
+    ASSERT_TRUE(outcome.ok()) << outcome.status().toString();
+    ASSERT_EQ(outcome.value().failed, 1u);
+    const obs::StatEntry *point =
+        service.stats().find("serve.point");
+    ASSERT_NE(point, nullptr);
+    EXPECT_EQ(point->histogram.count(),
+              request.value().scenario.pointCount());
+}
+
 TEST(SweepService, OversizedRequestsAreOutOfRange)
 {
     serve::ServiceOptions options;

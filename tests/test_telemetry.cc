@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the runner telemetry layer: per-worker recording, the
- * determinism contract with telemetry armed, JSON round-trips, the
+ * Tests for the runner's run record: per-worker recording on every
+ * run, counters only under UATM_PERF, JSON round-trips, the
  * scaling diagnosis, the Amdahl fit, and the per-worker trace
  * replay.
  */
@@ -46,25 +46,51 @@ trivialKernel()
 
 } // namespace
 
-TEST(RunnerTelemetry, DisarmedByDefault)
+TEST(RunnerTelemetry, EveryRunRecords)
 {
-    Runner runner(RunnerOptions{1});
-    runner.run(fourPointScenario(), {"x"}, trivialKernel());
-    EXPECT_FALSE(runner.lastTelemetry().armed);
-    EXPECT_TRUE(runner.lastTelemetry().workers.empty());
-    EXPECT_TRUE(runner.lastTelemetry().points.empty());
+    // Default options, no tracer, no environment: the record is
+    // still complete.
+    for (unsigned threads : {1u, 4u}) {
+        Runner runner(RunnerOptions{threads});
+        runner.run(fourPointScenario(), {"x"}, trivialKernel());
+        const RunnerTelemetry &t = runner.lastStats();
+        EXPECT_EQ(t.pointCount, 4u) << threads << " threads";
+        EXPECT_EQ(t.points.size(), 4u) << threads << " threads";
+        EXPECT_EQ(t.workers.size(), threads)
+            << threads << " threads";
+        EXPECT_EQ(t.pointLatency.count(), t.pointCount)
+            << threads << " threads";
+    }
+}
+
+TEST(RunnerTelemetry, WorkerCountersNeedUatmPerf)
+{
+    // UATM_PERF=0 leaves every worker's counter group closed,
+    // whatever the host allows.
+    const char *saved = std::getenv("UATM_PERF");
+    const std::string previous = saved ? saved : "";
+    setenv("UATM_PERF", "0", 1);
+    for (unsigned threads : {1u, 2u}) {
+        Runner runner(RunnerOptions{threads});
+        runner.run(fourPointScenario(), {"x"}, trivialKernel());
+        ASSERT_FALSE(runner.lastStats().workers.empty());
+        for (const auto &worker : runner.lastStats().workers)
+            EXPECT_FALSE(worker.counters.available)
+                << "worker " << worker.worker << " of "
+                << threads;
+    }
+    if (saved)
+        setenv("UATM_PERF", previous.c_str(), 1);
+    else
+        unsetenv("UATM_PERF");
 }
 
 TEST(RunnerTelemetry, ArmedSerialRunRecordsEveryPoint)
 {
-    RunnerOptions options;
-    options.threads = 1;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{1});
     runner.run(fourPointScenario(), {"x"}, trivialKernel());
 
-    const RunnerTelemetry &t = runner.lastTelemetry();
-    EXPECT_TRUE(t.armed);
+    const RunnerTelemetry &t = runner.lastStats();
     EXPECT_EQ(t.scenario, "telemetry-test");
     EXPECT_EQ(t.threadsRequested, 1u);
     EXPECT_EQ(t.threadsUsed, 0u);  // inline, no thread spawned
@@ -88,13 +114,10 @@ TEST(RunnerTelemetry, ArmedSerialRunRecordsEveryPoint)
 
 TEST(RunnerTelemetry, ParallelRunCoversAllPointsOnce)
 {
-    RunnerOptions options;
-    options.threads = 4;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{4});
     runner.run(fourPointScenario(), {"x"}, trivialKernel());
 
-    const RunnerTelemetry &t = runner.lastTelemetry();
+    const RunnerTelemetry &t = runner.lastStats();
     EXPECT_EQ(t.threadsUsed, 4u);
     ASSERT_EQ(t.workers.size(), 4u);
     ASSERT_EQ(t.points.size(), 4u);
@@ -111,35 +134,9 @@ TEST(RunnerTelemetry, ParallelRunCoversAllPointsOnce)
         EXPECT_LT(t.points[i - 1].index, t.points[i].index);
 }
 
-TEST(RunnerTelemetry, ArmedMergeIsByteIdenticalToDisarmedSerial)
-{
-    const std::string serial = [&] {
-        Runner runner(RunnerOptions{1});
-        return runner
-            .run(fourPointScenario(), {"x"}, trivialKernel())
-            .renderCsv();
-    }();
-    for (unsigned threads : {1u, 2u, 4u}) {
-        RunnerOptions options;
-        options.threads = threads;
-        options.telemetry = true;
-        Runner runner(options);
-        EXPECT_EQ(runner
-                      .run(fourPointScenario(), {"x"},
-                           trivialKernel())
-                      .renderCsv(),
-                  serial)
-            << "telemetry-armed merge diverged at " << threads
-            << " threads";
-    }
-}
-
 TEST(RunnerTelemetry, FailedPointsAreStillTimed)
 {
-    RunnerOptions options;
-    options.threads = 2;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{2});
     runner.run(fourPointScenario(), {"x"},
                [](const Point &point)
                    -> Expected<std::vector<Cell>> {
@@ -147,7 +144,7 @@ TEST(RunnerTelemetry, FailedPointsAreStillTimed)
                        return Status::invalidArgument("boom");
                    return std::vector<Cell>{Cell::num(1.0)};
                });
-    const RunnerTelemetry &t = runner.lastTelemetry();
+    const RunnerTelemetry &t = runner.lastStats();
     EXPECT_EQ(t.pointsFailed, 1u);
     EXPECT_EQ(t.points.size(), 4u);  // the failed point included
     EXPECT_EQ(t.pointLatency.count(), 4u);
@@ -155,13 +152,10 @@ TEST(RunnerTelemetry, FailedPointsAreStillTimed)
 
 TEST(RunnerTelemetry, JsonRoundTripPreservesEverything)
 {
-    RunnerOptions options;
-    options.threads = 2;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{2});
     runner.run(fourPointScenario("roundtrip"), {"x"},
                trivialKernel());
-    const RunnerTelemetry &before = runner.lastTelemetry();
+    const RunnerTelemetry &before = runner.lastStats();
 
     const obs::JsonParseResult parsed =
         obs::parseJson(before.toJson());
@@ -227,13 +221,10 @@ syntheticCounters(double cycles, double instructions,
 
 TEST(RunnerTelemetry, JsonRoundTripPreservesWorkerCounters)
 {
-    RunnerOptions options;
-    options.threads = 2;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{2});
     runner.run(fourPointScenario("counters"), {"x"},
                trivialKernel());
-    RunnerTelemetry before = runner.lastTelemetry();
+    RunnerTelemetry before = runner.lastStats();
     ASSERT_FALSE(before.workers.empty());
     before.workers[0].counters =
         syntheticCounters(1000.0, 2500.0, 40.0, 3.0, 7.0);
@@ -271,7 +262,7 @@ TEST(RunnerTelemetry, SchemaV1DocumentsStillParse)
         "{\"kind\": \"runner_telemetry\", "
         "\"schema_version\": 1, \"armed\": true, "
         "\"scenario\": \"legacy\", \"threads_used\": 2, "
-        "\"point_count\": 1, \"workers\": ["
+        "\"points\": 1, \"workers\": ["
         "{\"worker\": 0, \"points\": 1, \"kernel_ns\": 10, "
         "\"idle_ns\": 1, \"lifetime_ns\": 11}]}");
     ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -279,8 +270,27 @@ TEST(RunnerTelemetry, SchemaV1DocumentsStillParse)
         RunnerTelemetry::fromJson(parsed.value);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(loaded.value().scenario, "legacy");
+    EXPECT_EQ(loaded.value().pointCount, 1u);
     ASSERT_EQ(loaded.value().workers.size(), 1u);
     EXPECT_FALSE(loaded.value().workers[0].counters.available);
+
+    // A v2 document's "armed" flag is ignored, false included:
+    // the record loads like any other.
+    const obs::JsonParseResult v2 = obs::parseJson(
+        "{\"kind\": \"runner_telemetry\", "
+        "\"schema_version\": 2, \"armed\": false, "
+        "\"scenario\": \"disarmed\", \"points\": 1, "
+        "\"workers\": [{\"worker\": 0, \"points\": 1, "
+        "\"counters\": {\"available\": false}}], "
+        "\"point_durations\": [{\"index\": 0, \"ns\": 5}]}");
+    ASSERT_TRUE(v2.ok) << v2.error;
+    const Expected<RunnerTelemetry> loadedV2 =
+        RunnerTelemetry::fromJson(v2.value);
+    ASSERT_TRUE(loadedV2.ok()) << loadedV2.status().toString();
+    EXPECT_EQ(loadedV2.value().scenario, "disarmed");
+    EXPECT_EQ(loadedV2.value().pointCount, 1u);
+    EXPECT_EQ(loadedV2.value().points.size(), 1u);
+    EXPECT_EQ(loadedV2.value().pointLatency.count(), 1u);
 
     // Version 0 (or missing) is rejected, same as too-new.
     const obs::JsonParseResult tooOld = obs::parseJson(
@@ -301,21 +311,18 @@ TEST(RunnerTelemetry, ProgressHeartbeatKeepsResultsByteIdentical)
             .run(fourPointScenario(), {"x"}, trivialKernel())
             .renderCsv();
     }();
-    RunnerOptions options;
-    options.threads = 2;
-    options.progressEvery = 2;
-    Runner runner(options);
-    EXPECT_EQ(runner
-                  .run(fourPointScenario(), {"x"},
-                       trivialKernel())
-                  .renderCsv(),
-              quiet);
+    setenv("UATM_PROGRESS", "2", 1);
+    Runner runner(RunnerOptions{2});
+    const std::string loud =
+        runner.run(fourPointScenario(), {"x"}, trivialKernel())
+            .renderCsv();
+    unsetenv("UATM_PROGRESS");
+    EXPECT_EQ(loud, quiet);
 }
 
 TEST(CounterScaling, DetectsContentionSignatures)
 {
     RunnerTelemetry lo;
-    lo.armed = true;
     lo.threadsUsed = 1;
     lo.wallNs = 1000000000;  // 1 s
     WorkerTelemetry solo;
@@ -324,7 +331,6 @@ TEST(CounterScaling, DetectsContentionSignatures)
     lo.workers.push_back(solo);
 
     RunnerTelemetry hi;
-    hi.armed = true;
     hi.threadsUsed = 8;
     hi.wallNs = 1000000000;
     for (int i = 0; i < 8; ++i) {
@@ -356,7 +362,6 @@ TEST(CounterScaling, HealthyRunsRaiseNoFlags)
     std::vector<RunnerTelemetry> runs;
     for (unsigned threads : {1u, 4u}) {
         RunnerTelemetry t;
-        t.armed = true;
         t.threadsUsed = threads;
         t.wallNs = 1000000000;
         for (unsigned i = 0; i < threads; ++i) {
@@ -379,7 +384,6 @@ TEST(CounterScaling, HealthyRunsRaiseNoFlags)
 TEST(CounterScaling, CounterlessRunsAreNotOk)
 {
     RunnerTelemetry t;
-    t.armed = true;
     t.threadsUsed = 2;
     t.workers.resize(2);
     const CounterScaling scaling = analyzeCounterScaling({t});
@@ -390,16 +394,13 @@ TEST(CounterScaling, CounterlessRunsAreNotOk)
 
 TEST(RunnerTelemetry, FileRoundTripAndLoadErrors)
 {
-    RunnerOptions options;
-    options.threads = 1;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{1});
     runner.run(fourPointScenario(), {"x"}, trivialKernel());
 
     const std::string path =
         testing::TempDir() + "uatm_telemetry_roundtrip.json";
     ASSERT_TRUE(
-        runner.lastTelemetry().writeJson(path).ok());
+        runner.lastStats().writeJson(path).ok());
     const Expected<RunnerTelemetry> loaded =
         RunnerTelemetry::load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
@@ -427,31 +428,13 @@ TEST(RunnerTelemetry, FromJsonRejectsForeignDocuments)
         RunnerTelemetry::fromJson(badVersion.value).ok());
 }
 
-TEST(RunnerTelemetry, EnvVariableArmsTelemetry)
-{
-    setenv("UATM_RUNNER_TELEMETRY", "1", 1);
-    Runner runner(RunnerOptions{1});
-    runner.run(fourPointScenario(), {"x"}, trivialKernel());
-    unsetenv("UATM_RUNNER_TELEMETRY");
-    EXPECT_TRUE(runner.lastTelemetry().armed);
-
-    setenv("UATM_RUNNER_TELEMETRY", "0", 1);
-    Runner disarmed(RunnerOptions{1});
-    disarmed.run(fourPointScenario(), {"x"}, trivialKernel());
-    unsetenv("UATM_RUNNER_TELEMETRY");
-    EXPECT_FALSE(disarmed.lastTelemetry().armed);
-}
-
 TEST(RunnerTelemetry, StatsRegisterUnderPrefix)
 {
-    RunnerOptions options;
-    options.threads = 2;
-    options.telemetry = true;
-    Runner runner(options);
+    Runner runner(RunnerOptions{2});
     runner.run(fourPointScenario(), {"x"}, trivialKernel());
 
     obs::StatRegistry registry;
-    runner.lastTelemetry().registerStats(registry, "tel");
+    runner.lastStats().registerStats(registry, "tel");
     EXPECT_EQ(registry.value("tel.points"), 4.0);
     EXPECT_TRUE(registry.contains("tel.point_ns"));
     EXPECT_TRUE(registry.contains("tel.load_imbalance"));
@@ -488,7 +471,6 @@ TEST(RunnerTelemetry, TracedParallelRunEmitsPerWorkerTracks)
 TEST(RunDiagnosis, ComputesUtilizationImbalanceAndTopK)
 {
     RunnerTelemetry t;
-    t.armed = true;
     t.threadsUsed = 2;
     t.pointCount = 3;
     t.wallNs = 1000;

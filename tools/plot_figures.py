@@ -254,8 +254,7 @@ def plot_worker_utilization(directory: Path) -> None:
     records = load_telemetry_records(directory)
     if not records:
         sys.exit(f"no readable RUNNER_*.json under {directory}/ — "
-                 "run UATM_RUNNER_TELEMETRY=1 "
-                 "./build/bench/bench_sweep_parallel first")
+                 "run ./build/bench/bench_sweep_parallel first")
     for label, utils in records:
         summary = " ".join(f"w{i}={u * 100:.0f}%"
                            for i, u in enumerate(utils))

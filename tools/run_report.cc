@@ -2,9 +2,9 @@
  * @file
  * Scaling-diagnosis report over runner telemetry.
  *
- * Consumes the RUNNER_*.json telemetry documents written by an
- * instrumented exp::Runner (UATM_RUNNER_TELEMETRY=1, UATM_TRACE,
- * or RunnerOptions::telemetry) and prints, per run, the per-worker
+ * Consumes RUNNER_*.json documents, each one exp::Runner run's
+ * record (RunnerTelemetry::writeJson; bench_sweep_parallel writes
+ * one per thread count), and prints, per run, the per-worker
  * utilization bars, the load-imbalance index, parallel efficiency,
  * the per-worker hardware counter lanes (schema v2), and the top-K
  * slowest points; given runs at two or more distinct thread counts
@@ -16,9 +16,11 @@
  *   run_report [options] <telemetry.json>...
  *
  *     --top=<k>        slowest points to list per run (default 5)
- *     --bench=<path>   also fold a BENCH_sweep_parallel.json into
- *                      the Amdahl fit: benchmarks whose name ends
- *                      in /t<n> contribute (n, median ns/rep)
+ *     --bench=<path>   fit Amdahl's law on a
+ *                      BENCH_sweep_parallel.json instead of the
+ *                      records' runner wall times: each
+ *                      sweep/geometry/t<n> benchmark contributes
+ *                      (n, median ns/rep)
  *     --format=<f>     "text" (default) or "json": emit the same
  *                      diagnosis machine-readably on stdout
  *
@@ -51,17 +53,17 @@ usage(const char *argv0)
 }
 
 /**
- * Thread count encoded in a sweep benchmark name ("sweep/.../t8"
- * -> 8); 0 when the name does not follow the convention.
+ * Thread count of a "sweep/geometry/t<n>" benchmark (8 for
+ * ".../t8"); 0 for any other name, the brute-force reference
+ * "sweep/geometry/brute/t1" included.
  */
 unsigned
 threadsFromBenchName(const std::string &name)
 {
-    const std::size_t slash = name.rfind('/');
-    if (slash == std::string::npos ||
-        slash + 2 > name.size() - 1 || name[slash + 1] != 't')
+    const std::string prefix = "sweep/geometry/t";
+    if (name.rfind(prefix, 0) != 0)
         return 0;
-    const std::string digits = name.substr(slash + 2);
+    const std::string digits = name.substr(prefix.size());
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") !=
             std::string::npos)
@@ -240,9 +242,13 @@ main(int argc, char **argv)
     if (files.empty() && benchPath.empty())
         return usage(argv[0]);
 
-    // (threads, wall ns) samples feeding the Amdahl fit, from the
-    // telemetry files and optionally the sweep benchmark medians.
+    // (threads, wall ns) samples feeding the Amdahl fit: the
+    // records' runner wall times, or the sweep benchmark's median
+    // reps when --bench is given.  A runner wall time leaves out
+    // the work a sweep does before Runner::run, so the two are
+    // never mixed in one fit.
     std::vector<std::pair<unsigned, double>> samples;
+    std::vector<std::pair<unsigned, double>> benchSamples;
     std::vector<LoadedRun> runs;
     std::size_t loaded = 0;
 
@@ -293,7 +299,7 @@ main(int argc, char **argv)
                             ? per_rep->numberOr("median", 0.0)
                             : 0.0;
                     if (wallNs > 0.0) {
-                        samples.emplace_back(threads, wallNs);
+                        benchSamples.emplace_back(threads, wallNs);
                         ++folded;
                     }
                 }
@@ -306,6 +312,8 @@ main(int argc, char **argv)
                      "run_report: no readable input files\n");
         return 2;
     }
+    if (folded)
+        samples = std::move(benchSamples);
 
     std::vector<exp::RunnerTelemetry> telemetries;
     telemetries.reserve(runs.size());
@@ -338,7 +346,9 @@ main(int argc, char **argv)
 
     if (!benchPath.empty()) {
         std::printf("== %s ==\n%zu sweep benchmark%s folded into "
-                    "the fit\n\n",
+                    "the fit, which then covers whole timed reps "
+                    "and leaves out the records' runner wall "
+                    "times\n\n",
                     benchPath.c_str(), folded,
                     folded == 1 ? "" : "s");
     }

@@ -104,11 +104,12 @@ runOffline(const std::string &body, unsigned threads,
         writeOutput(out_path, table.renderNdjson());
     if (!written.ok())
         return failWith(written);
+    const exp::RunnerTelemetry &stats = runner.lastStats();
     std::fprintf(stderr,
                  "offline: points=%zu failed=%zu threads=%u\n",
-                 runner.lastStats().points,
-                 runner.lastStats().pointsFailed,
-                 runner.lastStats().threadsRequested);
+                 std::size_t(stats.pointCount),
+                 std::size_t(stats.pointsFailed),
+                 stats.threadsRequested);
     return 0;
 }
 
