@@ -29,25 +29,6 @@ stallFeatureName(StallFeature feature)
     panic("unknown StallFeature");
 }
 
-StallFeature
-parseStallFeature(const std::string &name)
-{
-    if (name == "FS")
-        return StallFeature::FS;
-    if (name == "BL")
-        return StallFeature::BL;
-    if (name == "BNL1")
-        return StallFeature::BNL1;
-    if (name == "BNL2")
-        return StallFeature::BNL2;
-    if (name == "BNL3")
-        return StallFeature::BNL3;
-    if (name == "NB")
-        return StallFeature::NB;
-    fatal("unknown stalling feature '", name,
-          "' (expected FS, BL, BNL1, BNL2, BNL3 or NB)");
-}
-
 PhiBounds
 phiBounds(StallFeature feature, double line_over_bus)
 {

@@ -38,9 +38,6 @@ enum class StallFeature : std::uint8_t
 /** Short name as used in the paper's figures. */
 const char *stallFeatureName(StallFeature feature);
 
-/** Parse "FS"/"BL"/"BNL1"/... (case-sensitive); fatal() otherwise. */
-StallFeature parseStallFeature(const std::string &name);
-
 /**
  * Stalling-factor bounds from Table 2, in units of mu_m, given the
  * line-to-bus ratio L/D.

@@ -144,14 +144,6 @@ parseFullDouble(const std::string &text, bool &out_of_range)
     return v;
 }
 
-/** True when @p v is integral and representable as int64. */
-bool
-fitsInt64(double v)
-{
-    return v == std::floor(v) && v >= -9.223372036854776e18 &&
-           v < 9.223372036854776e18;
-}
-
 /**
  * The value @p v's rendering (obs::JsonWriter::formatNumber, 12
  * significant digits) parses back to.  A point key carries only
@@ -210,19 +202,16 @@ ParamValue::parse(Type type, std::string_view text)
             return Status::outOfRange(
                 "'", value, "' overflows a 64-bit integer");
         }
-        if (!d) {
+        if (!d || *d != std::floor(*d)) {
             return Status::parseError("'", value,
                                       "' is not an integer");
         }
-        if (!fitsInt64(*d)) {
-            if (*d != std::floor(*d)) {
-                return Status::parseError(
-                    "'", value, "' is not an integer");
-            }
+        const auto n = obs::exactInt(*d);
+        if (!n) {
             return Status::outOfRange(
                 "'", value, "' overflows a 64-bit integer");
         }
-        return ofInt(static_cast<std::int64_t>(*d));
+        return ofInt(*n);
       }
       case Type::Double: {
         bool range = false;
@@ -247,9 +236,9 @@ ParamValue::coerce(Type target) const
         return *this;
     if (type_ == Type::Int && target == Type::Double)
         return ofDouble(static_cast<double>(int_));
-    if (type_ == Type::Double && target == Type::Int &&
-        fitsInt64(double_)) {
-        return ofInt(static_cast<std::int64_t>(double_));
+    if (type_ == Type::Double && target == Type::Int) {
+        if (const auto n = obs::exactInt(double_))
+            return ofInt(*n);
     }
     return Status::invalidArgument(
         "expected a ", typeName(target), " value, got ",
@@ -386,30 +375,31 @@ ParamMap::writeJson(obs::JsonWriter &writer) const
 }
 
 Expected<ParamMap>
-ParamMap::fromJson(const obs::JsonValue &value)
+ParamMap::fromJson(const obs::JsonValue &value, const obs::JsonPath &path)
 {
-    if (!value.isObject()) {
-        return Status::parseError(
-            "workload params must be a JSON object");
-    }
     ParamMap map;
-    for (const auto &[name, member] : value.members()) {
-        if (member.isString()) {
-            map.setString(name, member.asString());
-        } else if (member.isBool()) {
-            map.setBool(name, member.asBool());
-        } else if (member.isNumber()) {
-            const double v = asRendered(member.asNumber());
-            if (fitsInt64(v))
-                map.setInt(name, static_cast<std::int64_t>(v));
-            else
-                map.setDouble(name, v);
-        } else {
-            return Status::parseError(
-                "workload param '", name,
-                "' must be a string, number or bool");
-        }
-    }
+    const Status status = obs::readMembers(
+        value, path,
+        [&map](const std::string &name, const obs::JsonValue &member,
+               const obs::JsonPath &at) {
+            if (member.isString()) {
+                map.setString(name, member.asString());
+            } else if (member.isBool()) {
+                map.setBool(name, member.asBool());
+            } else if (member.isNumber()) {
+                const double v = asRendered(member.asNumber());
+                if (const auto n = obs::exactInt(v))
+                    map.setInt(name, *n);
+                else
+                    map.setDouble(name, v);
+            } else {
+                return at.error("must be a string, number or bool (got ",
+                                obs::describeJson(member), ")");
+            }
+            return Status();
+        });
+    if (!status.ok())
+        return status;
     return map;
 }
 

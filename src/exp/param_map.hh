@@ -26,6 +26,7 @@
 #include "util/status.hh"
 
 namespace uatm::obs {
+class JsonPath;
 class JsonValue;
 class JsonWriter;
 }
@@ -147,10 +148,12 @@ class ParamMap
      * numbers become Int, others Double).  A number is read as the
      * value its rendering (obs::JsonWriter::formatNumber) parses
      * back to, so equal renderings hold equal values.
-     * Null/array/object members are ParseError; obs::parseJson
-     * already refuses a number that overflows a double.
+     * Null/array/object members are a ParseError naming @p path;
+     * obs::parseJson already refuses a number that overflows a
+     * double.
      */
-    static Expected<ParamMap> fromJson(const obs::JsonValue &value);
+    static Expected<ParamMap> fromJson(const obs::JsonValue &value,
+                                       const obs::JsonPath &path);
 
     bool operator==(const ParamMap &) const = default;
 

@@ -131,93 +131,76 @@ RunnerTelemetry::writeJson(const std::string &path) const
     return Status();
 }
 
-Expected<RunnerTelemetry>
-RunnerTelemetry::fromJson(const obs::JsonValue &doc)
+namespace {
+
+const obs::JsonField<WorkerTelemetry> kWorkerFields[] = {
+    obs::field<&WorkerTelemetry::worker>("worker"),
+    obs::field<&WorkerTelemetry::points>("points"),
+    obs::field<&WorkerTelemetry::kernelNs>("kernel_ns"),
+    obs::field<&WorkerTelemetry::acquireNs>("acquire_ns"),
+    obs::field<&WorkerTelemetry::idleNs>("idle_ns"),
+    obs::field<&WorkerTelemetry::lifetimeNs>("lifetime_ns"),
+    // Absent from v1 documents: counters stay unavailable.
+    obs::field<&WorkerTelemetry::counters>("counters"),
+};
+
+const obs::JsonField<PointTiming> kPointFields[] = {
+    obs::field<&PointTiming::index>("index"),
+    obs::field<&PointTiming::worker>("worker"),
+    obs::field<&PointTiming::startNs>("start_ns"),
+    obs::field<&PointTiming::durationNs>("ns"),
+    obs::field<&PointTiming::label>("label"),
+};
+
+/** What every RUNNER document starts with; v1 and v2 load too, and
+ *  their "armed" key is ignored like every key no table lists.
+ *  Anything newer than us is an error, not a partial read. */
+struct Header
 {
-    if (!doc.isObject())
-        return Status::parseError(
-            "telemetry document is not a JSON object");
-    if (doc.stringOr("kind", "") != "runner_telemetry")
-        return Status::parseError(
-            "not a runner_telemetry document (kind='",
-            doc.stringOr("kind", "<missing>"), "')");
-    const int version = static_cast<int>(
-        doc.numberOr("schema_version", -1));
-    // v1 documents lack the per-worker counters object and parse
-    // with counters unavailable; the "armed" key of v1 and v2 is
-    // ignored.  Anything newer than us is an error rather than a
-    // silent partial read.
-    if (version < 1 || version > kTelemetrySchemaVersion)
-        return Status::parseError(
-            "unsupported telemetry schema_version ", version,
-            " (expected 1..", kTelemetrySchemaVersion, ")");
+    std::string kind;
+    unsigned version = 0;
+};
 
+const obs::JsonField<Header> kHeaderFields[] = {
+    obs::field<&Header::kind>("kind", true),
+    obs::field<&Header::version, 1, kTelemetrySchemaVersion>(
+        "schema_version", true),
+};
+
+const obs::JsonField<RunnerTelemetry> kTelemetryFields[] = {
+    obs::field<&RunnerTelemetry::scenario>("scenario"),
+    obs::field<&RunnerTelemetry::threadsRequested>("threads_requested"),
+    obs::field<&RunnerTelemetry::threadsUsed>("threads_used"),
+    obs::field<&RunnerTelemetry::pointCount>("points"),
+    obs::field<&RunnerTelemetry::pointsFailed>("points_failed"),
+    obs::field<&RunnerTelemetry::wallNs>("wall_ns"),
+    obs::field<&RunnerTelemetry::expandNs>("expand_ns"),
+    obs::field<&RunnerTelemetry::mergeNs>("merge_ns"),
+    obs::field<&RunnerTelemetry::workers, &kWorkerFields>("workers",
+                                                          true),
+    obs::field<&RunnerTelemetry::points, &kPointFields>(
+        "point_durations"),
+};
+
+} // namespace
+
+Expected<RunnerTelemetry>
+RunnerTelemetry::fromJson(const obs::JsonValue &doc,
+                          std::string_view document)
+{
+    const obs::JsonPath path(document);
+    Header header;
+    if (Status s = obs::readObject(doc, path, header, kHeaderFields);
+        !s.ok())
+        return s;
+    if (header.kind != "runner_telemetry")
+        return path.key("kind").error("must be \"runner_telemetry\" (got ",
+                                      obs::JsonWriter::escape(header.kind),
+                                      ")");
     RunnerTelemetry t;
-    t.scenario = doc.stringOr("scenario", "");
-    t.threadsRequested = static_cast<unsigned>(
-        doc.numberOr("threads_requested", 0));
-    t.threadsUsed = static_cast<unsigned>(
-        doc.numberOr("threads_used", 0));
-    t.pointCount = static_cast<std::uint64_t>(
-        doc.numberOr("points", 0));
-    t.pointsFailed = static_cast<std::uint64_t>(
-        doc.numberOr("points_failed", 0));
-    t.wallNs = static_cast<std::uint64_t>(
-        doc.numberOr("wall_ns", 0));
-    t.expandNs = static_cast<std::uint64_t>(
-        doc.numberOr("expand_ns", 0));
-    t.mergeNs = static_cast<std::uint64_t>(
-        doc.numberOr("merge_ns", 0));
-
-    const obs::JsonValue *workers = doc.find("workers");
-    if (!workers || !workers->isArray())
-        return Status::parseError(
-            "telemetry document lacks a 'workers' array");
-    for (const auto &item : workers->items()) {
-        if (!item.isObject())
-            return Status::parseError(
-                "'workers' entry is not an object");
-        WorkerTelemetry w;
-        w.worker = static_cast<unsigned>(
-            item.numberOr("worker", 0));
-        w.points = static_cast<std::uint64_t>(
-            item.numberOr("points", 0));
-        w.kernelNs = static_cast<std::uint64_t>(
-            item.numberOr("kernel_ns", 0));
-        w.acquireNs = static_cast<std::uint64_t>(
-            item.numberOr("acquire_ns", 0));
-        w.idleNs = static_cast<std::uint64_t>(
-            item.numberOr("idle_ns", 0));
-        w.lifetimeNs = static_cast<std::uint64_t>(
-            item.numberOr("lifetime_ns", 0));
-        if (const obs::JsonValue *counters =
-                item.find("counters")) {
-            w.counters =
-                obs::PerfCounterValues::fromJson(*counters);
-        }
-        t.workers.push_back(w);
-    }
-
-    if (const obs::JsonValue *durations =
-            doc.find("point_durations");
-        durations && durations->isArray()) {
-        for (const auto &item : durations->items()) {
-            if (!item.isObject())
-                return Status::parseError(
-                    "'point_durations' entry is not an object");
-            PointTiming p;
-            p.index = static_cast<std::size_t>(
-                item.numberOr("index", 0));
-            p.worker = static_cast<unsigned>(
-                item.numberOr("worker", 0));
-            p.startNs = static_cast<std::uint64_t>(
-                item.numberOr("start_ns", 0));
-            p.durationNs = static_cast<std::uint64_t>(
-                item.numberOr("ns", 0));
-            p.label = item.stringOr("label", "");
-            t.points.push_back(std::move(p));
-        }
-    }
+    if (Status s = obs::readObject(doc, path, t, kTelemetryFields);
+        !s.ok())
+        return s;
 
     // The histogram buckets are not serialized (the quantile
     // summary is); rebuild from the per-point durations so a
@@ -238,11 +221,11 @@ RunnerTelemetry::load(const std::string &path)
                                path, "'");
     std::ostringstream text;
     text << in.rdbuf();
+    const std::string document = "telemetry file '" + path + "'";
     const obs::JsonParseResult parsed = obs::parseJson(text.str());
     if (!parsed)
-        return Status::parseError("telemetry file '", path,
-                                  "': ", parsed.error);
-    return fromJson(parsed.value);
+        return Status::parseError(document, ": ", parsed.error);
+    return fromJson(parsed.value, document);
 }
 
 void

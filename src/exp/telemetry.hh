@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/perf_counters.hh"
@@ -137,9 +138,15 @@ struct RunnerTelemetry
     /** Write toJson() to @p path; error Status when unwritable. */
     Status writeJson(const std::string &path) const;
 
-    /** Parse a document produced by toJson(). */
+    /**
+     * Read a document produced by toJson(), or by a v1 or v2
+     * writer; @p document names it in errors.  A value of the
+     * wrong kind, or a number its field cannot hold exactly, is a
+     * ParseError naming its JSON path.
+     */
     static Expected<RunnerTelemetry>
-    fromJson(const obs::JsonValue &doc);
+    fromJson(const obs::JsonValue &doc,
+             std::string_view document = "telemetry document");
 
     /** Read and parse one RUNNER_*.json file. */
     static Expected<RunnerTelemetry>

@@ -6,7 +6,6 @@
 #include "exp/workload_spec.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "exp/workload_registry.hh"
 #include "obs/json.hh"
@@ -159,68 +158,38 @@ WorkloadSpec::toJson() const
     return writer.str();
 }
 
+namespace {
+
+const obs::JsonField<WorkloadSpec> kSpecFields[] = {
+    obs::field<&WorkloadSpec::method>("method", true),
+    obs::field<&WorkloadSpec::params>("params"),
+    obs::field<&WorkloadSpec::seed>("seed"),
+    obs::field<&WorkloadSpec::withIFetch>("ifetch"),
+};
+
+} // namespace
+
 Expected<WorkloadSpec>
 WorkloadSpec::fromJson(std::string_view text)
 {
-    const auto parsed = obs::parseJson(text);
-    if (!parsed) {
-        return Status::parseError("bad workload spec JSON: ",
-                                  parsed.error);
-    }
-    return fromJson(parsed.value);
+    WorkloadSpec spec;
+    if (Status s = obs::readDocument(text, "workload spec", spec,
+                                     kSpecFields,
+                                     obs::UnknownKeys::Refuse);
+        !s.ok())
+        return s;
+    return spec;
 }
 
 Expected<WorkloadSpec>
-WorkloadSpec::fromJson(const obs::JsonValue &root)
+WorkloadSpec::fromJson(const obs::JsonValue &value,
+                       const obs::JsonPath &path)
 {
-    if (!root.isObject()) {
-        return Status::parseError(
-            "workload spec JSON must be an object");
-    }
-
     WorkloadSpec spec;
-    spec.method.clear();
-    bool have_method = false;
-    for (const auto &[key, value] : root.members()) {
-        if (key == "method") {
-            if (!value.isString()) {
-                return Status::parseError(
-                    "workload spec \"method\" must be a string");
-            }
-            spec.method = value.asString();
-            have_method = true;
-        } else if (key == "params") {
-            auto params = ParamMap::fromJson(value);
-            if (!params.ok())
-                return params.status();
-            spec.params = std::move(params).value();
-        } else if (key == "seed") {
-            if (!value.isNumber()) {
-                return Status::parseError(
-                    "workload spec \"seed\" must be a number");
-            }
-            auto seed = obs::checkedUint(
-                value.asNumber(),
-                std::numeric_limits<std::uint64_t>::max(),
-                "workload spec \"seed\"");
-            if (!seed.ok())
-                return seed.status();
-            spec.seed = seed.value();
-        } else if (key == "ifetch") {
-            if (!value.isBool()) {
-                return Status::parseError(
-                    "workload spec \"ifetch\" must be a bool");
-            }
-            spec.withIFetch = value.asBool();
-        } else {
-            return Status::parseError(
-                "unknown workload spec field \"", key, "\"");
-        }
-    }
-    if (!have_method) {
-        return Status::parseError(
-            "workload spec needs a \"method\" field");
-    }
+    if (Status s = obs::readObject(value, path, spec, kSpecFields,
+                                   obs::UnknownKeys::Refuse);
+        !s.ok())
+        return s;
     return spec;
 }
 

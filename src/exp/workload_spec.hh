@@ -32,6 +32,7 @@
 #include "util/status.hh"
 
 namespace uatm::obs {
+class JsonPath;
 class JsonValue;
 }
 
@@ -98,14 +99,16 @@ struct WorkloadSpec
     Expected<std::string> toJson() const;
 
     /** Parse toJson()'s schema.  Unknown fields, a missing
-     *  method, or mistyped values are ParseError; an unknown
-     *  *method name* is deliberately left for make() to report,
-     *  so deserialized grids degrade per point. */
+     *  method, or mistyped values are a ParseError naming the
+     *  JSON path; an unknown *method name* is deliberately left
+     *  for make() to report, so deserialized grids degrade per
+     *  point. */
     static Expected<WorkloadSpec> fromJson(std::string_view text);
 
-    /** The same, over an already-parsed document (a sweep
-     *  request's workload subtree). */
-    static Expected<WorkloadSpec> fromJson(const obs::JsonValue &root);
+    /** The same, over the value at @p path of an already-parsed
+     *  document (a sweep request's workload subtree). */
+    static Expected<WorkloadSpec> fromJson(const obs::JsonValue &value,
+                                           const obs::JsonPath &path);
 
     /**
      * Build a fresh source, rewound to the stream's beginning.

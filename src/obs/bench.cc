@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "obs/manifest.hh"
 #include "util/logging.hh"
@@ -384,59 +385,35 @@ perfVerdictName(PerfDelta::Verdict verdict)
 
 namespace {
 
-/** MAD of one record, converted to ns/op units. */
+/** MAD of one benchmark, converted to ns/op units. */
 double
-recordMadNsPerOp(const JsonValue &record)
+madNsPerOp(const BenchResult &result)
 {
-    const JsonValue *per_rep = record.find("ns_per_rep");
-    const double mad =
-        per_rep ? per_rep->numberOr("mad", 0.0) : 0.0;
-    const double items =
-        std::max(record.numberOr("items_per_rep", 1.0), 1.0);
-    return mad / items;
-}
-
-const JsonValue *
-findBenchmark(const JsonValue &doc, const std::string &name)
-{
-    const JsonValue *list = doc.find("benchmarks");
-    if (!list || !list->isArray())
-        return nullptr;
-    for (const JsonValue &record : list->items()) {
-        if (record.isObject() &&
-            record.stringOr("name", "") == name)
-            return &record;
-    }
-    return nullptr;
+    return result.nsPerRepMad /
+           std::max(static_cast<double>(result.itemsPerRep), 1.0);
 }
 
 } // namespace
 
 std::vector<PerfDelta>
-comparePerf(const JsonValue &before, const JsonValue &after,
+comparePerf(const BenchRecord &before, const BenchRecord &after,
             const PerfDiffOptions &options)
 {
     std::vector<PerfDelta> out;
-    const JsonValue *before_list = before.find("benchmarks");
-    const JsonValue *after_list = after.find("benchmarks");
 
     // Suite-wide drift: the median after/before ratio over the
     // matched benchmarks.  Frequency scaling and background load
     // shift every benchmark together; dividing the median shift
     // out leaves only *relative* movement for the verdicts.
     double drift = 1.0;
-    if (options.normalizeDrift && before_list &&
-        before_list->isArray()) {
+    if (options.normalizeDrift) {
         std::vector<double> ratios;
-        for (const JsonValue &record : before_list->items()) {
-            if (!record.isObject())
-                continue;
-            const double b = record.numberOr("ns_per_op", 0.0);
-            const JsonValue *peer = findBenchmark(
-                after, record.stringOr("name", "?"));
+        for (const BenchResult &record : before.benchmarks) {
+            const double b = record.nsPerOp();
+            const BenchResult *peer = after.find(record.name);
             if (!peer || b <= 0.0)
                 continue;
-            const double a = peer->numberOr("ns_per_op", 0.0);
+            const double a = peer->nsPerOp();
             if (a > 0.0)
                 ratios.push_back(a / b);
         }
@@ -444,55 +421,43 @@ comparePerf(const JsonValue &before, const JsonValue &after,
             drift = median(ratios);
     }
 
-    if (before_list && before_list->isArray()) {
-        for (const JsonValue &record : before_list->items()) {
-            if (!record.isObject())
-                continue;
-            PerfDelta delta;
-            delta.name = record.stringOr("name", "?");
-            delta.beforeNsPerOp =
-                record.numberOr("ns_per_op", 0.0);
-            const JsonValue *peer =
-                findBenchmark(after, delta.name);
-            if (!peer) {
-                delta.verdict = PerfDelta::Verdict::Removed;
-                out.push_back(std::move(delta));
-                continue;
-            }
-            delta.afterNsPerOp = peer->numberOr("ns_per_op", 0.0);
-            delta.appliedDrift = drift;
-            const double noise =
-                options.sigmas * kMadToSigma *
-                std::max(recordMadNsPerOp(record),
-                         recordMadNsPerOp(*peer));
-            delta.thresholdNs =
-                std::max(noise, options.minRelative *
-                                    delta.beforeNsPerOp);
-            const double diff =
-                delta.afterNsPerOp / drift - delta.beforeNsPerOp;
-            if (diff > delta.thresholdNs)
-                delta.verdict = PerfDelta::Verdict::Regressed;
-            else if (-diff > delta.thresholdNs)
-                delta.verdict = PerfDelta::Verdict::Improved;
-            else
-                delta.verdict = PerfDelta::Verdict::Similar;
+    for (const BenchResult &record : before.benchmarks) {
+        PerfDelta delta;
+        delta.name = record.name;
+        delta.beforeNsPerOp = record.nsPerOp();
+        const BenchResult *peer = after.find(delta.name);
+        if (!peer) {
+            delta.verdict = PerfDelta::Verdict::Removed;
             out.push_back(std::move(delta));
+            continue;
         }
+        delta.afterNsPerOp = peer->nsPerOp();
+        delta.appliedDrift = drift;
+        const double noise =
+            options.sigmas * kMadToSigma *
+            std::max(madNsPerOp(record), madNsPerOp(*peer));
+        delta.thresholdNs =
+            std::max(noise, options.minRelative *
+                                delta.beforeNsPerOp);
+        const double diff =
+            delta.afterNsPerOp / drift - delta.beforeNsPerOp;
+        if (diff > delta.thresholdNs)
+            delta.verdict = PerfDelta::Verdict::Regressed;
+        else if (-diff > delta.thresholdNs)
+            delta.verdict = PerfDelta::Verdict::Improved;
+        else
+            delta.verdict = PerfDelta::Verdict::Similar;
+        out.push_back(std::move(delta));
     }
 
-    if (after_list && after_list->isArray()) {
-        for (const JsonValue &record : after_list->items()) {
-            if (!record.isObject())
-                continue;
-            const std::string name = record.stringOr("name", "?");
-            if (findBenchmark(before, name))
-                continue;
-            PerfDelta delta;
-            delta.name = name;
-            delta.afterNsPerOp = record.numberOr("ns_per_op", 0.0);
-            delta.verdict = PerfDelta::Verdict::Added;
-            out.push_back(std::move(delta));
-        }
+    for (const BenchResult &record : after.benchmarks) {
+        if (before.find(record.name))
+            continue;
+        PerfDelta delta;
+        delta.name = record.name;
+        delta.afterNsPerOp = record.nsPerOp();
+        delta.verdict = PerfDelta::Verdict::Added;
+        out.push_back(std::move(delta));
     }
     return out;
 }
@@ -567,51 +532,39 @@ counterVerdictName(CounterDelta::Verdict verdict)
 
 namespace {
 
-/** Per-op counter value of one record; false when absent. */
+/** Per-op counter value of one benchmark; false when absent. */
 bool
-recordCounterPerOp(const JsonValue &record, PerfEvent event,
-                   double &out)
+counterPerOp(const BenchResult &result, PerfEvent event, double &out)
 {
-    const JsonValue *counters = record.find("counters");
-    if (!counters)
-        return false;
-    const PerfCounterValues values =
-        PerfCounterValues::fromJson(*counters);
-    if (!values.available || !values.has(event))
+    if (!result.counters.available || !result.counters.has(event))
         return false;
     const double reps =
-        std::max(record.numberOr("reps", 0.0), 1.0);
+        std::max(static_cast<double>(result.reps), 1.0);
     const double items =
-        std::max(record.numberOr("items_per_rep", 1.0), 1.0);
-    out = values.get(event) / (reps * items);
+        std::max(static_cast<double>(result.itemsPerRep), 1.0);
+    out = result.counters.get(event) / (reps * items);
     return true;
 }
 
 } // namespace
 
 std::vector<CounterDelta>
-compareCounter(const JsonValue &before, const JsonValue &after,
+compareCounter(const BenchRecord &before, const BenchRecord &after,
                PerfEvent event,
                const CounterDiffOptions &options)
 {
     std::vector<CounterDelta> out;
-    const JsonValue *before_list = before.find("benchmarks");
-    if (!before_list || !before_list->isArray())
-        return out;
-    for (const JsonValue &record : before_list->items()) {
-        if (!record.isObject())
-            continue;
-        const std::string name = record.stringOr("name", "?");
-        const JsonValue *peer = findBenchmark(after, name);
+    for (const BenchResult &record : before.benchmarks) {
+        const BenchResult *peer = after.find(record.name);
         if (!peer)
             continue;
         CounterDelta delta;
-        delta.name = name;
+        delta.name = record.name;
         delta.threshold = options.minRelative;
         double b = 0.0;
         double a = 0.0;
-        if (!recordCounterPerOp(record, event, b) ||
-            !recordCounterPerOp(*peer, event, a) || b <= 0.0) {
+        if (!counterPerOp(record, event, b) ||
+            !counterPerOp(*peer, event, a) || b <= 0.0) {
             delta.verdict = CounterDelta::Verdict::Skipped;
             out.push_back(std::move(delta));
             continue;
@@ -673,44 +626,102 @@ formatCounterTable(const std::vector<CounterDelta> &deltas,
     return os.str();
 }
 
-bool
-loadBenchFile(const std::string &path, JsonValue &out,
-              std::string &error)
+namespace {
+
+/** threads_requested or threads_used: either marks the benchmark
+ *  as having declared its thread config. */
+template <unsigned BenchResult::*Member>
+Status
+readThreads(const JsonValue &value, const JsonPath &path,
+            BenchResult &out)
+{
+    out.hasThreads = true;
+    return readJson(value, path, out.*Member);
+}
+
+const JsonField<BenchResult> kNsPerRepFields[] = {
+    field<&BenchResult::nsPerRepMin>("min"),
+    field<&BenchResult::nsPerRepMedian>("median", true),
+    field<&BenchResult::nsPerRepMad>("mad", true),
+};
+
+const JsonField<BenchResult> kBenchmarkFields[] = {
+    field<&BenchResult::name>("name", true),
+    field<&BenchResult::reps>("reps", true),
+    field<&BenchResult::warmupReps>("warmup_reps"),
+    field<&BenchResult::itemsPerRep>("items_per_rep", true),
+    {"threads_requested", readThreads<&BenchResult::threadsRequested>},
+    {"threads_used", readThreads<&BenchResult::threadsUsed>},
+    {"ns_per_rep",
+     [](auto &value, auto &path, BenchResult &out) {
+         return readObject(value, path, out, kNsPerRepFields);
+     },
+     true},
+    {"stat_delta",
+     [](auto &value, auto &path, BenchResult &out) {
+         return readMembers(value, path, [&out](const auto &stat,
+                                                const auto &delta,
+                                                const auto &at) {
+             out.statDelta.emplace_back(stat, 0.0);
+             return readJson(delta, at, out.statDelta.back().second);
+         });
+     }},
+    field<&BenchResult::counters>("counters"),
+};
+
+const JsonField<BenchRecord> kRecordFields[] = {
+    field<&BenchRecord::gitDescribe>("git_describe"),
+    field<&BenchRecord::hostCores>("host_cores"),
+    field<&BenchRecord::buildType>("build_type"),
+    field<&BenchRecord::compiler>("compiler"),
+    field<&BenchRecord::benchmarks, &kBenchmarkFields>("benchmarks",
+                                                       true),
+};
+
+} // namespace
+
+const BenchResult *
+BenchRecord::find(const std::string &name) const
+{
+    for (const BenchResult &result : benchmarks) {
+        if (result.name == name)
+            return &result;
+    }
+    return nullptr;
+}
+
+Expected<BenchRecord>
+BenchRecord::fromJson(std::string_view text, std::string_view document)
+{
+    BenchRecord record;
+    if (Status s = readDocument(text, document, record, kRecordFields);
+        !s.ok())
+        return s;
+    return record;
+}
+
+Expected<BenchRecord>
+loadBenchFile(const std::string &path)
 {
     std::ifstream in(path);
-    if (!in) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
+    if (!in)
+        return Status::ioError("cannot open '", path, "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    JsonParseResult parsed = parseJson(buffer.str());
-    if (!parsed.ok) {
-        error = "'" + path + "': " + parsed.error;
-        return false;
-    }
-    if (!parsed.value.isObject() ||
-        !parsed.value.find("benchmarks")) {
-        error = "'" + path +
-                "': not a BENCH_*.json document (no "
-                "\"benchmarks\" member)";
-        return false;
-    }
-    out = std::move(parsed.value);
-    return true;
+    return BenchRecord::fromJson(buffer.str(), "'" + path + "'");
 }
 
 bool
-perfSameBuild(const JsonValue &before, const JsonValue &after,
+perfSameBuild(const BenchRecord &before, const BenchRecord &after,
               std::string &error)
 {
     // As with host_cores, only fields both sides recorded count.
-    for (const char *field : {"build_type", "compiler"}) {
-        const std::string b = before.stringOr(field, "");
-        const std::string a = after.stringOr(field, "");
-        if (!b.empty() && !a.empty() && b != a) {
-            error = std::string(field) + " differs: before='" + b +
-                    "' after='" + a + "'";
+    for (const auto &[field, b, a] :
+         {std::tuple{"build_type", &before.buildType, &after.buildType},
+          std::tuple{"compiler", &before.compiler, &after.compiler}}) {
+        if (!b->empty() && !a->empty() && *b != *a) {
+            error = std::string(field) + " differs: before='" + *b +
+                    "' after='" + *a + "'";
             return false;
         }
     }
@@ -718,43 +729,33 @@ perfSameBuild(const JsonValue &before, const JsonValue &after,
 }
 
 bool
-perfComparable(const JsonValue &before, const JsonValue &after,
+perfComparable(const BenchRecord &before, const BenchRecord &after,
                std::string &error)
 {
     // Only refuse on fields both sides actually recorded; older
     // records without the metadata stay comparable (best effort).
-    const double coresBefore = before.numberOr("host_cores", 0.0);
-    const double coresAfter = after.numberOr("host_cores", 0.0);
-    if (coresBefore > 0.0 && coresAfter > 0.0 &&
-        coresBefore != coresAfter) {
+    if (before.hostCores > 0 && after.hostCores > 0 &&
+        before.hostCores != after.hostCores) {
         std::ostringstream os;
-        os << "host_cores differ: before=" << coresBefore
-           << " after=" << coresAfter;
+        os << "host_cores differ: before=" << before.hostCores
+           << " after=" << after.hostCores;
         error = os.str();
         return false;
     }
 
-    const JsonValue *before_list = before.find("benchmarks");
-    if (!before_list || !before_list->isArray())
-        return true;
-    for (const JsonValue &record : before_list->items()) {
-        if (!record.isObject())
+    for (const BenchResult &record : before.benchmarks) {
+        const BenchResult *peer = after.find(record.name);
+        if (!peer || !record.hasThreads || !peer->hasThreads)
             continue;
-        const std::string name = record.stringOr("name", "?");
-        const JsonValue *peer = findBenchmark(after, name);
-        if (!peer)
-            continue;
-        for (const char *field :
-             {"threads_requested", "threads_used"}) {
-            const JsonValue *b = record.find(field);
-            const JsonValue *a = peer->find(field);
-            if (!b || !a || !b->isNumber() || !a->isNumber())
-                continue;
-            if (b->asNumber() != a->asNumber()) {
+        for (const auto &[field, b, a] :
+             {std::tuple{"threads_requested", record.threadsRequested,
+                         peer->threadsRequested},
+              std::tuple{"threads_used", record.threadsUsed,
+                         peer->threadsUsed}}) {
+            if (b != a) {
                 std::ostringstream os;
-                os << "benchmark '" << name << "' " << field
-                   << " differ: before=" << b->asNumber()
-                   << " after=" << a->asNumber();
+                os << "benchmark '" << record.name << "' " << field
+                   << " differ: before=" << b << " after=" << a;
                 error = os.str();
                 return false;
             }

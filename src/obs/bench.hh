@@ -19,9 +19,11 @@
  * so a throughput change can be told apart from a workload change.
  *
  * The comparator half (loadBenchFile/comparePerf) powers
- * tools/perf_diff: changes in median ns/op beyond a MAD-scaled
- * noise threshold flag as improvements or regressions, and
- * countRegressions() turns that into a CI exit code.
+ * tools/perf_diff: loadBenchFile() reads a record once, through
+ * the checked reader, into a typed BenchRecord; changes in median
+ * ns/op beyond a MAD-scaled noise threshold flag as improvements
+ * or regressions, and countRegressions() turns that into a CI exit
+ * code.
  */
 
 #ifndef UATM_OBS_BENCH_HH
@@ -31,6 +33,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -231,6 +234,38 @@ class BenchSuite
 };
 
 /**
+ * A BENCH_*.json document as the comparators read it.  The keys
+ * older records may lack read as "not recorded": host_cores,
+ * build_type and compiler, and per benchmark threads_requested,
+ * threads_used and counters (plus warmup_reps, ns_per_rep.min and
+ * stat_delta, which no comparison uses).  Every other key a
+ * comparison uses is required; unknown keys are ignored.
+ */
+struct BenchRecord
+{
+    std::string gitDescribe = "?";
+    unsigned hostCores = 0;  ///< 0 when not recorded
+    std::string buildType;   ///< empty when not recorded
+    std::string compiler;    ///< empty when not recorded
+    std::vector<BenchResult> benchmarks;
+
+    /** The first benchmark named @p name; nullptr when absent. */
+    const BenchResult *find(const std::string &name) const;
+
+    /** Read one document; @p document names it in errors. */
+    static Expected<BenchRecord>
+    fromJson(std::string_view text,
+             std::string_view document = "bench record");
+};
+
+/**
+ * Read one BENCH_*.json file: an IoError when it cannot be opened,
+ * else a ParseError naming the file and the JSON path when it is
+ * not JSON or breaks the schema.
+ */
+Expected<BenchRecord> loadBenchFile(const std::string &path);
+
+/**
  * Where benchmarks write their artifacts: $UATM_BENCH_OUT, or
  * "bench_out" when that is unset or empty, lexically normalised
  * and created (recursively) if missing.  A directory that cannot
@@ -291,12 +326,12 @@ struct PerfDiffOptions
 };
 
 /**
- * Compare two parsed BENCH_*.json documents benchmark-by-
- * benchmark (matched on name, in before-document order, with
- * added benchmarks appended).
+ * Compare two BENCH_*.json records benchmark-by-benchmark (matched
+ * on name, in before-record order, with added benchmarks
+ * appended).
  */
 std::vector<PerfDelta>
-comparePerf(const JsonValue &before, const JsonValue &after,
+comparePerf(const BenchRecord &before, const BenchRecord &after,
             const PerfDiffOptions &options = {});
 
 /**
@@ -345,7 +380,7 @@ struct CounterDiffOptions
  * can say so without gating on them.
  */
 std::vector<CounterDelta>
-compareCounter(const JsonValue &before, const JsonValue &after,
+compareCounter(const BenchRecord &before, const BenchRecord &after,
                PerfEvent event,
                const CounterDiffOptions &options = {});
 
@@ -365,21 +400,14 @@ std::size_t countRegressions(const std::vector<PerfDelta> &deltas);
 std::string formatPerfTable(const std::vector<PerfDelta> &deltas);
 
 /**
- * Read and parse one BENCH_*.json file.  Returns false (with the
- * message in @p error) on I/O or parse failure.
- */
-bool loadBenchFile(const std::string &path, JsonValue &out,
-                   std::string &error);
-
-/**
  * True when two BENCH_*.json documents come from the same build:
  * the same build_type and compiler (when both recorded one).  A
  * Debug and a Release build, or two compilers, time different
  * machine code, so perf_diff refuses to gate across them and no
  * flag overrides that.  On mismatch @p error names the field.
  */
-bool perfSameBuild(const JsonValue &before, const JsonValue &after,
-                   std::string &error);
+bool perfSameBuild(const BenchRecord &before,
+                   const BenchRecord &after, std::string &error);
 
 /**
  * True when two BENCH_*.json documents were measured on
@@ -389,8 +417,8 @@ bool perfSameBuild(const JsonValue &before, const JsonValue &after,
  * explains which field differs; perf_diff refuses to gate on
  * incomparable runs (--ignore-threads overrides).
  */
-bool perfComparable(const JsonValue &before,
-                    const JsonValue &after, std::string &error);
+bool perfComparable(const BenchRecord &before,
+                    const BenchRecord &after, std::string &error);
 
 } // namespace uatm::obs
 

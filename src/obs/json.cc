@@ -166,19 +166,6 @@ JsonWriter::formatNumber(double v)
     return buf;
 }
 
-Expected<std::uint64_t>
-checkedUint(double v, std::uint64_t max, const std::string &what)
-{
-    // 2^64, the first double no std::uint64_t holds.
-    constexpr double kTwoTo64 = 18446744073709551616.0;
-    if (v >= 0.0 && v < kTwoTo64 && v == std::floor(v) &&
-        static_cast<std::uint64_t>(v) <= max)
-        return static_cast<std::uint64_t>(v);
-    return Status::parseError(what, " must be an integer in [0, ",
-                              max, "] (got ",
-                              JsonWriter::formatNumber(v), ")");
-}
-
 void
 JsonWriter::beforeValue()
 {
@@ -244,7 +231,7 @@ JsonValue::size() const
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (!isObject())
         return nullptr;
@@ -256,7 +243,7 @@ JsonValue::find(const std::string &key) const
 }
 
 const JsonValue &
-JsonValue::at(const std::string &key) const
+JsonValue::at(std::string_view key) const
 {
     const JsonValue *value = find(key);
     UATM_ASSERT(value, "missing JSON member: ", key);
@@ -270,23 +257,6 @@ JsonValue::at(std::size_t index) const
     UATM_ASSERT(index < all.size(), "JSON array index ", index,
                 " out of range (", all.size(), ")");
     return all[index];
-}
-
-double
-JsonValue::numberOr(const std::string &key, double fallback) const
-{
-    const JsonValue *value = find(key);
-    return value && value->isNumber() ? value->asNumber()
-                                      : fallback;
-}
-
-std::string
-JsonValue::stringOr(const std::string &key,
-                    const std::string &fallback) const
-{
-    const JsonValue *value = find(key);
-    return value && value->isString() ? value->asString()
-                                      : fallback;
 }
 
 /**
@@ -628,6 +598,108 @@ JsonParseResult
 parseJson(std::string_view text)
 {
     return JsonParser(text).run();
+}
+
+std::optional<std::uint64_t>
+exactUint(double v, std::uint64_t lo, std::uint64_t hi)
+{
+    // 2^64, the first double no std::uint64_t holds.
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    if (!(v >= 0.0 && v < kTwoTo64 && v == std::floor(v)))
+        return std::nullopt;
+    const auto n = static_cast<std::uint64_t>(v);
+    if (n < lo || n > hi)
+        return std::nullopt;
+    return n;
+}
+
+std::optional<std::int64_t>
+exactInt(double v)
+{
+    // [-2^63, 2^63): the doubles a std::int64_t holds.
+    constexpr double kTwoTo63 = 9223372036854775808.0;
+    if (!(v >= -kTwoTo63 && v < kTwoTo63 && v == std::floor(v)))
+        return std::nullopt;
+    return static_cast<std::int64_t>(v);
+}
+
+std::string_view
+JsonPath::document() const
+{
+    return parent_ ? parent_->document() : name_;
+}
+
+std::string
+JsonPath::str() const
+{
+    if (!parent_)
+        return "";
+    std::string out = parent_->str();
+    if (index_ != kKey)
+        return out + '[' + std::to_string(index_) + ']';
+    return (out.empty() ? out : out + '.') + std::string(name_);
+}
+
+namespace {
+
+/** Indexed by JsonValue::Kind. */
+constexpr const char *kKindNames[] = {"null",     "a bool",
+                                      "a number", "a string",
+                                      "an array", "an object"};
+
+} // namespace
+
+std::string
+describeJson(const JsonValue &value)
+{
+    switch (value.kind()) {
+      case JsonValue::Kind::Bool:
+        return value.asBool() ? "true" : "false";
+      case JsonValue::Kind::Number:
+        return JsonWriter::formatNumber(value.asNumber());
+      case JsonValue::Kind::String:
+        return JsonWriter::escape(value.asString());
+      default:
+        return kKindNames[static_cast<int>(value.kind())];
+    }
+}
+
+Status
+checkKind(const JsonValue &value, const JsonPath &path,
+          JsonValue::Kind kind)
+{
+    if (value.kind() == kind)
+        return Status();
+    return path.error("must be ", kKindNames[static_cast<int>(kind)],
+                      " (got ", describeJson(value), ")");
+}
+
+Status
+readJson(const JsonValue &value, const JsonPath &path,
+         std::string &out)
+{
+    Status s = checkKind(value, path, JsonValue::Kind::String);
+    if (s.ok())
+        out = value.asString();
+    return s;
+}
+
+Status
+readJson(const JsonValue &value, const JsonPath &path, bool &out)
+{
+    Status s = checkKind(value, path, JsonValue::Kind::Bool);
+    if (s.ok())
+        out = value.asBool();
+    return s;
+}
+
+Status
+readJson(const JsonValue &value, const JsonPath &path, double &out)
+{
+    Status s = checkKind(value, path, JsonValue::Kind::Number);
+    if (s.ok())
+        out = value.asNumber();
+    return s;
 }
 
 } // namespace uatm::obs

@@ -135,31 +135,37 @@ PerfCounterValues::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-PerfCounterValues
-PerfCounterValues::fromJson(const JsonValue &doc)
+namespace {
+
+const JsonField<PerfCounterValues> kCounterFields[] = {
+    field<&PerfCounterValues::available>("available"),
+    field<&PerfCounterValues::timeEnabledNs>("time_enabled_ns"),
+    field<&PerfCounterValues::timeRunningNs>("time_running_ns"),
+    {"values",
+     [](auto &values, auto &path, PerfCounterValues &out) {
+         return readMembers(values, path, [&out](const auto &name,
+                                                 const auto &value,
+                                                 const auto &at) {
+             PerfEvent event;
+             if (!perfEventFromName(name, event))
+                 return Status();
+             const auto i = static_cast<std::size_t>(event);
+             out.mask |= 1u << i;
+             return readJson(value, at, out.value[i]);
+         });
+     }},
+};
+
+} // namespace
+
+Expected<PerfCounterValues>
+PerfCounterValues::fromJson(const JsonValue &doc, const JsonPath &path)
 {
     PerfCounterValues out;
-    if (!doc.isObject())
-        return out;
-    const JsonValue *available = doc.find("available");
-    if (!available || !available->isBool() ||
-        !available->asBool())
-        return out;
-    out.available = true;
-    out.timeEnabledNs = doc.numberOr("time_enabled_ns", 0.0);
-    out.timeRunningNs = doc.numberOr("time_running_ns", 0.0);
-    if (const JsonValue *values = doc.find("values");
-        values && values->isObject()) {
-        for (const auto &[name, v] : values->members()) {
-            PerfEvent event;
-            if (!v.isNumber() ||
-                !perfEventFromName(name, event))
-                continue;
-            const auto i = static_cast<std::size_t>(event);
-            out.value[i] = v.asNumber();
-            out.mask |= 1u << i;
-        }
-    }
+    if (Status s = readObject(doc, path, out, kCounterFields); !s.ok())
+        return s;
+    if (!out.available)
+        return PerfCounterValues{};
     return out;
 }
 

@@ -39,10 +39,13 @@
 #include <string>
 #include <string_view>
 
+#include "util/status.hh"
+
 namespace uatm::obs {
 
 class JsonWriter;
 class JsonValue;
+class JsonPath;
 
 /** The counters one group measures, in fixed order. */
 enum class PerfEvent : std::uint8_t
@@ -145,10 +148,12 @@ struct PerfCounterValues
      */
     void writeJson(JsonWriter &w) const;
 
-    /** Parse an object produced by writeJson(); unknown value
-     *  names are ignored, a missing/false "available" or a non-
-     *  object input yields the unavailable value. */
-    static PerfCounterValues fromJson(const JsonValue &doc);
+    /** Read an object produced by writeJson(); unknown keys and
+     *  value names are ignored, and a missing or false "available"
+     *  yields the unavailable value.  A value of the wrong kind is
+     *  a ParseError naming its path. */
+    static Expected<PerfCounterValues> fromJson(const JsonValue &doc,
+                                                const JsonPath &path);
 };
 
 /** end - begin with per-event enabled/running scaling.  An event

@@ -44,6 +44,48 @@ exactDouble(double v)
     return buf;
 }
 
+/** One cell of an on-disk entry, as writeToDisk() lays it out. */
+struct StoredCell
+{
+    std::string text;
+    double value = 0.0;
+    bool numeric = false;
+    bool error = false;
+};
+
+const obs::JsonField<StoredCell> kCellFields[] = {
+    obs::field<&StoredCell::text>("text", true),
+    // Only what exactDouble() writes reads back: one complete hex
+    // float, so a damaged digit is a bad file, not a wrong value.
+    {"value",
+     [](auto &value, auto &path, StoredCell &out) {
+         std::string text;
+         Status s = obs::readJson(value, path, text);
+         out.value = std::strtod(text.c_str(), nullptr);
+         if (s.ok() && exactDouble(out.value) != text)
+             return path.error("must be a hex float (got ",
+                               obs::describeJson(value), ")");
+         return s;
+     },
+     true},
+    obs::field<&StoredCell::numeric>("numeric", true),
+    obs::field<&StoredCell::error>("error", true),
+};
+
+struct StoredEntry
+{
+    unsigned version = 0;
+    std::string key;
+    std::vector<StoredCell> cells;
+};
+
+const obs::JsonField<StoredEntry> kEntryFields[] = {
+    obs::field<&StoredEntry::version, kPointCacheSchemaVersion,
+               kPointCacheSchemaVersion>("v", true),
+    obs::field<&StoredEntry::key>("key", true),
+    obs::field<&StoredEntry::cells, &kCellFields>("cells", true),
+};
+
 } // namespace
 
 PointCache::PointCache(PointCacheOptions options)
@@ -191,52 +233,33 @@ PointCache::registerStats(const obs::StatGroup &group) const
 std::optional<std::vector<exp::Cell>>
 PointCache::loadFromDisk(const std::string &key)
 {
-    std::ifstream in(filePath(key));
+    const std::string path = filePath(key);
+    std::ifstream in(path);
     if (!in)
         return std::nullopt;
     std::stringstream buffer;
     buffer << in.rdbuf();
-    const auto parsed = obs::parseJson(buffer.str());
-    const auto fail = [this](const char *why,
-                             const std::string &detail) {
-        warn("point cache: dropping disk entry (", why,
-             detail.empty() ? "" : ": ", detail, ")");
+    StoredEntry entry;
+    if (Status s = obs::readDocument(buffer.str(), "'" + path + "'",
+                                     entry, kEntryFields);
+        !s.ok()) {
+        warn("point cache: dropping disk entry (", s.toString(), ")");
         std::lock_guard<std::mutex> lock(mutex_);
         ++counters_.diskErrors;
         return std::nullopt;
-    };
-    if (!parsed || !parsed.value.isObject())
-        return fail("bad JSON", parsed.error);
-    const obs::JsonValue &root = parsed.value;
-    if (root.numberOr("v", 0) != kPointCacheSchemaVersion)
-        return fail("schema version mismatch", "");
+    }
     // The digest in the filename is not trusted: the stored key
     // must match exactly, so a 64-bit digest collision is a miss
     // rather than a silently wrong result.
-    if (root.stringOr("key", "") != key)
+    if (entry.key != key)
         return std::nullopt;
-    const obs::JsonValue *cells_json = root.find("cells");
-    if (!cells_json || !cells_json->isArray())
-        return fail("missing cells array", "");
 
     std::vector<exp::Cell> cells;
-    cells.reserve(cells_json->size());
-    for (const obs::JsonValue &cell : cells_json->items()) {
-        if (!cell.isObject())
-            return fail("cell is not an object", "");
-        const obs::JsonValue *text = cell.find("text");
-        if (!text || !text->isString())
-            return fail("cell has no text", "");
-        const std::string value_text =
-            cell.stringOr("value", "0x0p+0");
-        const double value =
-            std::strtod(value_text.c_str(), nullptr);
-        const obs::JsonValue *numeric = cell.find("numeric");
-        const obs::JsonValue *error = cell.find("error");
-        cells.push_back(exp::Cell::fromParts(
-            text->asString(), value,
-            numeric && numeric->isBool() && numeric->asBool(),
-            error && error->isBool() && error->asBool()));
+    cells.reserve(entry.cells.size());
+    for (StoredCell &cell : entry.cells) {
+        cells.push_back(exp::Cell::fromParts(std::move(cell.text),
+                                             cell.value, cell.numeric,
+                                             cell.error));
     }
     return cells;
 }

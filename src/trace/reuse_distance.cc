@@ -142,39 +142,23 @@ ReuseProfile::toJsonText() const
     return writer.str();
 }
 
+namespace {
+
+const obs::JsonField<ReuseProfile> kProfileFields[] = {
+    obs::field<&ReuseProfile::weights>("weights", true),
+    obs::field<&ReuseProfile::coldWeight>("cold"),
+};
+
+} // namespace
+
 Expected<ReuseProfile>
 ReuseProfile::fromJsonText(std::string_view text)
 {
-    const auto parsed = obs::parseJson(text);
-    if (!parsed) {
-        return Status::parseError("bad reuse profile JSON: ",
-                                  parsed.error);
-    }
-    const obs::JsonValue &root = parsed.value;
-    if (!root.isObject()) {
-        return Status::parseError(
-            "reuse profile JSON must be an object");
-    }
     ReuseProfile profile;
-    const obs::JsonValue *weights = root.find("weights");
-    if (!weights || !weights->isArray()) {
-        return Status::parseError(
-            "reuse profile needs a \"weights\" array");
-    }
-    for (const auto &item : weights->items()) {
-        if (!item.isNumber()) {
-            return Status::parseError(
-                "reuse profile weights must be numbers");
-        }
-        profile.weights.push_back(item.asNumber());
-    }
-    if (const obs::JsonValue *cold = root.find("cold")) {
-        if (!cold->isNumber()) {
-            return Status::parseError(
-                "reuse profile \"cold\" must be a number");
-        }
-        profile.coldWeight = cold->asNumber();
-    }
+    if (Status s = obs::readDocument(text, "reuse profile", profile,
+                                     kProfileFields);
+        !s.ok())
+        return s;
     const Status status = profile.validate();
     if (!status.ok())
         return status;

@@ -80,7 +80,9 @@ struct ReuseProfile
     /** {"cold": c, "weights": [...]} */
     std::string toJsonText() const;
 
-    /** Parse toJsonText()'s schema; ParseError on anything else. */
+    /** Parse toJsonText()'s schema: a ParseError naming the JSON
+     *  path on anything else, then validate()'s checks.  Unknown
+     *  keys are ignored. */
     static Expected<ReuseProfile> fromJsonText(std::string_view text);
 };
 

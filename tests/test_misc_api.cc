@@ -124,16 +124,6 @@ TEST(Names, TradeFeatures)
                  "pipelined mem");
 }
 
-TEST(Names, StallFeatureParserRoundTrips)
-{
-    for (StallFeature f :
-         {StallFeature::FS, StallFeature::BL, StallFeature::BNL1,
-          StallFeature::BNL2, StallFeature::BNL3,
-          StallFeature::NB}) {
-        EXPECT_EQ(parseStallFeature(stallFeatureName(f)), f);
-    }
-}
-
 TEST(Describe, VictimHierarchy)
 {
     CacheConfig config;

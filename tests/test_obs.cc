@@ -317,13 +317,13 @@ TEST(EventTracer, CounterEventsRoundTripAsCounterTrack)
     std::size_t counters = 0;
     double last_value = -1.0;
     for (const obs::JsonValue &event : events->items()) {
-        if (event.stringOr("ph", "") != "C")
+        if (event.at("ph").asString() != "C")
             continue;
         ++counters;
-        EXPECT_EQ(event.stringOr("name", ""), "fills");
+        EXPECT_EQ(event.at("name").asString(), "fills");
         const obs::JsonValue *args = event.find("args");
         ASSERT_NE(args, nullptr);
-        last_value = args->numberOr("value", -1.0);
+        last_value = args->at("value").asNumber();
     }
     EXPECT_EQ(counters, 2u);
     EXPECT_DOUBLE_EQ(last_value, 2.0);
@@ -346,7 +346,7 @@ TEST(JsonParser, ParsesNestedDocument)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const obs::JsonValue &root = parsed.value;
     ASSERT_TRUE(root.isObject());
-    EXPECT_DOUBLE_EQ(root.numberOr("n", 0.0), 3.0);
+    EXPECT_DOUBLE_EQ(root.at("n").asNumber(), 3.0);
     const obs::JsonValue *list = root.find("list");
     ASSERT_NE(list, nullptr);
     ASSERT_TRUE(list->isArray());
@@ -354,7 +354,7 @@ TEST(JsonParser, ParsesNestedDocument)
     EXPECT_DOUBLE_EQ(list->at(1).asNumber(), 2.5);
     EXPECT_TRUE(list->at(2).asBool());
     EXPECT_TRUE(list->at(3).isNull());
-    EXPECT_EQ(root.at("child").stringOr("s", ""), "x");
+    EXPECT_EQ(root.at("child").at("s").asString(), "x");
 }
 
 TEST(JsonParser, RoundTripsWriterEscapes)
@@ -365,7 +365,7 @@ TEST(JsonParser, RoundTripsWriterEscapes)
     w.beginObject().keyValue("s", nasty).endObject();
     const auto parsed = obs::parseJson(w.str());
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.value.stringOr("s", ""), nasty);
+    EXPECT_EQ(parsed.value.at("s").asString(), nasty);
 }
 
 TEST(JsonParser, DecodesUnicodeEscapes)
@@ -416,6 +416,110 @@ TEST(JsonParser, NumbersThatOverflowADoubleAreRejected)
         ASSERT_TRUE(parsed.ok) << parsed.error;
         EXPECT_EQ(parsed.value.asNumber(), 0.0) << tiny;
     }
+}
+
+// ------------------------------------------------- the checked reader
+
+/** A document with one key of each kind the reader checks. */
+struct Sample
+{
+    std::string name;
+    unsigned count = 0;
+    bool flag = false;
+    double ratio = 0.0;
+    std::vector<double> list;
+};
+
+const obs::JsonField<Sample> kSampleFields[] = {
+    obs::field<&Sample::name>("name", true),
+    obs::field<&Sample::count, 1, 10>("count"),
+    obs::field<&Sample::flag>("flag"),
+    obs::field<&Sample::ratio>("ratio"),
+    obs::field<&Sample::list>("list"),
+};
+
+TEST(JsonReader, PathsNameTheDocumentAndTheValue)
+{
+    const obs::JsonPath root("doc");
+    EXPECT_EQ(root.str(), "");
+    EXPECT_EQ(root.error("must be x").message(), "doc must be x");
+    EXPECT_EQ(root.key("a").index(2).key("b").str(), "a[2].b");
+    const Status status = root.key("a").index(2).error("must be x");
+    EXPECT_EQ(status.code(), ErrorCode::ParseError);
+    EXPECT_EQ(status.message(), "doc: a[2] must be x");
+}
+
+TEST(JsonReader, IntegersFollowOneRule)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    EXPECT_EQ(obs::exactUint(0.0, 0, kMax), 0u);
+    // The largest double below 2^64 fits; 2^64 does not.
+    EXPECT_EQ(obs::exactUint(18446744073709549568.0, 0, kMax),
+              18446744073709549568u);
+    EXPECT_FALSE(obs::exactUint(18446744073709551616.0, 0, kMax));
+    EXPECT_FALSE(obs::exactUint(-1.0, 0, kMax));
+    EXPECT_FALSE(obs::exactUint(1.5, 0, kMax));
+    EXPECT_FALSE(obs::exactUint(std::nan(""), 0, kMax));
+    EXPECT_FALSE(obs::exactUint(4.0, 5, 9));
+    EXPECT_FALSE(obs::exactUint(10.0, 5, 9));
+
+    EXPECT_EQ(obs::exactInt(-9223372036854775808.0),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_FALSE(obs::exactInt(9223372036854775808.0));
+    EXPECT_EQ(obs::exactInt(-3.0), -3);
+    EXPECT_FALSE(obs::exactInt(-3.5));
+    EXPECT_FALSE(obs::exactInt(std::nan("")));
+}
+
+TEST(JsonReader, FieldsCheckKindRangeAndPresence)
+{
+    Sample sample;
+    ASSERT_TRUE(obs::readDocument(
+                    "{\"name\": \"s\", \"count\": 10, \"flag\": true, "
+                    "\"ratio\": 0.5, \"list\": [1, 2], \"extra\": 0}",
+                    "sample", sample, kSampleFields)
+                    .ok());
+    EXPECT_EQ(sample.name, "s");
+    EXPECT_EQ(sample.count, 10u);
+    EXPECT_TRUE(sample.flag);
+    EXPECT_EQ(sample.ratio, 0.5);
+    EXPECT_EQ(sample.list, (std::vector<double>{1, 2}));
+
+    struct Case
+    {
+        const char *json;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"[1]", "sample must be an object (got an array)"},
+        {"{}", "sample: name is required"},
+        {"{\"name\": 7}", "sample: name must be a string (got 7)"},
+        {"{\"name\": \"s\", \"count\": 0}",
+         "sample: count must be an integer in [1, 10] (got 0)"},
+        {"{\"name\": \"s\", \"count\": \"many\"}",
+         "sample: count must be an integer in [1, 10] (got \"many\")"},
+        {"{\"name\": \"s\", \"flag\": null}",
+         "sample: flag must be a bool (got null)"},
+        {"{\"name\": \"s\", \"ratio\": {}}",
+         "sample: ratio must be a number (got an object)"},
+        {"{\"name\": \"s\", \"list\": [1, false]}",
+         "sample: list[1] must be a number (got false)"},
+        {"{\"name\": \"s\", \"list\": 1e999}",
+         "sample: byte 22: number overflows a double"},
+    };
+    for (const Case &c : cases) {
+        const Status status =
+            obs::readDocument(c.json, "sample", sample, kSampleFields);
+        EXPECT_EQ(status.code(), ErrorCode::ParseError) << c.json;
+        EXPECT_EQ(status.message(), c.message) << c.json;
+    }
+
+    // A refusing schema names the first key it does not list.
+    const Status refused = obs::readDocument(
+        "{\"name\": \"s\", \"extra\": 0}", "sample", sample,
+        kSampleFields, obs::UnknownKeys::Refuse);
+    EXPECT_EQ(refused.code(), ErrorCode::ParseError);
+    EXPECT_EQ(refused.message(), "sample: unknown field \"extra\"");
 }
 
 // ------------------------------------------------- Prometheus exposition
@@ -957,22 +1061,21 @@ TEST(BenchSuite, JsonCarriesSchemaAndStatDelta)
     const auto parsed = obs::parseJson(suite.toJson());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const obs::JsonValue &doc = parsed.value;
-    EXPECT_DOUBLE_EQ(doc.numberOr("schema_version", 0.0),
+    EXPECT_DOUBLE_EQ(doc.at("schema_version").asNumber(),
                      obs::kBenchSchemaVersion);
-    EXPECT_EQ(doc.stringOr("suite", ""), "unit");
-    EXPECT_FALSE(doc.stringOr("git_describe", "").empty());
+    EXPECT_EQ(doc.at("suite").asString(), "unit");
+    EXPECT_FALSE(doc.at("git_describe").asString().empty());
     const obs::JsonValue *list = doc.find("benchmarks");
     ASSERT_NE(list, nullptr);
     ASSERT_EQ(list->size(), 1u);
     const obs::JsonValue &record = list->at(0);
-    EXPECT_EQ(record.stringOr("name", ""), "j");
-    EXPECT_DOUBLE_EQ(record.numberOr("reps", 0.0), 2.0);
-    EXPECT_DOUBLE_EQ(record.numberOr("items_per_rep", 0.0), 2.0);
+    EXPECT_EQ(record.at("name").asString(), "j");
+    EXPECT_DOUBLE_EQ(record.at("reps").asNumber(), 2.0);
+    EXPECT_DOUBLE_EQ(record.at("items_per_rep").asNumber(), 2.0);
     ASSERT_NE(record.find("ns_per_rep"), nullptr);
-    EXPECT_GT(record.at("ns_per_rep").numberOr("median", 0.0),
-              0.0);
-    EXPECT_GT(record.numberOr("ns_per_op", 0.0), 0.0);
-    EXPECT_GT(record.numberOr("items_per_second", 0.0), 0.0);
+    EXPECT_GT(record.at("ns_per_rep").at("median").asNumber(), 0.0);
+    EXPECT_GT(record.at("ns_per_op").asNumber(), 0.0);
+    EXPECT_GT(record.at("items_per_second").asNumber(), 0.0);
     const obs::JsonValue *stat_delta = record.find("stat_delta");
     ASSERT_NE(stat_delta, nullptr);
     EXPECT_TRUE(stat_delta->isObject());
@@ -992,7 +1095,16 @@ struct Record
     double itemsPerRep = 1.0;
 };
 
-obs::JsonValue
+/** @p json read as a BENCH record; an empty one on failure. */
+obs::BenchRecord
+read(const std::string &json)
+{
+    auto record = obs::BenchRecord::fromJson(json);
+    EXPECT_TRUE(record.ok()) << record.status().toString();
+    return record.valueOr({});
+}
+
+obs::BenchRecord
 make(const std::vector<Record> &records)
 {
     obs::JsonWriter w;
@@ -1004,6 +1116,7 @@ make(const std::vector<Record> &records)
     for (const Record &r : records) {
         w.beginObject();
         w.keyValue("name", r.name);
+        w.keyValue("reps", 5);
         w.keyValue("items_per_rep", r.itemsPerRep);
         w.key("ns_per_rep")
             .beginObject()
@@ -1015,9 +1128,17 @@ make(const std::vector<Record> &records)
     }
     w.endArray();
     w.endObject();
-    const auto parsed = obs::parseJson(w.str());
-    EXPECT_TRUE(parsed.ok) << parsed.error;
-    return parsed.value;
+    return read(w.str());
+}
+
+/** One benchmark entry with every key the comparators require. */
+std::string
+entry(const std::string &name, const std::string &extra = "")
+{
+    return "{\"name\": \"" + name +
+           "\", \"reps\": 1, \"items_per_rep\": 1, "
+           "\"ns_per_rep\": {\"median\": 10, \"mad\": 0}" +
+           extra + "}";
 }
 
 } // namespace perfdoc
@@ -1181,20 +1302,99 @@ TEST(PerfDiff, AddedAndRemovedBenchmarksAreReported)
 TEST(PerfDiff, LoadBenchFileValidatesShape)
 {
     const std::string path = "/tmp/uatm_test_bench.json";
-    obs::JsonValue out;
-    std::string error;
 
-    EXPECT_FALSE(
-        obs::loadBenchFile("/nonexistent.json", out, error));
-    EXPECT_FALSE(error.empty());
+    const auto missing = obs::loadBenchFile("/nonexistent.json");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), ErrorCode::IoError);
 
-    std::ofstream(path) << "{\"not_benchmarks\": []}";
-    EXPECT_FALSE(obs::loadBenchFile(path, out, error));
-    EXPECT_NE(error.find("benchmarks"), std::string::npos);
+    // Each used to be read with defaults, skipped, or (as a
+    // non-array "benchmarks") to abort on an assertion.
+    struct Case
+    {
+        const char *json;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"{\"not_benchmarks\": []}", "benchmarks is required"},
+        {"{\"benchmarks\": 5}", "benchmarks must be an array (got 5)"},
+        {"{\"benchmarks\": [7]}",
+         "benchmarks[0] must be an object (got 7)"},
+        {"{\"benchmarks\": [{\"name\": \"a\", \"reps\": 1, "
+         "\"items_per_rep\": 1, "
+         "\"ns_per_rep\": {\"median\": \"fast\", \"mad\": 0}}]}",
+         "benchmarks[0].ns_per_rep.median must be a number (got "
+         "\"fast\")"},
+        {"{\"benchmarks\": [{\"name\": \"a\", \"reps\": -1, "
+         "\"items_per_rep\": 1, "
+         "\"ns_per_rep\": {\"median\": 1, \"mad\": 0}}]}",
+         "benchmarks[0].reps must be an integer in "
+         "[0, 18446744073709551615] (got -1)"},
+        {"{\"host_cores\": 2.5, \"benchmarks\": []}",
+         "host_cores must be an integer in [0, 4294967295] (got 2.5)"},
+    };
+    for (const Case &c : cases) {
+        std::ofstream(path) << c.json;
+        const auto record = obs::loadBenchFile(path);
+        ASSERT_FALSE(record.ok()) << c.json;
+        EXPECT_EQ(record.status().code(), ErrorCode::ParseError)
+            << c.json;
+        EXPECT_EQ(record.status().message(),
+                  "'" + path + "': " + c.message);
+    }
 
     std::ofstream(path) << "{\"benchmarks\": []}";
-    EXPECT_TRUE(obs::loadBenchFile(path, out, error)) << error;
+    const auto empty = obs::loadBenchFile(path);
+    EXPECT_TRUE(empty.ok()) << empty.status().toString();
     std::remove(path.c_str());
+}
+
+TEST(PerfDiff, CommittedBaselinesLoadAsRecorded)
+{
+    // The typed record holds what the raw documents say, as the
+    // comparators used to read it key by key.
+    for (const char *name :
+         {"BENCH_sim_throughput.json", "BENCH_sweep_parallel.json"}) {
+        const std::string path =
+            std::string(UATM_SOURCE_DIR "/bench/baselines/") + name;
+        std::ifstream in(path);
+        std::stringstream text;
+        text << in.rdbuf();
+        const auto raw = obs::parseJson(text.str());
+        ASSERT_TRUE(raw.ok) << path << ": " << raw.error;
+        const auto record = obs::loadBenchFile(path);
+        ASSERT_TRUE(record.ok()) << record.status().toString();
+        const obs::BenchRecord &r = record.value();
+        EXPECT_EQ(r.gitDescribe, raw.value.at("git_describe").asString());
+        EXPECT_EQ(r.hostCores, raw.value.at("host_cores").asNumber());
+        EXPECT_EQ(r.buildType, raw.value.at("build_type").asString());
+        EXPECT_EQ(r.compiler, raw.value.at("compiler").asString());
+        const obs::JsonValue &list = raw.value.at("benchmarks");
+        ASSERT_EQ(r.benchmarks.size(), list.size());
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            const obs::JsonValue &b = list.at(i);
+            const obs::BenchResult &result = r.benchmarks[i];
+            EXPECT_EQ(result.name, b.at("name").asString());
+            EXPECT_EQ(result.reps, b.at("reps").asNumber());
+            EXPECT_EQ(result.itemsPerRep,
+                      b.at("items_per_rep").asNumber());
+            EXPECT_EQ(result.nsPerRepMedian,
+                      b.at("ns_per_rep").at("median").asNumber());
+            EXPECT_EQ(result.nsPerRepMad,
+                      b.at("ns_per_rep").at("mad").asNumber());
+            EXPECT_NEAR(result.nsPerOp(), b.at("ns_per_op").asNumber(),
+                        1e-9 * result.nsPerOp());
+            EXPECT_EQ(result.hasThreads,
+                      b.find("threads_used") != nullptr);
+            if (result.hasThreads) {
+                EXPECT_EQ(result.threadsRequested,
+                          b.at("threads_requested").asNumber());
+                EXPECT_EQ(result.threadsUsed,
+                          b.at("threads_used").asNumber());
+            }
+            EXPECT_EQ(result.counters.available,
+                      b.at("counters").at("available").asBool());
+        }
+    }
 }
 
 // ------------------------------------------------- engine integration
@@ -1430,10 +1630,10 @@ TEST(StatRegistry, HistogramAppearsInTextAndJsonDumps)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const obs::JsonValue &stat =
         parsed.value.at("stats").at("runner.point_ns");
-    EXPECT_EQ(stat.stringOr("kind", ""), "histogram");
-    EXPECT_DOUBLE_EQ(stat.numberOr("count", 0.0), 3.0);
-    EXPECT_DOUBLE_EQ(stat.numberOr("sum", 0.0), 111.0);
-    EXPECT_GT(stat.numberOr("p99", 0.0), 0.0);
+    EXPECT_EQ(stat.at("kind").asString(), "histogram");
+    EXPECT_DOUBLE_EQ(stat.at("count").asNumber(), 3.0);
+    EXPECT_DOUBLE_EQ(stat.at("sum").asNumber(), 111.0);
+    EXPECT_GT(stat.at("p99").asNumber(), 0.0);
     const obs::JsonValue *buckets = stat.find("buckets");
     ASSERT_NE(buckets, nullptr);
     ASSERT_TRUE(buckets->isArray());
@@ -1512,60 +1712,55 @@ TEST(PerfDiff, ComparableWithoutThreadMetadata)
 
 TEST(PerfDiff, RefusesMismatchedHostCores)
 {
-    const auto before = obs::parseJson(
-        "{\"host_cores\": 8, \"benchmarks\": []}");
-    const auto after = obs::parseJson(
-        "{\"host_cores\": 4, \"benchmarks\": []}");
-    ASSERT_TRUE(before.ok && after.ok);
+    const auto before =
+        perfdoc::read("{\"host_cores\": 8, \"benchmarks\": []}");
+    const auto after =
+        perfdoc::read("{\"host_cores\": 4, \"benchmarks\": []}");
     std::string error;
-    EXPECT_FALSE(obs::perfComparable(before.value, after.value,
-                                     error));
+    EXPECT_FALSE(obs::perfComparable(before, after, error));
     EXPECT_NE(error.find("host_cores"), std::string::npos);
     // Same cores: fine.
-    EXPECT_TRUE(obs::perfComparable(before.value, before.value,
-                                    error));
+    EXPECT_TRUE(obs::perfComparable(before, before, error));
 }
 
 TEST(PerfDiff, RefusesMismatchedBenchmarkThreads)
 {
-    const auto before = obs::parseJson(
-        "{\"benchmarks\": [{\"name\": \"sweep/t4\", "
-        "\"threads_requested\": 4, \"threads_used\": 4}]}");
-    const auto after = obs::parseJson(
-        "{\"benchmarks\": [{\"name\": \"sweep/t4\", "
-        "\"threads_requested\": 4, \"threads_used\": 1}]}");
-    ASSERT_TRUE(before.ok && after.ok);
+    const auto before = perfdoc::read(
+        "{\"benchmarks\": [" +
+        perfdoc::entry("sweep/t4", ", \"threads_requested\": 4, "
+                                   "\"threads_used\": 4") +
+        "]}");
+    const auto after = perfdoc::read(
+        "{\"benchmarks\": [" +
+        perfdoc::entry("sweep/t4", ", \"threads_requested\": 4, "
+                                   "\"threads_used\": 1") +
+        "]}");
     std::string error;
-    EXPECT_FALSE(obs::perfComparable(before.value, after.value,
-                                     error));
+    EXPECT_FALSE(obs::perfComparable(before, after, error));
     EXPECT_NE(error.find("threads_used"), std::string::npos);
     EXPECT_NE(error.find("sweep/t4"), std::string::npos);
 }
 
 TEST(PerfDiff, RefusesMismatchedBuilds)
 {
-    const auto release = obs::parseJson(
+    const auto release = perfdoc::read(
         "{\"build_type\": \"Release\", \"compiler\": \"gcc 12.2.0\", "
         "\"benchmarks\": []}");
-    const auto debug = obs::parseJson(
+    const auto debug = perfdoc::read(
         "{\"build_type\": \"Debug\", \"compiler\": \"gcc 12.2.0\", "
         "\"benchmarks\": []}");
-    const auto clang = obs::parseJson(
+    const auto clang = perfdoc::read(
         "{\"build_type\": \"Release\", \"compiler\": \"clang 17\", "
         "\"benchmarks\": []}");
-    const auto bare = obs::parseJson("{\"benchmarks\": []}");
-    ASSERT_TRUE(release.ok && debug.ok && clang.ok && bare.ok);
+    const auto bare = perfdoc::read("{\"benchmarks\": []}");
     std::string error;
-    EXPECT_FALSE(
-        obs::perfSameBuild(release.value, debug.value, error));
+    EXPECT_FALSE(obs::perfSameBuild(release, debug, error));
     EXPECT_NE(error.find("build_type"), std::string::npos);
-    EXPECT_FALSE(
-        obs::perfSameBuild(release.value, clang.value, error));
+    EXPECT_FALSE(obs::perfSameBuild(release, clang, error));
     EXPECT_NE(error.find("compiler"), std::string::npos);
-    EXPECT_TRUE(
-        obs::perfSameBuild(release.value, release.value, error));
+    EXPECT_TRUE(obs::perfSameBuild(release, release, error));
     // Records from before the fields existed stay comparable.
-    EXPECT_TRUE(obs::perfSameBuild(release.value, bare.value, error));
+    EXPECT_TRUE(obs::perfSameBuild(release, bare, error));
 }
 
 TEST(BenchSuite, JsonRecordsBuildCompilerAndCpu)
@@ -1582,7 +1777,7 @@ TEST(BenchSuite, JsonRecordsBuildCompilerAndCpu)
     const auto parsed = obs::parseJson(suite.toJson());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     for (const char *field : {"build_type", "compiler", "cpu_model"})
-        EXPECT_FALSE(parsed.value.stringOr(field, "").empty())
+        EXPECT_FALSE(parsed.value.at(field).asString().empty())
             << field;
 }
 
@@ -1600,12 +1795,68 @@ TEST(BenchSuite, JsonRecordsHostCoresAndThreads)
 
     const auto parsed = obs::parseJson(suite.toJson());
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_GT(parsed.value.numberOr("host_cores", 0.0), 0.0);
+    EXPECT_GT(parsed.value.at("host_cores").asNumber(), 0.0);
     const obs::JsonValue &record =
         parsed.value.at("benchmarks").at(0);
-    EXPECT_DOUBLE_EQ(record.numberOr("threads_requested", 0.0),
-                     2.0);
-    EXPECT_DOUBLE_EQ(record.numberOr("threads_used", 0.0), 2.0);
+    EXPECT_DOUBLE_EQ(record.at("threads_requested").asNumber(), 2.0);
+    EXPECT_DOUBLE_EQ(record.at("threads_used").asNumber(), 2.0);
+}
+
+TEST(BenchSuite, RecordReadsBackToItsResults)
+{
+    obs::BenchSuite suite("readback");
+    suite.add("work", [](obs::BenchState &state) {
+        state.setItems(3);
+        state.setThreads(2, 1);
+        state.setStatsProvider([](obs::StatRegistry &reg) {
+            reg.addScalar("x", 4.0, "");
+        });
+        std::uint64_t acc = 0;
+        for (std::uint64_t i = 0; i < 20000; ++i)
+            acc += i * i;
+        obs::doNotOptimize(acc);
+    });
+    obs::BenchSuite::RunOptions options;
+    options.reps = 3;
+    options.writeJson = false;
+    suite.run(options);
+
+    const auto record = obs::BenchRecord::fromJson(suite.toJson());
+    ASSERT_TRUE(record.ok()) << record.status().toString();
+    EXPECT_EQ(record.value().hostCores,
+              std::thread::hardware_concurrency());
+    EXPECT_FALSE(record.value().buildType.empty());
+    EXPECT_FALSE(record.value().compiler.empty());
+
+    // Equal to the precision the writer renders doubles with.
+    const auto rendered = [](double v) {
+        return obs::JsonWriter::formatNumber(v);
+    };
+    ASSERT_EQ(record.value().benchmarks.size(), 1u);
+    const obs::BenchResult &back = record.value().benchmarks[0];
+    const obs::BenchResult &ran = suite.results()[0];
+    EXPECT_EQ(back.name, ran.name);
+    EXPECT_EQ(back.reps, ran.reps);
+    EXPECT_EQ(back.warmupReps, ran.warmupReps);
+    EXPECT_EQ(back.itemsPerRep, ran.itemsPerRep);
+    EXPECT_EQ(rendered(back.nsPerRepMin), rendered(ran.nsPerRepMin));
+    EXPECT_EQ(rendered(back.nsPerRepMedian),
+              rendered(ran.nsPerRepMedian));
+    EXPECT_EQ(rendered(back.nsPerRepMad), rendered(ran.nsPerRepMad));
+    EXPECT_TRUE(back.hasThreads);
+    EXPECT_EQ(back.threadsRequested, 2u);
+    EXPECT_EQ(back.threadsUsed, 1u);
+    ASSERT_EQ(back.statDelta.size(), ran.statDelta.size());
+    for (std::size_t i = 0; i < back.statDelta.size(); ++i) {
+        EXPECT_EQ(back.statDelta[i].first, ran.statDelta[i].first);
+        EXPECT_EQ(rendered(back.statDelta[i].second),
+                  rendered(ran.statDelta[i].second));
+    }
+    EXPECT_EQ(back.counters.available, ran.counters.available);
+    EXPECT_EQ(back.counters.mask, ran.counters.mask);
+    for (std::size_t i = 0; i < obs::kPerfEventCount; ++i)
+        EXPECT_EQ(rendered(back.counters.value[i]),
+                  rendered(ran.counters.value[i]));
 }
 
 } // namespace

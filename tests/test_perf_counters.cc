@@ -238,8 +238,10 @@ TEST(PerfCounterValuesJson, RoundTrip)
     const JsonParseResult parsed = parseJson(w.str());
     ASSERT_TRUE(parsed.ok) << parsed.error;
 
-    const PerfCounterValues back =
-        PerfCounterValues::fromJson(parsed.value);
+    const auto read =
+        PerfCounterValues::fromJson(parsed.value, JsonPath("counters"));
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    const PerfCounterValues &back = read.value();
     ASSERT_TRUE(back.available);
     EXPECT_EQ(back.mask, v.mask);
     EXPECT_DOUBLE_EQ(back.get(PerfEvent::Cycles), 12345.0);
@@ -257,22 +259,52 @@ TEST(PerfCounterValuesJson, UnavailableRoundTrip)
     const JsonParseResult parsed = parseJson(w.str());
     ASSERT_TRUE(parsed.ok) << parsed.error;
 
-    const PerfCounterValues back =
-        PerfCounterValues::fromJson(parsed.value);
-    EXPECT_FALSE(back.available);
-    EXPECT_EQ(back.mask, 0u);
+    const auto back =
+        PerfCounterValues::fromJson(parsed.value, JsonPath("counters"));
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_FALSE(back.value().available);
+    EXPECT_EQ(back.value().mask, 0u);
+
+    // A missing "available" reads as false too.
+    for (const char *text :
+         {"{\"available\": false}", "{\"values\": {\"cycles\": 1}}"}) {
+        const JsonParseResult doc = parseJson(text);
+        ASSERT_TRUE(doc.ok) << text;
+        const auto unavailable =
+            PerfCounterValues::fromJson(doc.value, JsonPath("counters"));
+        ASSERT_TRUE(unavailable.ok()) << text;
+        EXPECT_FALSE(unavailable.value().available) << text;
+    }
 }
 
-TEST(PerfCounterValuesJson, MalformedInputsYieldUnavailable)
+TEST(PerfCounterValuesJson, MalformedInputsAreParseErrors)
 {
-    for (const char *text :
-         {"[]", "42", "{\"available\": false}",
-          "{\"values\": {\"cycles\": 1}}"}) {
-        const JsonParseResult parsed = parseJson(text);
-        ASSERT_TRUE(parsed.ok) << text;
-        EXPECT_FALSE(
-            PerfCounterValues::fromJson(parsed.value).available)
-            << text;
+    // Each used to read as the unavailable value, or as a value
+    // with the bad event left out.
+    struct Case
+    {
+        const char *json;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"[]", "counters must be an object (got an array)"},
+        {"42", "counters must be an object (got 42)"},
+        {"{\"available\": \"yes\"}",
+         "counters: available must be a bool (got \"yes\")"},
+        {"{\"available\": true, \"values\": {\"cycles\": \"many\"}}",
+         "counters: values.cycles must be a number (got \"many\")"},
+        {"{\"available\": true, \"time_enabled_ns\": []}",
+         "counters: time_enabled_ns must be a number (got an array)"},
+    };
+    for (const Case &c : cases) {
+        const JsonParseResult parsed = parseJson(c.json);
+        ASSERT_TRUE(parsed.ok) << c.json;
+        const auto read =
+            PerfCounterValues::fromJson(parsed.value, JsonPath("counters"));
+        ASSERT_FALSE(read.ok()) << c.json;
+        EXPECT_EQ(read.status().code(), uatm::ErrorCode::ParseError)
+            << c.json;
+        EXPECT_EQ(read.status().message(), c.message) << c.json;
     }
 }
 
@@ -282,8 +314,10 @@ TEST(PerfCounterValuesJson, UnknownValueNamesIgnored)
         "{\"available\": true, \"values\": "
         "{\"cycles\": 5, \"quantum_flux\": 9}}");
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    const PerfCounterValues back =
-        PerfCounterValues::fromJson(parsed.value);
+    const auto read =
+        PerfCounterValues::fromJson(parsed.value, JsonPath("counters"));
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    const PerfCounterValues &back = read.value();
     ASSERT_TRUE(back.available);
     EXPECT_TRUE(back.has(PerfEvent::Cycles));
     EXPECT_DOUBLE_EQ(back.get(PerfEvent::Cycles), 5.0);

@@ -87,6 +87,12 @@ TEST(ReuseProfile, FromJsonRejectsMalformedDocuments)
           "{\"weights\":[-1],\"cold\":0}"}) {
         EXPECT_FALSE(ReuseProfile::fromJsonText(bad).ok()) << bad;
     }
+    const auto mistyped =
+        ReuseProfile::fromJsonText("{\"weights\":[0.5,\"x\"]}");
+    ASSERT_FALSE(mistyped.ok());
+    EXPECT_EQ(mistyped.status().code(), ErrorCode::ParseError);
+    EXPECT_EQ(mistyped.status().message(),
+              "reuse profile: weights[1] must be a number (got \"x\")");
 }
 
 TEST(ReuseProfile, MeasureRecoversAKnownAlternatingStream)

@@ -298,16 +298,47 @@ TEST(PointCache, CorruptDiskEntriesAreDroppedNotTrusted)
     const std::string dir = freshDir("corrupt");
     std::filesystem::create_directories(dir);
     const std::string key = "some key";
+    const std::string path =
+        dir + "/" + exp::pointKeyDigest(key) + ".json";
+    const auto entry = [&](const std::string &value) {
+        return "{\"v\": 1, \"key\": \"" + key +
+               "\", \"cells\": [{\"text\": \"0.5\", \"value\": \"" +
+               value + "\", \"numeric\": true, \"error\": false}]}";
+    };
+    // A cell value that is not one complete hex float used to be
+    // read as 0.0 (or as its valid prefix) and served.
+    struct Case
     {
-        std::ofstream out(dir + "/" + exp::pointKeyDigest(key) +
-                          ".json");
-        out << "{not json";
-    }
+        std::string json;
+        std::string message;
+    };
+    const Case cases[] = {
+        {"{not json", "byte 1: expected a string key"},
+        {entry("zz"), "cells[0].value must be a hex float (got \"zz\")"},
+        {entry("0x1p+0junk"),
+         "cells[0].value must be a hex float (got \"0x1p+0junk\")"},
+    };
     serve::PointCacheOptions options;
     options.dir = dir;
     serve::PointCache cache(options);
-    EXPECT_FALSE(cache.lookup(key).has_value());
-    EXPECT_EQ(cache.counters().diskErrors, 1u);
+    std::uint64_t errors = 0;
+    for (const Case &c : cases) {
+        std::ofstream(path) << c.json;
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(cache.lookup(key).has_value()) << c.json;
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(cache.counters().diskErrors, ++errors) << c.json;
+        EXPECT_NE(log.find("parse_error: '" + path + "': " + c.message),
+                  std::string::npos)
+            << log;
+    }
+
+    // The same entry with a well-formed value is served.
+    std::ofstream(path) << entry("0x1p-1");
+    const auto cells = cache.lookup(key);
+    ASSERT_TRUE(cells.has_value());
+    EXPECT_EQ((*cells)[0].value(), 0.5);
+    EXPECT_EQ(cache.counters().diskErrors, errors);
     std::filesystem::remove_all(dir);
 }
 
@@ -406,22 +437,23 @@ TEST(SweepRequest, IntegersOutsideTheirFieldAreParseErrors)
     };
     const Case cases[] = {
         {R"({"cache": {"assoc": 4294967298}})",
-         "\"cache.assoc\" must be an integer in [0, 4294967295]"},
+         "sweep request: cache.assoc must be an integer in "
+         "[0, 4294967295] (got 4294967298)"},
         {R"({"axes": [{"axis": "cache.size",
                        "values": [4096.5]}]})",
-         "axis \"cache.size\" value must be an integer in "
+         "sweep request: axes[0].values[0] must be an integer in "
          "[0, 18446744073709551615] (got 4096.5)"},
         {R"({"axes": [{"axis": "cache.size",
                        "values": [-8192]}]})",
-         "axis \"cache.size\" value must be an integer in "
+         "sweep request: axes[0].values[0] must be an integer in "
          "[0, 18446744073709551615] (got -8192)"},
         {R"({"axes": [{"axis": "cache.assoc",
                        "values": [4294967298]}]})",
-         "axis \"cache.assoc\" value must be an integer in "
-         "[0, 4294967295]"},
+         "sweep request: axes[0].values[0] must be an integer in "
+         "[0, 4294967295] (got 4294967298)"},
         {R"({"refs": 1e300})",
-         "\"request.refs\" must be an integer in "
-         "[0, 18446744073709551615] (got 1e+300)"},
+         "sweep request: refs must be an integer in "
+         "[1, 18446744073709551615] (got 1e+300)"},
     };
     for (const Case &c : cases) {
         auto request = serve::parseSweepRequest(c.json);
@@ -440,6 +472,50 @@ TEST(SweepRequest, IntegersOutsideTheirFieldAreParseErrors)
     })");
     ASSERT_TRUE(widest.ok()) << widest.status().toString();
     EXPECT_EQ(widest.value().scenario.cache.assoc, 4294967295u);
+}
+
+TEST(SweepRequest, ErrorsNameTheJsonPath)
+{
+    struct Case
+    {
+        const char *json;
+        const char *message;
+    };
+    const Case cases[] = {
+        {R"([])", "sweep request must be an object (got an array)"},
+        {R"({"name": ""})", "sweep request: name must not be empty"},
+        {R"({"threads": "4"})",
+         "sweep request: threads must be an integer in "
+         "[0, 4294967295] (got \"4\")"},
+        {R"({"cache": {"write": "sideways"}})",
+         "sweep request: cache.write must be one of write-back, "
+         "write-through (got \"sideways\")"},
+        {R"({"cache": {"ways": 2}})",
+         "sweep request: unknown field \"cache.ways\""},
+        {R"({"workload": {"method": "spec92", "seed": -1}})",
+         "sweep request: workload.seed must be an integer in "
+         "[0, 18446744073709551615] (got -1)"},
+        {R"({"workload": {"method": "ycsb-a",
+                          "params": {"theta": null}}})",
+         "sweep request: workload.params.theta must be a string, "
+         "number or bool (got null)"},
+        {R"({"axes": [{"axis": "cache.size", "values": [4096]},
+                      {"axis": "cache.line"}]})",
+         "sweep request: axes[1].values must be a non-empty array"},
+        {R"({"axes": [{"axis": "workload",
+                       "specs": [{"seed": 1}]}]})",
+         "sweep request: axes[0].specs[0].method is required"},
+        {R"({"axes": [{"axis": "workload", "values": [1],
+                       "specs": [{"method": "spec92"}]}]})",
+         "sweep request: axes[0].values is not taken by this axis"},
+    };
+    for (const Case &c : cases) {
+        auto request = serve::parseSweepRequest(c.json);
+        ASSERT_FALSE(request.ok()) << c.json;
+        EXPECT_EQ(request.status().code(), ErrorCode::ParseError)
+            << c.json;
+        EXPECT_EQ(request.status().message(), c.message) << c.json;
+    }
 }
 
 TEST(SweepRequest, NumbersThatOverflowADoubleAreParseErrors)

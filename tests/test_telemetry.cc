@@ -270,8 +270,13 @@ TEST(RunnerTelemetry, SchemaV1DocumentsStillParse)
         RunnerTelemetry::fromJson(parsed.value);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(loaded.value().scenario, "legacy");
+    EXPECT_EQ(loaded.value().threadsUsed, 2u);
     EXPECT_EQ(loaded.value().pointCount, 1u);
     ASSERT_EQ(loaded.value().workers.size(), 1u);
+    EXPECT_EQ(loaded.value().workers[0].kernelNs, 10u);
+    EXPECT_EQ(loaded.value().workers[0].idleNs, 1u);
+    EXPECT_EQ(loaded.value().workers[0].lifetimeNs, 11u);
+    EXPECT_EQ(loaded.value().workers[0].acquireNs, 0u);
     EXPECT_FALSE(loaded.value().workers[0].counters.available);
 
     // A v2 document's "armed" flag is ignored, false included:
@@ -297,8 +302,12 @@ TEST(RunnerTelemetry, SchemaV1DocumentsStillParse)
         "{\"kind\": \"runner_telemetry\", "
         "\"schema_version\": 0, \"workers\": []}");
     ASSERT_TRUE(tooOld.ok);
-    EXPECT_FALSE(
-        RunnerTelemetry::fromJson(tooOld.value).ok());
+    const Expected<RunnerTelemetry> refused =
+        RunnerTelemetry::fromJson(tooOld.value);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().message(),
+              "telemetry document: schema_version must be an integer "
+              "in [1, 3] (got 0)");
 }
 
 TEST(RunnerTelemetry, ProgressHeartbeatKeepsResultsByteIdentical)
@@ -426,6 +435,58 @@ TEST(RunnerTelemetry, FromJsonRejectsForeignDocuments)
     ASSERT_TRUE(badVersion.ok);
     EXPECT_FALSE(
         RunnerTelemetry::fromJson(badVersion.value).ok());
+}
+
+TEST(RunnerTelemetry, FromJsonRefusesNumbersItsFieldsCannotHold)
+{
+    // Each value used to reach a bare static_cast: run_report
+    // printed "18446744073709551611 points" for "points": -5, and a
+    // string read as 0.
+    const std::string head =
+        "{\"kind\": \"runner_telemetry\", \"schema_version\": 3, ";
+    struct Case
+    {
+        std::string body;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"\"points\": -5, \"workers\": []}",
+         "points must be an integer in [0, 18446744073709551615] "
+         "(got -5)"},
+        {"\"points\": \"many\", \"workers\": []}",
+         "points must be an integer in [0, 18446744073709551615] "
+         "(got \"many\")"},
+        {"\"threads_used\": 1e30, \"workers\": []}",
+         "threads_used must be an integer in [0, 4294967295] "
+         "(got 1e+30)"},
+        {"\"wall_ns\": 1e300, \"workers\": []}",
+         "wall_ns must be an integer in [0, 18446744073709551615] "
+         "(got 1e+300)"},
+        {"\"workers\": [], \"point_durations\": "
+         "[{\"index\": 0, \"ns\": -3}]}",
+         "point_durations[0].ns must be an integer in "
+         "[0, 18446744073709551615] (got -3)"},
+        {"\"workers\": [], \"point_durations\": "
+         "[{\"index\": 0}, {\"index\": -1}]}",
+         "point_durations[1].index must be an integer in "
+         "[0, 18446744073709551615] (got -1)"},
+        {"\"workers\": [{\"worker\": 0, \"counters\": "
+         "{\"available\": 1}}]}",
+         "workers[0].counters.available must be a bool (got 1)"},
+        {"\"workers\": {}}", "workers must be an array (got an object)"},
+        {"\"points\": 1}", "workers is required"},
+    };
+    for (const Case &c : cases) {
+        const obs::JsonParseResult parsed = obs::parseJson(head + c.body);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        const Expected<RunnerTelemetry> loaded =
+            RunnerTelemetry::fromJson(parsed.value);
+        ASSERT_FALSE(loaded.ok()) << c.body;
+        EXPECT_EQ(loaded.status().code(), ErrorCode::ParseError)
+            << c.body;
+        EXPECT_EQ(loaded.status().message(),
+                  std::string("telemetry document: ") + c.message);
+    }
 }
 
 TEST(RunnerTelemetry, StatsRegisterUnderPrefix)

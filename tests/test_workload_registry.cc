@@ -740,7 +740,9 @@ TEST(WorkloadSpecJson, SeedsMustFitTheirField)
         ASSERT_FALSE(spec.ok()) << text;
         EXPECT_EQ(spec.status().code(), ErrorCode::ParseError)
             << text;
-        EXPECT_NE(spec.status().message().find("\"seed\""),
+        EXPECT_NE(spec.status().message().find(
+                      "workload spec: seed must be an integer in "
+                      "[0, 18446744073709551615]"),
                   std::string::npos)
             << spec.status().message();
     }

@@ -45,13 +45,16 @@
  *
  * Exit status: 0 = no regressions, 1 = at least one benchmark
  * regressed or a required speedup not met, 2 = bad usage,
- * unreadable/unparsable input, or incomparable records (different
- * builds or thread configurations) in a gating mode.  The exact
+ * unreadable input, a record that is not JSON or breaks the BENCH
+ * schema (the message names the file and the JSON path, in every
+ * mode), or incomparable records (different builds or thread
+ * configurations) in a gating mode.  The exact
  * CI invocation is documented in docs/OBSERVABILITY.md.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,21 +84,18 @@ struct SpeedupGate
     double min = 0.0;
 };
 
-/** Median ns/rep of the named benchmark, or -1 when absent. */
-double
-benchMedian(const uatm::obs::JsonValue &doc,
-            const std::string &name)
+/** The record at @p path; nullopt (with the reason on stderr) when
+ *  it cannot be read or breaks the BENCH schema. */
+std::optional<uatm::obs::BenchRecord>
+load(const std::string &path)
 {
-    const auto *benchmarks = doc.find("benchmarks");
-    if (!benchmarks)
-        return -1.0;
-    for (const auto &bench : benchmarks->items()) {
-        if (bench.stringOr("name", "") != name)
-            continue;
-        const auto *ns = bench.find("ns_per_rep");
-        return ns ? ns->numberOr("median", -1.0) : -1.0;
+    auto record = uatm::obs::loadBenchFile(path);
+    if (!record.ok()) {
+        std::fprintf(stderr, "perf_diff: %s\n",
+                     record.status().message().c_str());
+        return std::nullopt;
     }
-    return -1.0;
+    return std::move(record).value();
 }
 
 /** Benchmark names never contain ':', so the spec splits cleanly
@@ -114,15 +114,17 @@ parseSpeedupGate(const std::string &spec, SpeedupGate &gate)
            gate.min > 0.0;
 }
 
-/** Evaluate every gate against @p doc; true when all hold. */
+/** Evaluate every gate against @p record; true when all hold. */
 bool
-checkSpeedupGates(const uatm::obs::JsonValue &doc,
+checkSpeedupGates(const uatm::obs::BenchRecord &record,
                   const std::vector<SpeedupGate> &gates)
 {
     bool ok = true;
     for (const SpeedupGate &gate : gates) {
-        const double slow = benchMedian(doc, gate.slow);
-        const double fast = benchMedian(doc, gate.fast);
+        const uatm::obs::BenchResult *a = record.find(gate.slow);
+        const uatm::obs::BenchResult *b = record.find(gate.fast);
+        const double slow = a ? a->nsPerRepMedian : -1.0;
+        const double fast = b ? b->nsPerRepMedian : -1.0;
         if (slow <= 0.0 || fast <= 0.0) {
             std::fprintf(stderr,
                          "perf_diff: speedup gate '%s' vs '%s': "
@@ -220,26 +222,22 @@ main(int argc, char **argv)
     }
     if (files.size() == 1 && !gates.empty()) {
         // Gate-only mode: intra-record speedup assertions.
-        obs::JsonValue doc;
-        std::string error;
-        if (!obs::loadBenchFile(files[0], doc, error)) {
-            std::fprintf(stderr, "perf_diff: %s\n",
-                         error.c_str());
+        const auto record = load(files[0]);
+        if (!record)
             return 2;
-        }
-        const bool ok = checkSpeedupGates(doc, gates);
+        const bool ok = checkSpeedupGates(*record, gates);
         return (!ok && !report_only) ? 1 : 0;
     }
     if (files.size() != 2)
         return usage(argv[0]);
 
-    obs::JsonValue before, after;
-    std::string error;
-    if (!obs::loadBenchFile(files[0], before, error) ||
-        !obs::loadBenchFile(files[1], after, error)) {
-        std::fprintf(stderr, "perf_diff: %s\n", error.c_str());
+    const auto before = load(files[0]);
+    if (!before)
         return 2;
-    }
+    const auto after = load(files[1]);
+    if (!after)
+        return 2;
+    std::string error;
 
     // A refusal fails a gating run (exit 2) but is only a report
     // under --report-only.
@@ -252,11 +250,11 @@ main(int argc, char **argv)
                                  : "");
         return report_only ? 0 : 2;
     };
-    if (!obs::perfSameBuild(before, after, error)) {
+    if (!obs::perfSameBuild(*before, *after, error)) {
         return refuse("the two records time different builds; "
                       "rebuild both the same way");
     }
-    if (!obs::perfComparable(before, after, error)) {
+    if (!obs::perfComparable(*before, *after, error)) {
         if (!ignore_threads) {
             return refuse("the two records measure different "
                           "parallel setups; rerun on matching "
@@ -268,13 +266,12 @@ main(int argc, char **argv)
     }
 
     const std::vector<obs::PerfDelta> deltas =
-        obs::comparePerf(before, after, options);
+        obs::comparePerf(*before, *after, options);
 
     std::printf("perf_diff: %s (%s)  vs  %s (%s)\n",
                 files[0].c_str(),
-                before.stringOr("git_describe", "?").c_str(),
-                files[1].c_str(),
-                after.stringOr("git_describe", "?").c_str());
+                before->gitDescribe.c_str(), files[1].c_str(),
+                after->gitDescribe.c_str());
     std::printf("noise threshold: %.1f robust sigmas "
                 "(1.4826*MAD), floor %.1f%%\n",
                 options.sigmas, options.minRelative * 100.0);
@@ -297,7 +294,7 @@ main(int argc, char **argv)
     std::size_t counter_regressions = 0;
     if (counter_armed) {
         const std::vector<obs::CounterDelta> counter_deltas =
-            obs::compareCounter(before, after, counter_event,
+            obs::compareCounter(*before, *after, counter_event,
                                 counter_options);
         std::printf("\n");
         if (counter_deltas.empty()) {
@@ -328,7 +325,7 @@ main(int argc, char **argv)
     bool gates_ok = true;
     if (!gates.empty()) {
         std::printf("\n");
-        gates_ok = checkSpeedupGates(after, gates);
+        gates_ok = checkSpeedupGates(*after, gates);
     }
 
     const std::size_t regressions =

@@ -25,7 +25,10 @@
  *                      diagnosis machine-readably on stdout
  *
  * Exit status: 0 = report printed, 2 = bad usage or no readable
- * telemetry input.  CI runs this over the perf-smoke artifacts;
+ * input.  A file that is not JSON or breaks its schema (a negative
+ * count, a fraction, a number too large for its field) is not
+ * readable: its ParseError, naming the file and the JSON path, is
+ * printed and the file skipped.  CI runs this over the perf-smoke artifacts;
  * see docs/OBSERVABILITY.md.
  */
 
@@ -271,38 +274,25 @@ main(int argc, char **argv)
 
     std::size_t folded = 0;
     if (!benchPath.empty()) {
-        obs::JsonValue doc;
-        std::string error;
-        if (!obs::loadBenchFile(benchPath, doc, error)) {
+        const Expected<obs::BenchRecord> record =
+            obs::loadBenchFile(benchPath);
+        if (!record.ok()) {
             std::fprintf(stderr, "run_report: %s\n",
-                         error.c_str());
+                         record.status().message().c_str());
             if (!loaded)
                 return 2;
             benchPath.clear();
         } else {
             ++loaded;
-            const obs::JsonValue *list = doc.find("benchmarks");
-            if (list && list->isArray()) {
-                for (const obs::JsonValue &record :
-                     list->items()) {
-                    if (!record.isObject())
-                        continue;
-                    const unsigned threads =
-                        threadsFromBenchName(
-                            record.stringOr("name", ""));
-                    if (threads == 0)
-                        continue;
-                    const obs::JsonValue *per_rep =
-                        record.find("ns_per_rep");
-                    const double wallNs =
-                        per_rep
-                            ? per_rep->numberOr("median", 0.0)
-                            : 0.0;
-                    if (wallNs > 0.0) {
-                        benchSamples.emplace_back(threads, wallNs);
-                        ++folded;
-                    }
-                }
+            for (const obs::BenchResult &result :
+                 record.value().benchmarks) {
+                const unsigned threads =
+                    threadsFromBenchName(result.name);
+                if (threads == 0 || result.nsPerRepMedian <= 0.0)
+                    continue;
+                benchSamples.emplace_back(threads,
+                                          result.nsPerRepMedian);
+                ++folded;
             }
         }
     }
