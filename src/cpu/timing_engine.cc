@@ -346,258 +346,259 @@ TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
     const std::uint32_t line_bytes = cache_.config().lineBytes;
     const StallFeature feature = cpuConfig_.feature;
 
-    for (std::uint64_t i = 0; i < max_refs; ++i) {
-        const auto ref = source.next();
-        if (!ref)
-            break;
+    BatchPump pump(source);
+    pump.pumpTo(max_refs, [&](const MemoryReference *batch,
+                              std::size_t count) {
+        for (const MemoryReference *ref = batch; ref != batch + count;
+             ++ref) {
+            // Non-memory instructions run one per cycle while any fill
+            // proceeds in the background.
+            now += ref->gap;
+            stats.instructions += static_cast<std::uint64_t>(ref->gap) + 1;
+            ++stats.references;
+            pruneCompleted(now);
 
-        // Non-memory instructions run one per cycle while any fill
-        // proceeds in the background.
-        now += ref->gap;
-        stats.instructions += static_cast<std::uint64_t>(ref->gap) + 1;
-        ++stats.references;
-        pruneCompleted(now);
+            Cycles issue = now;
 
-        Cycles issue = now;
-
-        // BL: while the cache bus is locked by a demand fill,
-        // every load/store stalls until the line is completely
-        // fetched.  Prefetch transfers only hold the memory port.
-        if (feature == StallFeature::BL && !inflight_.empty()) {
-            const Cycles complete =
-                latestCompletion(/*demand_only=*/true);
-            if (complete > issue) {
-                stats.inflightAccessStall += complete - issue;
-                tracer.record("bus_locked", "stall", issue,
-                              complete - issue, ref->addr);
-                issue = complete;
-            }
-            pruneCompleted(issue);
-        }
-
-        const AccessOutcome outcome = cache_.access(*ref);
-
-        if (outcome.hit) {
-            // A hit can still stall against the line being filled.
-            if (const InflightFill *fill =
-                    findInflight(outcome.lineAddr);
-                fill && fill->complete > issue) {
-                Cycles until = issue;
-                if (fill->isPrefetch) {
-                    // A demand access caught the prefetched data
-                    // on the bus: wait for the needed chunk only,
-                    // whatever the stalling feature (the cache bus
-                    // is not locked by prefetches).
-                    until = std::max(issue,
-                                     chunkArrival(*fill, ref->addr));
-                    ++stats.prefetchesLate;
-                } else {
-                    switch (feature) {
-                      case StallFeature::FS:
-                        panic("full-stalling CPU observed an "
-                              "in-flight demand line");
-                      case StallFeature::BL:
-                        // Already handled by the bus-locked stall.
-                        break;
-                      case StallFeature::BNL1:
-                        until = fill->complete;
-                        break;
-                      case StallFeature::BNL2: {
-                        const Cycles arrival =
-                            chunkArrival(*fill, ref->addr);
-                        // Arrived part: proceed; otherwise wait
-                        // for the whole line.
-                        until = arrival <= issue ? issue
-                                                 : fill->complete;
-                        break;
-                      }
-                      case StallFeature::BNL3:
-                      case StallFeature::NB:
-                        until = std::max(
-                            issue, chunkArrival(*fill, ref->addr));
-                        break;
-                    }
-                }
-                if (until > issue) {
-                    stats.inflightAccessStall += until - issue;
-                    tracer.record(fill->isPrefetch
-                                      ? "late_prefetch_cover"
-                                      : "inflight_access",
-                                  "stall", issue, until - issue,
-                                  ref->addr);
-                    issue = until;
-                    pruneCompleted(issue);
-                }
-            }
-
-            // Prefetch bookkeeping: first demand touch of a
-            // prefetched line counts as useful and, under the
-            // tagged policy, fetches the successor.
-            if (cpuConfig_.prefetch != PrefetchPolicy::None) {
-                auto it =
-                    prefetchedUntouched_.find(outcome.lineAddr);
-                if (it != prefetchedUntouched_.end()) {
-                    prefetchedUntouched_.erase(it);
-                    ++stats.prefetchesUseful;
-                    if (cpuConfig_.prefetch ==
-                        PrefetchPolicy::Tagged) {
-                        issuePrefetch(issue,
-                                      outcome.lineAddr +
-                                          line_bytes,
-                                      stats);
-                    }
-                }
-            }
-
-            Cycles cost = 1;
-            if (outcome.storeToMemory) {
-                // Write-through hit: the store also goes to memory.
-                const Cycles resume =
-                    scheduler_.postWrite(issue, ref->size);
-                if (resume > issue) {
-                    stats.writeStall += resume - issue;
-                    tracer.record("write_stall", "write", issue,
-                                  resume - issue, ref->addr);
-                    cost = std::max<Cycles>(1, resume - issue);
-                }
-            }
-            now = issue + cost;
-            continue;
-        }
-
-        // ---- miss path ----
-
-        // A new miss serialises behind outstanding fills unless the
-        // NB feature has a free MSHR.
-        if (!inflight_.empty()) {
-            std::size_t demand_inflight = 0;
-            for (const auto &fill : inflight_)
-                demand_inflight += !fill.isPrefetch;
-            const bool free_mshr =
-                demand_inflight == 0 ||
-                (feature == StallFeature::NB &&
-                 demand_inflight < cpuConfig_.mshrs);
-            if (!free_mshr) {
-                // Wait for outstanding *demand* fills; in-flight
-                // prefetches only delay the grant via the port.
+            // BL: while the cache bus is locked by a demand fill,
+            // every load/store stalls until the line is completely
+            // fetched.  Prefetch transfers only hold the memory port.
+            if (feature == StallFeature::BL && !inflight_.empty()) {
                 const Cycles complete =
                     latestCompletion(/*demand_only=*/true);
                 if (complete > issue) {
-                    stats.missSerializationStall += complete - issue;
-                    tracer.record("miss_serialization", "stall",
-                                  issue, complete - issue,
-                                  ref->addr);
+                    stats.inflightAccessStall += complete - issue;
+                    tracer.record("bus_locked", "stall", issue,
+                                  complete - issue, ref->addr);
                     issue = complete;
                 }
                 pruneCompleted(issue);
             }
-        }
 
-        if (!outcome.fill) {
-            // Write-around store miss: a <= D-byte memory write.
-            ++stats.writeArounds;
-            const Cycles resume = scheduler_.postWrite(issue,
-                                                       ref->size);
-            Cycles cost = 1;
-            if (resume > issue) {
-                stats.writeStall += resume - issue;
-                tracer.record("write_around", "write", issue,
-                              resume - issue, ref->addr);
-                cost = std::max<Cycles>(1, resume - issue);
+            const AccessOutcome outcome = cache_.access(*ref);
+
+            if (outcome.hit) {
+                // A hit can still stall against the line being filled.
+                if (const InflightFill *fill =
+                        findInflight(outcome.lineAddr);
+                    fill && fill->complete > issue) {
+                    Cycles until = issue;
+                    if (fill->isPrefetch) {
+                        // A demand access caught the prefetched data
+                        // on the bus: wait for the needed chunk only,
+                        // whatever the stalling feature (the cache bus
+                        // is not locked by prefetches).
+                        until = std::max(issue,
+                                         chunkArrival(*fill, ref->addr));
+                        ++stats.prefetchesLate;
+                    } else {
+                        switch (feature) {
+                          case StallFeature::FS:
+                            panic("full-stalling CPU observed an "
+                                  "in-flight demand line");
+                          case StallFeature::BL:
+                            // Already handled by the bus-locked stall.
+                            break;
+                          case StallFeature::BNL1:
+                            until = fill->complete;
+                            break;
+                          case StallFeature::BNL2: {
+                            const Cycles arrival =
+                                chunkArrival(*fill, ref->addr);
+                            // Arrived part: proceed; otherwise wait
+                            // for the whole line.
+                            until = arrival <= issue ? issue
+                                                     : fill->complete;
+                            break;
+                          }
+                          case StallFeature::BNL3:
+                          case StallFeature::NB:
+                            until = std::max(
+                                issue, chunkArrival(*fill, ref->addr));
+                            break;
+                        }
+                    }
+                    if (until > issue) {
+                        stats.inflightAccessStall += until - issue;
+                        tracer.record(fill->isPrefetch
+                                          ? "late_prefetch_cover"
+                                          : "inflight_access",
+                                      "stall", issue, until - issue,
+                                      ref->addr);
+                        issue = until;
+                        pruneCompleted(issue);
+                    }
+                }
+
+                // Prefetch bookkeeping: first demand touch of a
+                // prefetched line counts as useful and, under the
+                // tagged policy, fetches the successor.
+                if (cpuConfig_.prefetch != PrefetchPolicy::None) {
+                    auto it =
+                        prefetchedUntouched_.find(outcome.lineAddr);
+                    if (it != prefetchedUntouched_.end()) {
+                        prefetchedUntouched_.erase(it);
+                        ++stats.prefetchesUseful;
+                        if (cpuConfig_.prefetch ==
+                            PrefetchPolicy::Tagged) {
+                            issuePrefetch(issue,
+                                          outcome.lineAddr +
+                                              line_bytes,
+                                          stats);
+                        }
+                    }
+                }
+
+                Cycles cost = 1;
+                if (outcome.storeToMemory) {
+                    // Write-through hit: the store also goes to memory.
+                    const Cycles resume =
+                        scheduler_.postWrite(issue, ref->size);
+                    if (resume > issue) {
+                        stats.writeStall += resume - issue;
+                        tracer.record("write_stall", "write", issue,
+                                      resume - issue, ref->addr);
+                        cost = std::max<Cycles>(1, resume - issue);
+                    }
+                }
+                now = issue + cost;
+                continue;
             }
-            now = issue + cost;
-            continue;
-        }
 
-        // With no write buffer the dirty victim must be written
-        // back before the fill can overwrite it.
-        Cycles fill_request = issue;
-        const bool flush_victim =
-            outcome.writeback && !cpuConfig_.suppressFlushTraffic;
-        if (flush_victim && wbufConfig_.depth == 0) {
-            const Cycles done =
-                scheduler_.postWrite(fill_request, line_bytes);
-            stats.flushStall += done - fill_request;
-            tracer.record("flush", "write", fill_request,
-                          done - fill_request,
-                          outcome.victimLineAddr);
-            fill_request = done;
-        }
+            // ---- miss path ----
 
-        // Copy the record: later prefetch issues may push into
-        // inflight_ and invalidate references into it.
-        const InflightFill fill =
-            issueFill(fill_request, outcome.lineAddr, ref->addr,
-                      stats);
-
-        Cycles resume;
-        switch (feature) {
-          case StallFeature::FS:
-            resume = fill.complete;
-            stats.initialMissWait += fill.complete - fill.start;
-            tracer.record("initial_miss_wait", "stall",
-                          fill.start, fill.complete - fill.start,
-                          ref->addr);
-            tracer.recordCounter("stall_cycles", fill.complete,
-                                 stats.initialMissWait +
-                                     stats.inflightAccessStall +
-                                     stats.missSerializationStall);
-            break;
-          case StallFeature::NB:
-            // Fire and forget; the consumer stalls later if it
-            // touches the line too early.
-            resume = issue;
-            break;
-          default: {
-            const Cycles first_chunk =
-                chunkArrival(fill, ref->addr);
-            resume = first_chunk;
-            stats.initialMissWait += first_chunk - fill.start;
-            if (first_chunk > fill.start) {
-                tracer.record("initial_miss_wait", "stall",
-                              fill.start, first_chunk - fill.start,
-                              ref->addr);
-                tracer.recordCounter(
-                    "stall_cycles", first_chunk,
-                    stats.initialMissWait +
-                        stats.inflightAccessStall +
-                        stats.missSerializationStall);
+            // A new miss serialises behind outstanding fills unless the
+            // NB feature has a free MSHR.
+            if (!inflight_.empty()) {
+                std::size_t demand_inflight = 0;
+                for (const auto &fill : inflight_)
+                    demand_inflight += !fill.isPrefetch;
+                const bool free_mshr =
+                    demand_inflight == 0 ||
+                    (feature == StallFeature::NB &&
+                     demand_inflight < cpuConfig_.mshrs);
+                if (!free_mshr) {
+                    // Wait for outstanding *demand* fills; in-flight
+                    // prefetches only delay the grant via the port.
+                    const Cycles complete =
+                        latestCompletion(/*demand_only=*/true);
+                    if (complete > issue) {
+                        stats.missSerializationStall += complete - issue;
+                        tracer.record("miss_serialization", "stall",
+                                      issue, complete - issue,
+                                      ref->addr);
+                        issue = complete;
+                    }
+                    pruneCompleted(issue);
+                }
             }
-            break;
-          }
-        }
 
-        if (flush_victim && wbufConfig_.depth > 0) {
-            // The victim is parked in the buffer and posted once
-            // the fill has delivered the line (Sec. 5.3, note (1)).
-            const Cycles wb_resume =
-                scheduler_.postWrite(fill.complete, line_bytes);
-            if (wb_resume > resume &&
-                wb_resume > fill.complete) {
-                const Cycles from = std::max(resume,
-                                             fill.complete);
-                stats.bufferFullStall += wb_resume - from;
-                tracer.record("buffer_full", "write", from,
-                              wb_resume - from,
+            if (!outcome.fill) {
+                // Write-around store miss: a <= D-byte memory write.
+                ++stats.writeArounds;
+                const Cycles resume = scheduler_.postWrite(issue,
+                                                           ref->size);
+                Cycles cost = 1;
+                if (resume > issue) {
+                    stats.writeStall += resume - issue;
+                    tracer.record("write_around", "write", issue,
+                                  resume - issue, ref->addr);
+                    cost = std::max<Cycles>(1, resume - issue);
+                }
+                now = issue + cost;
+                continue;
+            }
+
+            // With no write buffer the dirty victim must be written
+            // back before the fill can overwrite it.
+            Cycles fill_request = issue;
+            const bool flush_victim =
+                outcome.writeback && !cpuConfig_.suppressFlushTraffic;
+            if (flush_victim && wbufConfig_.depth == 0) {
+                const Cycles done =
+                    scheduler_.postWrite(fill_request, line_bytes);
+                stats.flushStall += done - fill_request;
+                tracer.record("flush", "write", fill_request,
+                              done - fill_request,
                               outcome.victimLineAddr);
-                resume = std::max(resume, wb_resume);
+                fill_request = done;
             }
-        }
 
-        // A demand miss triggers the next-line prefetch (both the
-        // on-miss and tagged policies); the transfer queues behind
-        // the demand fill on the port.
-        if (cpuConfig_.prefetch != PrefetchPolicy::None) {
-            issuePrefetch(issue, outcome.lineAddr + line_bytes,
+            // Copy the record: later prefetch issues may push into
+            // inflight_ and invalidate references into it.
+            const InflightFill fill =
+                issueFill(fill_request, outcome.lineAddr, ref->addr,
                           stats);
-        }
 
-        // The missing load/store consumes its stall in place of the
-        // base cycle (Eq. 2's accounting), never less than 1 cycle.
-        now = std::max(resume, issue + 1);
-        if (feature == StallFeature::FS)
-            pruneCompleted(now);
-    }
+            Cycles resume;
+            switch (feature) {
+              case StallFeature::FS:
+                resume = fill.complete;
+                stats.initialMissWait += fill.complete - fill.start;
+                tracer.record("initial_miss_wait", "stall",
+                              fill.start, fill.complete - fill.start,
+                              ref->addr);
+                tracer.recordCounter("stall_cycles", fill.complete,
+                                     stats.initialMissWait +
+                                         stats.inflightAccessStall +
+                                         stats.missSerializationStall);
+                break;
+              case StallFeature::NB:
+                // Fire and forget; the consumer stalls later if it
+                // touches the line too early.
+                resume = issue;
+                break;
+              default: {
+                const Cycles first_chunk =
+                    chunkArrival(fill, ref->addr);
+                resume = first_chunk;
+                stats.initialMissWait += first_chunk - fill.start;
+                if (first_chunk > fill.start) {
+                    tracer.record("initial_miss_wait", "stall",
+                                  fill.start, first_chunk - fill.start,
+                                  ref->addr);
+                    tracer.recordCounter(
+                        "stall_cycles", first_chunk,
+                        stats.initialMissWait +
+                            stats.inflightAccessStall +
+                            stats.missSerializationStall);
+                }
+                break;
+              }
+            }
+
+            if (flush_victim && wbufConfig_.depth > 0) {
+                // The victim is parked in the buffer and posted once
+                // the fill has delivered the line (Sec. 5.3, note (1)).
+                const Cycles wb_resume =
+                    scheduler_.postWrite(fill.complete, line_bytes);
+                if (wb_resume > resume &&
+                    wb_resume > fill.complete) {
+                    const Cycles from = std::max(resume,
+                                                 fill.complete);
+                    stats.bufferFullStall += wb_resume - from;
+                    tracer.record("buffer_full", "write", from,
+                                  wb_resume - from,
+                                  outcome.victimLineAddr);
+                    resume = std::max(resume, wb_resume);
+                }
+            }
+
+            // A demand miss triggers the next-line prefetch (both the
+            // on-miss and tagged policies); the transfer queues behind
+            // the demand fill on the port.
+            if (cpuConfig_.prefetch != PrefetchPolicy::None) {
+                issuePrefetch(issue, outcome.lineAddr + line_bytes,
+                              stats);
+            }
+
+            // The missing load/store consumes its stall in place of the
+            // base cycle (Eq. 2's accounting), never less than 1 cycle.
+            now = std::max(resume, issue + 1);
+            if (feature == StallFeature::FS)
+                pruneCompleted(now);
+        }
+    });
 
     stats.cycles = now;
     return stats;

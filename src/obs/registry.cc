@@ -601,7 +601,9 @@ promUnitSuffix(const std::string &unit)
 {
     if (unit.empty() || unit == "count" || unit == "bool")
         return "";
-    return "_" + promSanitize(unit);
+    std::string suffix = "_";
+    suffix += promSanitize(unit);
+    return suffix;
 }
 
 /** Render {a="x",b="y"} from base labels + extras; "" if none. */

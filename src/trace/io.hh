@@ -7,12 +7,14 @@
  * Readers return Expected<Trace>: malformed lines, bad magic, bad
  * access sizes and unreadable files come back as error Statuses the
  * caller can surface (a CLI fatal()s, a scenario kernel degrades to
- * an error row) instead of killing the process.
+ * an error row) instead of killing the process.  A path that names
+ * anything but a regular file is an IoError before it is opened.
  */
 
 #ifndef UATM_TRACE_IO_HH
 #define UATM_TRACE_IO_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -44,8 +46,10 @@ struct TextTraceFormat
 };
 
 /**
- * Binary format: an 8-byte magic/version header followed by fixed
- * 14-byte little-endian records (addr:8, gap:4, size:1, kind:1).
+ * Binary format: a 16-byte header (the 8-byte magic/version, then
+ * the record count) followed by fixed 14-byte little-endian records
+ * (addr:8, gap:4, size:1, kind:1).  Records are encoded and decoded
+ * a chunk at a time, one stream call per chunk.
  */
 struct BinaryTraceFormat
 {
@@ -53,8 +57,31 @@ struct BinaryTraceFormat
     static Expected<Trace> read(std::istream &in);
     static Status writeFile(const Trace &trace,
                             const std::string &path);
+
+    /**
+     * Read a trace file.  The header's record count is checked
+     * against the file's size before anything is allocated for it:
+     * a file too short for its count is truncated, and bytes after
+     * the last record are an error too, both ParseErrors.
+     */
     static Expected<Trace> readFile(const std::string &path);
 };
+
+/** What tells one version of a file on disk from another. */
+struct TraceFileStamp
+{
+    std::uint64_t device = 0;
+    std::uint64_t inode = 0;
+    std::uint64_t size = 0;
+    std::int64_t mtimeSec = 0;
+    std::int64_t mtimeNsec = 0;
+
+    bool operator==(const TraceFileStamp &) const = default;
+};
+
+/** stat() @p path: IoError when it is missing, unreadable or not a
+ *  regular file (a directory, a FIFO, a device). */
+Expected<TraceFileStamp> statTraceFile(const std::string &path);
 
 } // namespace uatm
 

@@ -75,24 +75,60 @@ Trace::countKind(RefKind kind) const
     return n;
 }
 
+namespace {
+
+/** next() of a cursor at @p cursor over @p refs. */
+std::optional<MemoryReference>
+nextAt(const std::vector<MemoryReference> &refs, std::size_t &cursor)
+{
+    if (cursor >= refs.size())
+        return std::nullopt;
+    return refs[cursor++];
+}
+
+/** fillBatch() of a cursor at @p cursor over @p refs: one memcpy. */
+std::size_t
+copyAt(const std::vector<MemoryReference> &refs, std::size_t &cursor,
+       MemoryReference *out, std::size_t max_refs)
+{
+    const std::size_t count = std::min(max_refs, refs.size() - cursor);
+    if (count > 0)
+        std::memcpy(out, refs.data() + cursor,
+                    count * sizeof(MemoryReference));
+    cursor += count;
+    return count;
+}
+
+} // namespace
+
 std::optional<MemoryReference>
 Trace::next()
 {
-    if (cursor_ >= refs_.size())
-        return std::nullopt;
-    return refs_[cursor_++];
+    return nextAt(refs_, cursor_);
 }
 
 std::size_t
 Trace::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
-    const std::size_t available = refs_.size() - cursor_;
-    const std::size_t count = std::min(max_refs, available);
-    if (count > 0)
-        std::memcpy(out, refs_.data() + cursor_,
-                    count * sizeof(MemoryReference));
-    cursor_ += count;
-    return count;
+    return copyAt(refs_, cursor_, out, max_refs);
+}
+
+SharedTraceCursor::SharedTraceCursor(std::shared_ptr<const Trace> trace)
+    : trace_(std::move(trace))
+{
+    UATM_ASSERT(trace_, "SharedTraceCursor over no trace");
+}
+
+std::optional<MemoryReference>
+SharedTraceCursor::next()
+{
+    return nextAt(trace_->refs(), cursor_);
+}
+
+std::size_t
+SharedTraceCursor::fillBatch(MemoryReference *out, std::size_t max_refs)
+{
+    return copyAt(trace_->refs(), cursor_, out, max_refs);
 }
 
 } // namespace uatm

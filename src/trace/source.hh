@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -131,6 +132,26 @@ class Trace : public TraceSource
 
   private:
     std::vector<MemoryReference> refs_;
+    std::size_t cursor_ = 0;
+};
+
+/**
+ * A cursor over a Trace that other cursors share and nobody
+ * changes: it replays the trace's references without a copy of
+ * them, and reset() rewinds this cursor alone.
+ */
+class SharedTraceCursor : public TraceSource
+{
+  public:
+    explicit SharedTraceCursor(std::shared_ptr<const Trace> trace);
+
+    std::optional<MemoryReference> next() override;
+    void reset() override { cursor_ = 0; }
+    std::size_t fillBatch(MemoryReference *out,
+                          std::size_t max_refs) override;
+
+  private:
+    std::shared_ptr<const Trace> trace_;
     std::size_t cursor_ = 0;
 };
 

@@ -358,21 +358,32 @@ interleavedEar()
         Rng(13 ^ 0xf00d));
 }
 
+/** 500 random 8-byte references: a finite stream. */
+std::vector<MemoryReference>
+finiteRefs()
+{
+    std::vector<MemoryReference> refs;
+    Rng rng(5);
+    for (int i = 0; i < 500; ++i) {
+        MemoryReference ref;
+        ref.addr = 8 * rng.nextBelow(4096);
+        ref.size = 8;
+        ref.gap = static_cast<std::uint32_t>(rng.nextBelow(4));
+        refs.push_back(ref);
+    }
+    return refs;
+}
+
 std::vector<ResetCase>
 resetCases()
 {
     std::vector<ResetCase> cases;
     cases.push_back({"trace", [] {
-        std::vector<MemoryReference> refs;
-        Rng rng(5);
-        for (int i = 0; i < 500; ++i) {
-            MemoryReference ref;
-            ref.addr = 8 * rng.nextBelow(4096);
-            ref.size = 8;
-            ref.gap = static_cast<std::uint32_t>(rng.nextBelow(4));
-            refs.push_back(ref);
-        }
-        return std::make_unique<Trace>(std::move(refs));
+        return std::make_unique<Trace>(finiteRefs());
+    }});
+    cases.push_back({"shared_trace", [] {
+        return std::make_unique<SharedTraceCursor>(
+            std::make_shared<const Trace>(finiteRefs()));
     }});
     cases.push_back({"stride", [] {
         return std::make_unique<StrideGenerator>(

@@ -674,6 +674,12 @@ INSTANTIATE_TEST_SUITE_P(
                       return std::make_unique<Trace>(
                           makeFiniteRefs(700));
                   }},
+        BatchCase{"shared_trace",
+                  [] {
+                      return std::make_unique<SharedTraceCursor>(
+                          std::make_shared<const Trace>(
+                              makeFiniteRefs(700)));
+                  }},
         BatchCase{"stride",
                   [] {
                       StrideGenerator::Config cfg;

@@ -536,8 +536,8 @@ TEST(RunDiagnosis, ComputesUtilizationImbalanceAndTopK)
     t.pointCount = 3;
     t.wallNs = 1000;
     t.workers = {
-        WorkerTelemetry{0, 2, 900, 0, 100, 1000},
-        WorkerTelemetry{1, 1, 300, 0, 700, 1000},
+        WorkerTelemetry{0, 2, 900, 0, 100, 1000, {}},
+        WorkerTelemetry{1, 1, 300, 0, 700, 1000, {}},
     };
     t.points = {
         PointTiming{0, 0, 0, 500, "a"},
