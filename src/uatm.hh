@@ -29,6 +29,7 @@
 #include "util/table.hh"
 
 // Workload substrate.
+#include "trace/file_store.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
 #include "trace/io.hh"
