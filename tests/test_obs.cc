@@ -1368,7 +1368,7 @@ TEST(PerfDiff, CommittedBaselinesLoadAsRecorded)
         EXPECT_EQ(r.hostCores, raw.value.at("host_cores").asNumber());
         EXPECT_EQ(r.buildType, raw.value.at("build_type").asString());
         EXPECT_EQ(r.compiler, raw.value.at("compiler").asString());
-        const obs::JsonValue &list = raw.value.at("benchmarks");
+        const obs::JsonValue list = raw.value.at("benchmarks");
         ASSERT_EQ(r.benchmarks.size(), list.size());
         for (std::size_t i = 0; i < list.size(); ++i) {
             const obs::JsonValue &b = list.at(i);
@@ -1628,7 +1628,7 @@ TEST(StatRegistry, HistogramAppearsInTextAndJsonDumps)
 
     const auto parsed = obs::parseJson(registry.toJson());
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    const obs::JsonValue &stat =
+    const obs::JsonValue stat =
         parsed.value.at("stats").at("runner.point_ns");
     EXPECT_EQ(stat.at("kind").asString(), "histogram");
     EXPECT_DOUBLE_EQ(stat.at("count").asNumber(), 3.0);
@@ -1796,7 +1796,7 @@ TEST(BenchSuite, JsonRecordsHostCoresAndThreads)
     const auto parsed = obs::parseJson(suite.toJson());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_GT(parsed.value.at("host_cores").asNumber(), 0.0);
-    const obs::JsonValue &record =
+    const obs::JsonValue record =
         parsed.value.at("benchmarks").at(0);
     EXPECT_DOUBLE_EQ(record.at("threads_requested").asNumber(), 2.0);
     EXPECT_DOUBLE_EQ(record.at("threads_used").asNumber(), 2.0);
