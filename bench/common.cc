@@ -8,13 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <ostream>
 
 #include "cpu/stall_feature.hh"
 #include "obs/bench.hh"
 #include "obs/profile.hh"
 #include "obs/registry.hh"
 #include "obs/trace_event.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 
 namespace uatm::bench {
@@ -151,14 +152,9 @@ exportCsv(const std::string &name, const TextTable &table)
     const std::filesystem::path dir = obs::benchOutDir();
     const std::filesystem::path path =
         (dir / (name + ".csv")).lexically_normal();
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write CSV snapshot '", path.string(), "'");
-    out << table.renderCsv();
-    out.close();
-    if (!out)
-        fatal("failed while writing CSV snapshot '", path.string(),
-              "'");
+    okOrFatal(writeWholeFile(path.string(), [&table](std::ostream &out) {
+        out << table.renderCsv();
+    }));
     std::printf("[csv] wrote %s\n", path.string().c_str());
 
     // The sibling manifest records what produced this CSV.

@@ -22,8 +22,8 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "cache/cache.hh"
@@ -34,6 +34,7 @@
 #include "trace/io.hh"
 #include "trace/reuse_distance.hh"
 #include "trace/trace_stats.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/status.hh"
@@ -212,10 +213,9 @@ run(int argc, char **argv)
         if (out.empty() || out == "trace.trc") {
             std::printf("%s\n", json.c_str());
         } else {
-            std::ofstream file(out);
-            file << json << '\n';
-            if (!file)
-                fatal("cannot write reuse profile to '", out, "'");
+            okOrFatal(writeWholeFile(out, [&json](std::ostream &file) {
+                file << json << '\n';
+            }));
             std::printf("wrote reuse-distance profile (depth %zu) "
                         "to %s\n",
                         profile.weights.size(), out.c_str());

@@ -195,12 +195,6 @@ class TimingEngine
     /** Cache counters from the most recent run(). */
     const CacheStats &cacheStats() const { return cache_.stats(); }
 
-    const CacheConfig &cacheConfig() const { return cache_.config(); }
-    const MemoryConfig &memoryConfig() const
-    {
-        return timing_.config();
-    }
-
     /**
      * Redirect stall-interval tracing (defaults to
      * obs::globalTracer(), which UATM_TRACE arms).  Pass nullptr

@@ -7,10 +7,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <ostream>
 
 #include "obs/json.hh"
-#include "util/csv.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -64,22 +64,6 @@ Cell::fromParts(std::string text, double value, bool numeric,
     cell.numeric_ = numeric;
     cell.error_ = is_error;
     return cell;
-}
-
-const char *
-tableFormatName(TableFormat format)
-{
-    switch (format) {
-      case TableFormat::Text:
-        return "text";
-      case TableFormat::Csv:
-        return "csv";
-      case TableFormat::Json:
-        return "json";
-      case TableFormat::Ndjson:
-        return "ndjson";
-    }
-    return "?";
 }
 
 Expected<TableFormat>
@@ -151,6 +135,27 @@ ResultTable::renderText() const
     return table.render();
 }
 
+namespace {
+
+/** Quote a CSV cell per RFC 4180 when it holds a comma, a quote or
+ *  a newline. */
+std::string
+csvEscape(const std::string &cell)
+{
+    if (cell.find_first_of(",\"\n") == std::string::npos)
+        return cell;
+    std::string quoted = "\"";
+    for (char c : cell) {
+        if (c == '"')
+            quoted += '"';
+        quoted += c;
+    }
+    quoted += '"';
+    return quoted;
+}
+
+} // namespace
+
 std::string
 ResultTable::renderCsv() const
 {
@@ -159,7 +164,7 @@ ResultTable::renderCsv() const
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (i)
                 out += ',';
-            out += CsvWriter::escape(cells[i]);
+            out += csvEscape(cells[i]);
         }
         out += '\n';
     };
@@ -243,22 +248,18 @@ ResultTable::emit(TableFormat format,
                   const std::string &out_path) const
 {
     rendered_ = render(format);
-    if (out_path.empty()) {
-        std::fputs(rendered_.c_str(), stdout);
-        if (!rendered_.empty() && rendered_.back() != '\n')
-            std::fputs("\n", stdout);
-    } else {
-        std::ofstream out(out_path);
-        if (!out) {
-            return Status::ioError("cannot open '", out_path,
-                                   "' for writing");
-        }
-        out << rendered_;
-        if (!rendered_.empty() && rendered_.back() != '\n')
-            out << '\n';
-        if (!out)
-            return Status::ioError("failed writing '", out_path, "'");
+    const bool add_newline =
+        !rendered_.empty() && rendered_.back() != '\n';
+    if (!out_path.empty()) {
+        return writeWholeFile(out_path, [&](std::ostream &out) {
+            out << rendered_;
+            if (add_newline)
+                out << '\n';
+        });
     }
+    std::fputs(rendered_.c_str(), stdout);
+    if (add_newline)
+        std::fputs("\n", stdout);
     return Status();
 }
 

@@ -75,12 +75,10 @@ class Cell
 enum class TableFormat : std::uint8_t
 {
     Text,   ///< aligned, human-readable (util/table)
-    Csv,    ///< RFC 4180, one header row (util/csv quoting)
+    Csv,    ///< RFC 4180, one header row
     Json,   ///< {"schema_version", "name", "columns", "rows"}
     Ndjson, ///< one JSON object per row, newline-delimited
 };
-
-const char *tableFormatName(TableFormat format);
 
 /** Parse "text" | "csv" | "json" | "ndjson"; error Status on
  *  anything else. */

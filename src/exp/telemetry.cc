@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/json.hh"
+#include "util/file.hh"
 
 namespace uatm::exp {
 
@@ -120,15 +121,8 @@ RunnerTelemetry::toJson() const
 Status
 RunnerTelemetry::writeJson(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        return Status::ioError("cannot write telemetry file '",
-                               path, "'");
-    out << toJson() << "\n";
-    if (!out)
-        return Status::ioError("short write to telemetry file '",
-                               path, "'");
-    return Status();
+    return writeWholeFile(
+        path, [this](std::ostream &out) { out << toJson() << "\n"; });
 }
 
 namespace {

@@ -99,9 +99,6 @@ class MemoryScheduler
     /** Times the CPU stalled because the buffer was full. */
     std::uint64_t bufferFullEvents() const { return fullEvents_; }
 
-    /** Buffered write chunks retired onto the bus so far. */
-    std::uint64_t drainedChunks() const { return drainedChunks_; }
-
     /**
      * Register the scheduler counters (and the write-buffer
      * configuration) under @p prefix, e.g. "wbuf".

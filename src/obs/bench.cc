@@ -18,6 +18,7 @@
 #include <tuple>
 
 #include "obs/manifest.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 
 #ifndef UATM_BUILD_TYPE
@@ -294,17 +295,9 @@ BenchSuite::run(const RunOptions &options)
         const std::filesystem::path path =
             (benchOutDir() / ("BENCH_" + name_ + ".json"))
                 .lexically_normal();
-        std::ofstream out(path);
-        if (!out) {
-            fatal("cannot write benchmark record '", path.string(),
-                  "'");
-        }
-        out << toJson();
-        out.close();
-        if (!out) {
-            fatal("failed while writing benchmark record '",
-                  path.string(), "'");
-        }
+        okOrFatal(writeWholeFile(path.string(), [this](std::ostream &out) {
+            out << toJson();
+        }));
         std::printf("[bench-json] wrote %s\n",
                     path.string().c_str());
     }

@@ -64,15 +64,6 @@ doNotOptimize(const T &value)
 #endif
 }
 
-/** Force pending writes to complete before the next timing read. */
-inline void
-clobberMemory()
-{
-#if defined(__GNUC__) || defined(__clang__)
-    asm volatile("" : : : "memory");
-#endif
-}
-
 /**
  * Per-run context handed to every benchmark body.  The body does
  * one fixed batch of work per call (one repetition) and declares

@@ -5,10 +5,11 @@
 
 #include "obs/manifest.hh"
 
-#include <fstream>
+#include <ostream>
 
 #include "obs/json.hh"
 #include "obs/registry.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 
 #ifndef UATM_GIT_DESCRIBE
@@ -170,13 +171,8 @@ Manifest::toJson() const
 void
 Manifest::write(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write run manifest '", path, "'");
-    out << toJson();
-    out.close();
-    if (!out)
-        fatal("failed while writing run manifest '", path, "'");
+    okOrFatal(writeWholeFile(
+        path, [this](std::ostream &out) { out << toJson(); }));
 }
 
 const char *

@@ -47,7 +47,6 @@ class ProfileRegistry
 
     /** Per-scope hardware counter collection (UATM_PERF). */
     bool countersEnabled() const { return counters_; }
-    void setCountersEnabled(bool on) { counters_ = on; }
 
     /** Fold one timed interval into the named scope. */
     void record(const char *name, double seconds);

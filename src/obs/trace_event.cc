@@ -7,11 +7,12 @@
 #include "obs/trace_event.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <map>
+#include <ostream>
 
 #include "obs/json.hh"
 #include "obs/registry.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 
 namespace uatm::obs {
@@ -167,13 +168,11 @@ EventTracer::toChromeJson() const
 bool
 EventTracer::writeChromeJson(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write trace file '", path, "'");
-        return false;
-    }
-    out << toChromeJson();
-    return true;
+    const Status written = writeWholeFile(
+        path, [this](std::ostream &out) { out << toChromeJson(); });
+    if (!written.ok())
+        warn("cannot write trace file: ", written.message());
+    return written.ok();
 }
 
 namespace {

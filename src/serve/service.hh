@@ -98,9 +98,6 @@ class SweepService
     /** Prometheus exposition of stats(), for GET /metrics. */
     std::string metricsText() const;
 
-    /** Requests currently admitted (running + waiting). */
-    std::size_t inflight() const { return inflight_.load(); }
-
     const ServiceOptions &options() const { return options_; }
 
   private:

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/file.hh"
 #include "util/logging.hh"
 
 namespace uatm {
@@ -224,13 +225,8 @@ TextTraceFormat::read(std::istream &in)
 Status
 TextTraceFormat::writeFile(const Trace &trace, const std::string &path)
 {
-    std::ofstream out(path, std::ios::out);
-    if (!out) {
-        return Status::ioError("cannot open trace file '", path,
-                               "' for writing");
-    }
-    write(trace, out);
-    return Status();
+    return writeWholeFile(
+        path, [&trace](std::ostream &out) { write(trace, out); });
 }
 
 Expected<Trace>
@@ -280,13 +276,9 @@ Status
 BinaryTraceFormat::writeFile(const Trace &trace,
                              const std::string &path)
 {
-    std::ofstream out(path, std::ios::out | std::ios::binary);
-    if (!out) {
-        return Status::ioError("cannot open trace file '", path,
-                               "' for writing");
-    }
-    write(trace, out);
-    return Status();
+    return writeWholeFile(
+        path, [&trace](std::ostream &out) { write(trace, out); },
+        /*binary=*/true);
 }
 
 Expected<Trace>

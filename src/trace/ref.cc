@@ -9,20 +9,6 @@
 
 namespace uatm {
 
-const char *
-refKindName(RefKind kind)
-{
-    switch (kind) {
-      case RefKind::Load:
-        return "load";
-      case RefKind::Store:
-        return "store";
-      case RefKind::IFetch:
-        return "ifetch";
-    }
-    panic("unknown RefKind value ", static_cast<int>(kind));
-}
-
 bool
 isValidAccessSize(std::uint8_t size)
 {

@@ -29,9 +29,6 @@ enum class RefKind : std::uint8_t
     IFetch, ///< instruction fetch (only used by unified-cache studies)
 };
 
-/** Printable name of a reference kind. */
-const char *refKindName(RefKind kind);
-
 /**
  * One data memory reference plus the count of non-memory
  * instructions that execute before it.

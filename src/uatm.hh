@@ -20,7 +20,7 @@
 
 // Utilities.
 #include "util/ascii_chart.hh"
-#include "util/csv.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/random.hh"
@@ -36,7 +36,6 @@
 #include "trace/ref.hh"
 #include "trace/source.hh"
 #include "trace/trace_stats.hh"
-#include "trace/transform.hh"
 
 // Cache substrate.
 #include "cache/cache.hh"

@@ -100,6 +100,7 @@ TEST(ResultTable, TextCsvAndJsonRender)
     ResultTable table("demo", {"name", "x"});
     table.addRow({Cell::text("alpha"), Cell::num(1.5, 2)});
     table.addRow({Cell::text("has,comma"), Cell::integer(7)});
+    table.addRow({Cell::text("q\"q"), Cell::integer(8)});
 
     const std::string text = table.renderText();
     EXPECT_NE(text.find("alpha"), std::string::npos);
@@ -109,6 +110,7 @@ TEST(ResultTable, TextCsvAndJsonRender)
     EXPECT_NE(csv.find("name,x"), std::string::npos);
     EXPECT_NE(csv.find("\"has,comma\""), std::string::npos)
         << csv;
+    EXPECT_NE(csv.find("\"q\"\"q\""), std::string::npos) << csv;
 
     const std::string json = table.renderJson();
     EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
@@ -116,6 +118,18 @@ TEST(ResultTable, TextCsvAndJsonRender)
     // Numeric cells emit as JSON numbers, not strings.
     EXPECT_NE(json.find("7"), std::string::npos);
     EXPECT_EQ(json.find("\"7\""), std::string::npos);
+}
+
+TEST(ResultTable, EmitReportsAFailedWrite)
+{
+    // The CSV fits in the stream's buffer, so the write fails only
+    // when close() flushes it.
+    ResultTable table("demo", {"name", "x"});
+    table.addRow({Cell::text("alpha"), Cell::num(1.5, 2)});
+    table.addRow({Cell::text("beta"), Cell::integer(7)});
+    const Status status = table.emit(TableFormat::Csv, "/dev/full");
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::IoError);
 }
 
 TEST(ResultTable, RowArityIsChecked)

@@ -17,7 +17,6 @@
 #include "trace/ifetch.hh"
 #include "trace/reuse_distance.hh"
 #include "trace/trace_stats.hh"
-#include "trace/transform.hh"
 #include "trace/ycsb.hh"
 
 namespace uatm {
@@ -430,25 +429,6 @@ resetCases()
                                                  Rng(5));
     }});
     cases.push_back({"ifetch_interleaved", interleavedEar});
-    cases.push_back({"offset", [] {
-        return std::make_unique<OffsetSource>(interleavedEar(),
-                                              0x1000);
-    }});
-    cases.push_back({"kind_filter", [] {
-        return std::make_unique<KindFilterSource>(
-            interleavedEar(), true, true, false);
-    }});
-    cases.push_back({"sample", [] {
-        return std::make_unique<SampleSource>(
-            Spec92Profile::make("doduc", 5), 3);
-    }});
-    cases.push_back({"time_slice", [] {
-        std::vector<std::unique_ptr<TraceSource>> programs;
-        programs.push_back(Spec92Profile::make("nasa7", 5));
-        programs.push_back(Spec92Profile::make("doduc", 6));
-        return std::make_unique<TimeSliceSource>(
-            std::move(programs), 70);
-    }});
     return cases;
 }
 

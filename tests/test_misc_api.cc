@@ -203,31 +203,5 @@ TEST(StatCounters, MirrorTheBreakdown)
               std::string::npos);
 }
 
-// --------------------------------------------------- engine + victim?
-
-TEST(Composition, SampledProfileStillDrivesTheEngine)
-{
-    // Transforms compose with the engine: a 1-in-4 sampled trace
-    // runs end to end and E is (approximately) preserved per
-    // survivor's folded gaps.
-    auto sampled = std::make_unique<SampleSource>(
-        Spec92Profile::make("swm256", 17), 4);
-    CacheConfig cache;
-    cache.sizeBytes = 8 * 1024;
-    cache.assoc = 2;
-    cache.lineBytes = 32;
-    MemoryConfig mem;
-    mem.busWidthBytes = 4;
-    mem.cycleTime = 8;
-    CpuConfig cpu;
-    cpu.feature = StallFeature::FS;
-    TimingEngine engine(cache, mem, WriteBufferConfig{0, true},
-                        cpu);
-    const auto stats = engine.run(*sampled, 5000);
-    EXPECT_EQ(stats.references, 5000u);
-    // Each survivor carries ~4 instructions on average.
-    EXPECT_GT(stats.instructions, 4u * 5000u);
-}
-
 } // namespace
 } // namespace uatm

@@ -300,6 +300,14 @@ TEST(EventTracer, WriteChromeJsonFailsGracefully)
         tracer.writeChromeJson("/nonexistent-dir/trace.json"));
 }
 
+TEST(EventTracer, WriteChromeJsonReportsAFailedWrite)
+{
+    obs::EventTracer tracer(8);
+    tracer.setEnabled(true);
+    tracer.record("fill", "fill", 0, 10);
+    EXPECT_FALSE(tracer.writeChromeJson("/dev/full"));
+}
+
 TEST(EventTracer, CounterEventsRoundTripAsCounterTrack)
 {
     obs::EventTracer tracer(8);

@@ -32,7 +32,6 @@
 #include "trace/ifetch.hh"
 #include "trace/reuse_distance.hh"
 #include "trace/trace_stats.hh"
-#include "trace/transform.hh"
 #include "trace/ycsb.hh"
 
 namespace uatm {
@@ -729,30 +728,6 @@ INSTANTIATE_TEST_SUITE_P(
                           25});
                       return std::make_unique<PhaseMixGenerator>(
                           std::move(phases));
-                  }},
-        BatchCase{"offset",
-                  [] {
-                      return std::make_unique<OffsetSource>(
-                          batchWorkingSet(9), 1 << 20);
-                  }},
-        BatchCase{"sample",
-                  [] {
-                      return std::make_unique<SampleSource>(
-                          batchWorkingSet(10), 3);
-                  }},
-        BatchCase{"kind_filter",
-                  [] {
-                      return std::make_unique<KindFilterSource>(
-                          batchWorkingSet(11), true, false, true);
-                  }},
-        BatchCase{"time_slice",
-                  [] {
-                      std::vector<std::unique_ptr<TraceSource>>
-                          programs;
-                      programs.push_back(batchWorkingSet(12));
-                      programs.push_back(batchWorkingSet(13));
-                      return std::make_unique<TimeSliceSource>(
-                          std::move(programs), 70);
                   }},
         BatchCase{"ifetch",
                   [] {

@@ -24,7 +24,8 @@
 #include "linesize/line_tradeoff.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
-#include "trace/transform.hh"
+#include "trace/reuse_distance.hh"
+#include "trace/ycsb.hh"
 
 namespace uatm {
 namespace {
@@ -183,10 +184,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomValidation,
 
 // ==================================================================
 // Differential validation of the single-pass stack engine:
-// random workloads drawn from every generator, the transform
-// stack, the instruction-fetch interleaver and recorded traces,
-// checked cell by cell against per-geometry SetAssocCache runs
-// (via runCacheSim, so warmup and cold-tracking semantics are
+// random workloads drawn from nine stream families (strided,
+// loop-nest, pointer-chase, working-set, phase mixes, YCSB A/E,
+// geometric reuse-distance, the instruction-fetch interleaver and
+// recorded traces), checked cell by cell against per-geometry
+// SetAssocCache runs (via runCacheSim, so warmup semantics are
 // exercised too).  Every CacheStats field must agree EXACTLY.
 // ==================================================================
 
@@ -209,11 +211,12 @@ class StackSimDifferential
                                                      rng_.fork());
     }
 
-    /** One random workload from the full supported palette. */
+    /** A random workload of the seed's family: the seed picks the
+     *  family, so each of the nine runs for two or three seeds. */
     std::unique_ptr<TraceSource>
     makeWorkload()
     {
-        switch (rng_.nextBelow(9)) {
+        switch (GetParam() % 9) {
         case 0: {
             StrideGenerator::Config cfg;
             cfg.elements = 64 + rng_.nextBelow(2000);
@@ -255,24 +258,22 @@ class StackSimDifferential
                 std::move(phases));
         }
         case 5: {
-            // Transform stack: offset + sampling.
-            auto inner = std::make_unique<SampleSource>(
-                workingSet(4),
-                2 + static_cast<std::uint32_t>(rng_.nextBelow(4)));
-            return std::make_unique<OffsetSource>(
-                std::move(inner),
-                static_cast<std::int64_t>(rng_.nextBelow(1 << 20)) &
-                    ~63ll);
+            // Key-value traffic: point ops (A) or scans and
+            // inserts (E) over a Zipfian key space.
+            YcsbWorkload::Config cfg;
+            cfg.mix = rng_.nextBool(0.5) ? YcsbWorkload::Mix::A
+                                         : YcsbWorkload::Mix::E;
+            cfg.records = 64 + rng_.nextBelow(20000);
+            return std::make_unique<YcsbWorkload>(cfg, rng_.fork());
         }
         case 6: {
-            // Two time-sliced programs, one load-filtered.
-            std::vector<std::unique_ptr<TraceSource>> programs;
-            programs.push_back(std::make_unique<OffsetSource>(
-                workingSet(4), 1 << 22));
-            programs.push_back(std::make_unique<KindFilterSource>(
-                workingSet(8), true, false, true));
-            return std::make_unique<TimeSliceSource>(
-                std::move(programs), 100 + rng_.nextBelow(300));
+            ReuseDistanceWorkload::Config cfg;
+            cfg.profile = ReuseProfile::geometric(
+                1 + rng_.nextBelow(600),
+                0.8 + rng_.nextDouble() * 0.199,
+                rng_.nextDouble() * 0.1);
+            return std::make_unique<ReuseDistanceWorkload>(
+                cfg, rng_.fork());
         }
         case 7: {
             IFetchConfig cfg;

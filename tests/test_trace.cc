@@ -40,13 +40,6 @@ makeRef(RefKind kind, Addr addr, std::uint8_t size = 4,
 
 // ------------------------------------------------------------------ ref
 
-TEST(Ref, KindNames)
-{
-    EXPECT_STREQ(refKindName(RefKind::Load), "load");
-    EXPECT_STREQ(refKindName(RefKind::Store), "store");
-    EXPECT_STREQ(refKindName(RefKind::IFetch), "ifetch");
-}
-
 TEST(Ref, ValidAccessSizes)
 {
     EXPECT_TRUE(isValidAccessSize(1));
@@ -297,6 +290,22 @@ TEST(TraceIo, UnwritablePathIsIoError)
         TextTraceFormat::writeFile(t, "/nonexistent/dir/t.txt");
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), ErrorCode::IoError);
+}
+
+TEST(TraceIo, FailedWriteIsIoErrorInBothFormats)
+{
+    // A path that opens but takes no bytes: a capture onto a full
+    // disk must not report success over a truncated file.
+    Trace t;
+    for (std::uint32_t i = 0; i < 20000; ++i)
+        t.append(MemoryReference{0x1000 + 8ull * i, i % 3, 8,
+                                 RefKind::Load});
+    const Status binary = BinaryTraceFormat::writeFile(t, "/dev/full");
+    ASSERT_FALSE(binary.ok());
+    EXPECT_EQ(binary.code(), ErrorCode::IoError);
+    const Status text = TextTraceFormat::writeFile(t, "/dev/full");
+    ASSERT_FALSE(text.ok());
+    EXPECT_EQ(text.code(), ErrorCode::IoError);
 }
 
 // ------------------------------------------------------ binary trace files

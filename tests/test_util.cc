@@ -1,19 +1,18 @@
 /**
  * @file
  * Unit tests for the util substrate: PRNG, statistics, tables,
- * CSV escaping, charts and the option parser.
+ * charts, the checked file writer and the option parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "util/ascii_chart.hh"
-#include "util/csv.hh"
+#include "util/file.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/random.hh"
@@ -270,33 +269,6 @@ TEST(TextTable, CsvHasNoPadding)
     TextTable t({"x", "y"});
     t.addRow({"1", "22"});
     EXPECT_EQ(t.renderCsv(), "x,y\n1,22\n");
-}
-
-// ------------------------------------------------------------- CsvWriter
-
-TEST(CsvWriter, EscapesSpecials)
-{
-    EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-    EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(CsvWriter, WritesRowsToFile)
-{
-    const std::string path = "/tmp/uatm_test_csv.csv";
-    {
-        CsvWriter w(path);
-        w.writeRow({"h1", "h2"});
-        w.writeNumericRow({1.5, 2.5});
-        EXPECT_EQ(w.rowsWritten(), 2u);
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "h1,h2");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1.5,2.5");
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ AsciiChart
@@ -678,6 +650,20 @@ TEST(Expected, ValueOnErrorIsACallerBug)
 {
     const Expected<int> bad = Status::notFound("gone");
     EXPECT_DEATH({ bad.value(); }, "Expected::value");
+}
+
+// -------------------------------------------------------- writeWholeFile
+
+TEST(WriteWholeFile, FullDeviceIsIoErrorNamingThePath)
+{
+    // /dev/full opens, and every flush of it fails with ENOSPC: the
+    // failure shows only when the buffered bytes leave at close.
+    const Status status = writeWholeFile(
+        "/dev/full", [](std::ostream &out) { out << "a few bytes\n"; });
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::IoError);
+    EXPECT_NE(status.message().find("'/dev/full'"), std::string::npos)
+        << status.message();
 }
 
 // --------------------------------------------------------------- Logging

@@ -32,6 +32,7 @@
 #include "exp/runner.hh"
 #include "serve/http.hh"
 #include "serve/sweep_request.hh"
+#include "util/file.hh"
 #include "util/options.hh"
 
 namespace {
@@ -64,10 +65,8 @@ writeOutput(const std::string &path, const std::string &text)
         std::fputs(text.c_str(), stdout);
         return Status();
     }
-    std::ofstream out(path, std::ios::trunc);
-    if (!(out << text))
-        return Status::ioError("cannot write '", path, "'");
-    return Status();
+    return writeWholeFile(
+        path, [&text](std::ostream &out) { out << text; });
 }
 
 int

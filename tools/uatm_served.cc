@@ -28,10 +28,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
+#include <ostream>
 #include <thread>
 
 #include "serve/server.hh"
+#include "util/file.hh"
 #include "util/options.hh"
 
 namespace {
@@ -104,12 +105,13 @@ main(int argc, char **argv)
 
     const std::string port_file = options.getString("port-file");
     if (!port_file.empty()) {
-        std::ofstream out(port_file, std::ios::trunc);
-        if (!(out << server.port() << "\n" << std::flush)) {
-            std::fprintf(stderr,
-                         "uatm_served: cannot write port file "
-                         "'%s'\n",
-                         port_file.c_str());
+        const Status written =
+            writeWholeFile(port_file, [&server](std::ostream &out) {
+                out << server.port() << "\n";
+            });
+        if (!written.ok()) {
+            std::fprintf(stderr, "uatm_served: %s\n",
+                         written.message().c_str());
             server.stop();
             return 1;
         }
