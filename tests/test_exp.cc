@@ -120,6 +120,14 @@ TEST(ResultTable, TextCsvAndJsonRender)
     EXPECT_EQ(json.find("\"7\""), std::string::npos);
 }
 
+TEST(ResultTable, CsvQuotesOnlyCellsThatNeedIt)
+{
+    ResultTable table("demo", {"name", "x"});
+    table.addRow({Cell::text("plain"), Cell::integer(1)});
+    table.addRow({Cell::text("two\nlines"), Cell::integer(2)});
+    EXPECT_EQ(table.renderCsv(), "name,x\nplain,1\n\"two\nlines\",2\n");
+}
+
 TEST(ResultTable, EmitReportsAFailedWrite)
 {
     // The CSV fits in the stream's buffer, so the write fails only

@@ -400,6 +400,26 @@ resetCases()
         return std::make_unique<WorkingSetGenerator>(
             WorkingSetGenerator::Config{}, Rng(5));
     }});
+    cases.push_back({"phase_mix", [] {
+        std::vector<PhaseMixGenerator::Phase> phases;
+        phases.push_back({std::make_unique<WorkingSetGenerator>(
+                              WorkingSetGenerator::Config{}, Rng(5)),
+                          90});
+        phases.push_back({std::make_unique<StrideGenerator>(
+                              StrideGenerator::Config{}, Rng(6)),
+                          41});
+        return std::make_unique<PhaseMixGenerator>(std::move(phases));
+    }});
+    cases.push_back({"phase_mix_finite", [] {
+        // 650 references in all run out inside the second drain,
+        // so the reset must revive two exhausted children.
+        auto tail = finiteRefs();
+        tail.resize(150);
+        std::vector<PhaseMixGenerator::Phase> phases;
+        phases.push_back({std::make_unique<Trace>(finiteRefs()), 40});
+        phases.push_back({std::make_unique<Trace>(std::move(tail)), 25});
+        return std::make_unique<PhaseMixGenerator>(std::move(phases));
+    }});
     cases.push_back({"short_levy",
                      [] { return ShortLevyWorkload::make(5); }});
     for (const auto &profile : Spec92Profile::names()) {

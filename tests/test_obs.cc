@@ -922,6 +922,14 @@ TEST(Manifest, WriteProducesReadableFile)
     std::remove(path.c_str());
 }
 
+TEST(Manifest, FailedWriteIsFatalNamingThePath)
+{
+    obs::Manifest m;
+    m.set("workload", "profile", "doduc");
+    EXPECT_EXIT(m.write("/dev/full"), ::testing::ExitedWithCode(1),
+                "failed while writing '/dev/full'");
+}
+
 // ------------------------------------------------------ ProfileRegistry
 
 TEST(ProfileRegistry, ScopedTimerFeedsNamedScope)

@@ -546,6 +546,14 @@ struct BatchCase
 {
     const char *name;
     std::function<std::unique_ptr<TraceSource>()> make;
+
+    // Without it gtest prints the struct's bytes, heap addresses
+    // included, into every ctest name.
+    friend void
+    PrintTo(const BatchCase &c, std::ostream *os)
+    {
+        *os << c.name;
+    }
 };
 
 std::unique_ptr<TraceSource>
@@ -744,6 +752,22 @@ INSTANTIATE_TEST_SUITE_P(
                   [] {
                       return Spec92Profile::make("nasa7", 21);
                   }},
+        // The other five profiles open on differently configured
+        // generators (doduc's chase, hydro2d's row sweep).
+        BatchCase{"spec92_doduc",
+                  [] { return Spec92Profile::make("doduc", 26); }},
+        BatchCase{"spec92_ear",
+                  [] { return Spec92Profile::make("ear", 27); }},
+        BatchCase{"spec92_hydro2d",
+                  [] {
+                      return Spec92Profile::make("hydro2d", 28);
+                  }},
+        BatchCase{"spec92_swm256",
+                  [] {
+                      return Spec92Profile::make("swm256", 29);
+                  }},
+        BatchCase{"spec92_wave5",
+                  [] { return Spec92Profile::make("wave5", 30); }},
         BatchCase{"short_levy",
                   [] { return ShortLevyWorkload::make(22); }},
         BatchCase{"ycsb_a",
@@ -762,6 +786,24 @@ INSTANTIATE_TEST_SUITE_P(
                       cfg.records = 5000;
                       return std::make_unique<YcsbWorkload>(
                           cfg, Rng(24));
+                  }},
+        BatchCase{"ycsb_d",
+                  [] {
+                      // Mix D reads the latest inserts.
+                      YcsbWorkload::Config cfg;
+                      cfg.mix = YcsbWorkload::Mix::D;
+                      cfg.records = 5000;
+                      return std::make_unique<YcsbWorkload>(
+                          cfg, Rng(31));
+                  }},
+        BatchCase{"ycsb_f",
+                  [] {
+                      // Mix F's read-modify-writes.
+                      YcsbWorkload::Config cfg;
+                      cfg.mix = YcsbWorkload::Mix::F;
+                      cfg.records = 5000;
+                      return std::make_unique<YcsbWorkload>(
+                          cfg, Rng(32));
                   }},
         BatchCase{"reuse_dist",
                   [] {

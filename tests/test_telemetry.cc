@@ -421,6 +421,15 @@ TEST(RunnerTelemetry, FileRoundTripAndLoadErrors)
             .ok());
 }
 
+TEST(RunnerTelemetry, WriteJsonReportsAFailedWrite)
+{
+    Runner runner(RunnerOptions{1});
+    runner.run(fourPointScenario(), {"x"}, trivialKernel());
+    const Status status = runner.lastStats().writeJson("/dev/full");
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::IoError);
+}
+
 TEST(RunnerTelemetry, FromJsonRejectsForeignDocuments)
 {
     const obs::JsonParseResult notTelemetry =

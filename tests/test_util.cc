@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
+#include <sstream>
 
 #include "util/ascii_chart.hh"
 #include "util/file.hh"
@@ -664,6 +667,42 @@ TEST(WriteWholeFile, FullDeviceIsIoErrorNamingThePath)
     EXPECT_EQ(status.code(), ErrorCode::IoError);
     EXPECT_NE(status.message().find("'/dev/full'"), std::string::npos)
         << status.message();
+}
+
+TEST(WriteWholeFile, UnopenablePathIsIoErrorAndWritesNothing)
+{
+    const std::string path =
+        ::testing::TempDir() + "uatm_no_such_dir/out.txt";
+    bool called = false;
+    const Status status = writeWholeFile(
+        path, [&called](std::ostream &) { called = true; });
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), ErrorCode::IoError);
+    EXPECT_NE(status.message().find("cannot open '" + path + "'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_FALSE(called);
+}
+
+TEST(WriteWholeFile, ReplacesWhatTheFileHeld)
+{
+    const std::string path =
+        ::testing::TempDir() + "uatm_write_whole_file.bin";
+    ASSERT_TRUE(writeWholeFile(path, [](std::ostream &out) {
+                    out << "a longer first body\n";
+                }).ok());
+    ASSERT_TRUE(writeWholeFile(
+                    path,
+                    [](std::ostream &out) {
+                        out.write("x\r\n\0y", 5);
+                    },
+                    true)
+                    .ok());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream body;
+    body << in.rdbuf();
+    EXPECT_EQ(body.str(), std::string("x\r\n\0y", 5));
+    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------- Logging
