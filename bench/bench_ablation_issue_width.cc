@@ -11,10 +11,12 @@
  *  2. the pipelined-vs-bus crossover is invariant to issue width.
  */
 
+#include <cmath>
 #include <cstdio>
 
 #include "common.hh"
-#include "core/superscalar.hh"
+#include "core/execution_time.hh"
+#include "core/tradeoff.hh"
 
 using namespace uatm;
 
@@ -39,40 +41,26 @@ main()
         Workload::fromHitRatio(1e6, 3e5, 0.95, 32, 0.5);
     const double x1 = executionTimeFS(w, ctx.machine);
     for (double k : {1.0, 2.0, 3.0, 4.0, 6.0, 8.0}) {
-        SuperscalarModel model;
-        model.issueWidth = k;
-        const double xk = executionTimeSuperscalar(
-            w, ctx.machine, ctx.machine.lineOverBus(), model);
+        TradeoffContext at = ctx;
+        at.machine.issueWidth = k;
+        const double r_bus = missFactorDoubleBus(at);
         table.addRow(
-            {TextTable::num(k, 0),
-             TextTable::num(
-                 missFactorDoubleBusSuperscalar(ctx, model), 4),
-             TextTable::num(
-                 hitRatioTraded(
-                     missFactorDoubleBusSuperscalar(ctx, model),
-                     0.95) *
-                     100,
-                 3),
-             TextTable::num(
-                 missFactorWriteBuffersSuperscalar(ctx, model),
-                 4),
-             TextTable::num(
-                 missFactorPipelinedSuperscalar(ctx, 2.0, model),
-                 4),
-             TextTable::num(x1 / xk, 3)});
+            {TextTable::num(k, 0), TextTable::num(r_bus, 4),
+             TextTable::num(hitRatioTraded(r_bus, 0.95) * 100, 3),
+             TextTable::num(missFactorWriteBuffers(at), 4),
+             TextTable::num(missFactorPipelined(at, 2.0), 4),
+             TextTable::num(x1 / executionTimeFS(w, at.machine),
+                            3)});
     }
     bench::emitTable(table);
     bench::exportCsv("ablation_issue_width", table);
 
     bench::section("findings");
     {
-        SuperscalarModel k1, k8;
-        k1.issueWidth = 1;
-        k8.issueWidth = 8;
-        const double r1 =
-            missFactorDoubleBusSuperscalar(ctx, k1);
-        const double r8 =
-            missFactorDoubleBusSuperscalar(ctx, k8);
+        TradeoffContext k8 = ctx;
+        k8.machine.issueWidth = 8;
+        const double r1 = missFactorDoubleBus(ctx);
+        const double r8 = missFactorDoubleBus(k8);
         const Machine wide = ctx.machine.withDoubledBus();
         const double cost_ratio =
             perMissCost(ctx.machine, ctx.machine.lineOverBus(),
@@ -85,10 +73,14 @@ main()
                                TextTable::num(r8, 4),
                            r8 < r1 && r8 > cost_ratio);
 
-        const auto c1 = pipelinedCrossoverSuperscalar(
-            ctx, 2.0, k1, 2.0, 100.0);
-        const auto c8 = pipelinedCrossoverSuperscalar(
-            ctx, 2.0, k8, 2.0, 100.0);
+        auto crossover = [](const TradeoffContext &at) {
+            return crossoverCycleTime(
+                at, TradeFeature::PipelinedMemory,
+                TradeFeature::DoubleBus, 2.0, /*phi=*/0.0, 2.0,
+                100.0);
+        };
+        const auto c1 = crossover(ctx);
+        const auto c8 = crossover(k8);
         bench::compareLine(
             "pipelined/bus crossover invariant in k",
             "identical",

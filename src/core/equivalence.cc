@@ -75,9 +75,11 @@ equivalentNarrowBusDesign(const DesignPoint &improved, double alpha)
     // (1 - 1/r)(1 - HR2) of hit ratio.
     narrow.hitRatio = improved.hitRatio +
                       hitRatioGainRequired(r, improved.hitRatio);
-    if (narrow.hitRatio > 1.0)
-        fatal("no physical hit ratio can compensate for halving "
-              "the bus at HR = ", improved.hitRatio);
+    if (narrow.hitRatio > 1.0) {
+        throw StatusError(Status::outOfRange(
+            "no physical hit ratio can compensate for halving "
+            "the bus at HR = ", improved.hitRatio));
+    }
     return narrow;
 }
 

@@ -58,7 +58,8 @@ DesignPoint equivalentDoubleBusDesign(const DesignPoint &base,
 
 /**
  * The hit ratio a base-bus design needs to match a doubled-bus
- * design at @p improved.hitRatio (Eq. 7 direction).
+ * design at @p improved.hitRatio (Eq. 7 direction).  Throws
+ * StatusError(OutOfRange) when that hit ratio would exceed one.
  */
 DesignPoint equivalentNarrowBusDesign(const DesignPoint &improved,
                                       double alpha);

@@ -25,16 +25,16 @@ executionTime(const Workload &workload, const Machine &machine,
               double phi, const ExecutionModelOptions &options)
 {
     okOrThrow(machine.validate());
-    workload.validate(machine.lineBytes);
+    okOrThrow(workload.validate(machine.lineBytes));
     UATM_ASSERT(phi >= 0.0, "stalling factor must be non-negative");
 
     const double L = machine.lineBytes;
     const double lambda_m = workload.lambdaM(L);
     const double line_misses = workload.bytesRead / L;
 
-    // Base: every instruction but the missing load/stores takes one
-    // cycle.
-    double x = workload.instructions - lambda_m;
+    // Base: every instruction but the missing load/stores takes the
+    // hit time, one cycle at issue width 1.
+    double x = (workload.instructions - lambda_m) * machine.hitTime();
 
     // Read-miss stalls.
     x += line_misses * missPenalty(machine, phi);
@@ -73,10 +73,12 @@ meanMemoryDelay(const Workload &workload, const Machine &machine,
 {
     // Sec. 4.5: the mean memory delay per data reference is
     // (X - N_LS) / (Lambda_h + Lambda_m), where the numerator keeps
-    // the one-cycle hit times: (X - E)/refs + 1.  Two systems with
-    // equal E, refs and X therefore always have equal mean delay.
+    // the hit times h: (X - E h)/refs + h, with h = 1 on the paper's
+    // machine.  Two systems with equal E, refs, h and X therefore
+    // always have equal mean delay.
+    const double h = machine.hitTime();
     const double x = executionTime(workload, machine, phi, options);
-    return (x - workload.instructions) / workload.dataRefs + 1.0;
+    return (x - workload.instructions * h) / workload.dataRefs + h;
 }
 
 } // namespace uatm

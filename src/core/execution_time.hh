@@ -7,8 +7,10 @@
  *     + W * mu_m
  *
  * with the flush term removed when read-bypassing write buffers
- * hide it, and per-line transfer times replaced by mu_p for a
- * pipelined memory system.
+ * hide it, per-line transfer times replaced by mu_p for a
+ * pipelined memory system, and the base term (E - Lambda_m) scaled
+ * by the hit time 1/k at issue width k (Machine::issueWidth); the
+ * memory terms are wall-clock latencies and do not scale.
  */
 
 #ifndef UATM_CORE_EXECUTION_TIME_HH
@@ -60,9 +62,10 @@ double executionTimeFS(const Workload &workload,
 
 /**
  * Mean memory delay per data reference (Sec. 4.5):
- * (X - N_LS) / (Lambda_h + Lambda_m) = (X - E)/refs + 1, i.e. it
- * includes the one-cycle hit times, so systems with equal E, refs
- * and X always have equal mean delay.
+ * (X - N_LS) / (Lambda_h + Lambda_m) = (X - E h)/refs + h with the
+ * hit time h = machine.hitTime(), i.e. it includes the hit times
+ * (one cycle each on the paper's machine), so systems with equal E,
+ * refs, h and X always have equal mean delay.
  */
 double meanMemoryDelay(const Workload &workload,
                        const Machine &machine, double phi,

@@ -36,6 +36,10 @@ Machine::validate() const
                 " exceeds mu_m = ", cycleTime);
         }
     }
+    if (!(issueWidth >= 1.0)) {
+        return Status::invalidArgument(
+            "issue width must be at least one, got ", issueWidth);
+    }
     return Status();
 }
 
@@ -88,6 +92,8 @@ Machine::describe() const
        << cycleTime;
     if (pipelined)
         os << " pipelined q=" << pipelineInterval;
+    if (issueWidth != 1.0)
+        os << " k=" << issueWidth;
     return os.str();
 }
 

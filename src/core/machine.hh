@@ -1,7 +1,8 @@
 /**
  * @file
  * Analytic machine description: bus width D, line size L, memory
- * cycle time mu_m, and the pipelined-memory option (paper Eq. 9).
+ * cycle time mu_m, the pipelined-memory option (paper Eq. 9) and
+ * the issue width k.
  */
 
 #ifndef UATM_CORE_MACHINE_HH
@@ -36,9 +37,32 @@ struct Machine
      *  best-case implementation. */
     double pipelineInterval = 2;
 
+    /**
+     * Issue width k >= 1, the multiple-issue machine the paper's
+     * Summary leaves as future work; k = 1 is the paper's machine.
+     * The non-missing instructions retire k per cycle, so Eq. 2's
+     * base term costs the hit time 1/k per instruction and Eq. 3
+     * subtracts 1/k, the hit time a miss displaces:
+     * r_k = (A - 1/k)/(B - 1/k).  Two consequences follow:
+     *
+     *  - since A > B, r_k decreases monotonically with k and tends
+     *    to the pure cost ratio A/B: a wider-issue machine trades
+     *    slightly less hit ratio per feature, because each
+     *    displaced hit was cheaper;
+     *  - a crossover between features priced against the same base
+     *    (pipelined memory vs bus doubling) does not depend on k:
+     *    r equality reduces to B equality, and the hit time
+     *    cancels.
+     */
+    double issueWidth = 1;
+
     /** OK when the parameters are consistent; InvalidArgument with
      *  the first violation otherwise. */
     Status validate() const;
+
+    /** The hit time 1/k in CPU cycles: what a non-missing
+     *  instruction costs, and what a miss displaces (Eq. 3). */
+    double hitTime() const { return 1.0 / issueWidth; }
 
     /** L/D, the full-stalling factor of Table 2. */
     double lineOverBus() const { return lineBytes / busWidth; }

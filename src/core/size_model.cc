@@ -9,24 +9,33 @@
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/status.hh"
 
 namespace uatm {
 
 CacheSizeModel::CacheSizeModel(std::vector<SizePoint> points)
     : points_(std::move(points))
 {
-    if (points_.size() < 2)
-        fatal("size model needs at least two anchor points");
+    if (points_.size() < 2) {
+        throw StatusError(Status::invalidArgument(
+            "size model needs at least two anchor points"));
+    }
     for (std::size_t i = 1; i < points_.size(); ++i) {
-        if (points_[i].sizeBytes <= points_[i - 1].sizeBytes)
-            fatal("size model anchors must have ascending sizes");
-        if (points_[i].hitRatio < points_[i - 1].hitRatio)
-            fatal("size model anchors must have non-decreasing hit "
-                  "ratios");
+        if (points_[i].sizeBytes <= points_[i - 1].sizeBytes) {
+            throw StatusError(Status::invalidArgument(
+                "size model anchors must have ascending sizes"));
+        }
+        if (points_[i].hitRatio < points_[i - 1].hitRatio) {
+            throw StatusError(Status::invalidArgument(
+                "size model anchors must have non-decreasing hit "
+                "ratios"));
+        }
     }
     for (const auto &p : points_) {
-        if (p.hitRatio < 0.0 || p.hitRatio > 1.0)
-            fatal("anchor hit ratio out of [0, 1]");
+        if (p.hitRatio < 0.0 || p.hitRatio > 1.0) {
+            throw StatusError(Status::invalidArgument(
+                "anchor hit ratio out of [0, 1]"));
+        }
     }
 }
 

@@ -29,7 +29,8 @@ struct SizePoint
 class CacheSizeModel
 {
   public:
-    /** @param points ascending sizes with non-decreasing HR. */
+    /** @param points ascending sizes with non-decreasing HR in
+     *  [0, 1]; anything else throws StatusError(InvalidArgument). */
     explicit CacheSizeModel(std::vector<SizePoint> points);
 
     /** Interpolated (clamped at the ends) hit ratio for a size. */

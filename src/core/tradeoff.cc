@@ -58,6 +58,36 @@ perMissCost(const Machine &machine, double phi, double alpha)
     return (phi + machine.lineOverBus() * alpha) * machine.cycleTime;
 }
 
+namespace {
+
+/** Eqs. 6 and 7 take a hit ratio, which a user can give out of
+ *  range (a CLI flag, a scenario file). */
+void
+requireHitRatio(double hit_ratio)
+{
+    if (!(hit_ratio >= 0.0 && hit_ratio <= 1.0)) {
+        throw StatusError(Status::invalidArgument(
+            "hit ratio must be in [0, 1], got ", hit_ratio));
+    }
+}
+
+/** Eq. 3 from the two per-miss costs: r = (A - h)/(B - h), where h
+ *  is the hit time a miss displaces. */
+double
+costRatio(double a, double b, double h)
+{
+    if (a <= h || b <= h) {
+        // Eq. 3's denominator collapses at the hit-time boundary;
+        // a sweep point there must degrade to an error row.
+        throw StatusError(Status::outOfRange(
+            "per-miss cost must exceed the hit time h = ", h,
+            " for Eq. 3 to be meaningful (costs ", a, ", ", b, ")"));
+    }
+    return (a - h) / (b - h);
+}
+
+} // namespace
+
 double
 missFactor(const Machine &base, double phi_base, double alpha_base,
            const Machine &improved, double phi_improved,
@@ -66,14 +96,12 @@ missFactor(const Machine &base, double phi_base, double alpha_base,
     const double a = perMissCost(base, phi_base, alpha_base);
     const double b =
         perMissCost(improved, phi_improved, alpha_improved);
-    if (a <= 1.0 || b <= 1.0) {
-        // Eq. 3's denominator collapses at the one-cycle boundary;
-        // a sweep point there must degrade to an error row.
-        throw StatusError(Status::outOfRange(
-            "per-miss cost must exceed the one-cycle hit time "
-            "for Eq. 3 to be meaningful (costs ", a, ", ", b, ")"));
+    if (improved.issueWidth != base.issueWidth) {
+        throw StatusError(Status::invalidArgument(
+            "Eq. 3 compares machines of one issue width, got k = ",
+            base.issueWidth, " and ", improved.issueWidth));
     }
-    return (a - 1.0) / (b - 1.0);
+    return costRatio(a, b, base.hitTime());
 }
 
 double
@@ -158,19 +186,13 @@ missFactorVictim(const TradeoffContext &ctx,
     const double effective =
         (1.0 - victim_hit_fraction) * a +
         victim_hit_fraction * swap_penalty_cycles;
-    if (a <= 1.0 || effective <= 1.0) {
-        throw StatusError(Status::outOfRange(
-            "per-miss cost must exceed the one-cycle hit time "
-            "for Eq. 3 to be meaningful"));
-    }
-    return (a - 1.0) / (effective - 1.0);
+    return costRatio(a, effective, m.hitTime());
 }
 
 double
 hitRatioTraded(double r, double base_hit_ratio)
 {
-    UATM_ASSERT(base_hit_ratio >= 0.0 && base_hit_ratio <= 1.0,
-                "hit ratio must be in [0, 1]");
+    requireHitRatio(base_hit_ratio);
     UATM_ASSERT(r > 0.0, "miss factor must be positive");
     // Eq. 6 with 1/(s+1) = 1 - HR1.
     return (r - 1.0) * (1.0 - base_hit_ratio);
@@ -194,9 +216,7 @@ equivalentHitRatio(double r, double base_hit_ratio)
 double
 hitRatioGainRequired(double r, double improved_hit_ratio)
 {
-    UATM_ASSERT(improved_hit_ratio >= 0.0 &&
-                improved_hit_ratio <= 1.0,
-                "hit ratio must be in [0, 1]");
+    requireHitRatio(improved_hit_ratio);
     UATM_ASSERT(r > 0.0, "miss factor must be positive");
     // Eq. 7: with the improved system as base, the factor is 1/r.
     return (1.0 - 1.0 / r) * (1.0 - improved_hit_ratio);

@@ -63,9 +63,12 @@ double perMissCost(const Machine &machine, double phi, double alpha);
 /**
  * Miss-count ratio at equal performance between an arbitrary
  * (machine, phi, alpha) pair; the fully general Eq. 3:
- * r = (A_base - 1) / (A_improved - 1).
- * fatal() when either per-miss cost does not exceed one cycle
- * (the model's validity bound; at mu_m >= 2 it always does).
+ * r = (A_base - h) / (A_improved - h), with the hit time
+ * h = base.hitTime() (one cycle on the paper's machine).  Throws
+ * StatusError: OutOfRange when either per-miss cost does not
+ * exceed h (the model's validity bound; at mu_m >= 2 it always
+ * does), InvalidArgument when the two machines' issue widths
+ * differ.
  */
 double missFactor(const Machine &base, double phi_base,
                   double alpha_base, const Machine &improved,
@@ -104,6 +107,8 @@ double missFactorVictim(const TradeoffContext &ctx,
 /**
  * Eq. 6: hit ratio the improved system can give up,
  * dHR = (r - 1)(1 - HR_base); valid while the resulting HR2 >= 0.
+ * A hit ratio outside [0, 1] throws StatusError(InvalidArgument),
+ * here and in hitRatioGainRequired.
  */
 double hitRatioTraded(double r, double base_hit_ratio);
 

@@ -11,29 +11,42 @@
 
 namespace uatm {
 
-void
+Status
 Workload::validate(double line_bytes) const
 {
-    if (instructions <= 0)
-        fatal("workload needs a positive instruction count");
-    if (bytesRead < 0 || instrBytesRead < 0 || writeArounds < 0)
-        fatal("workload byte/instruction counts must be "
-              "non-negative");
-    if (flushRatio < 0.0 || flushRatio > 1.0)
-        fatal("flush ratio alpha must lie in [0, 1], got ",
-              flushRatio);
-    if (dataRefs <= 0)
-        fatal("workload needs a positive data-reference count");
+    if (instructions <= 0) {
+        return Status::invalidArgument(
+            "workload needs a positive instruction count");
+    }
+    if (bytesRead < 0 || instrBytesRead < 0 || writeArounds < 0) {
+        return Status::invalidArgument(
+            "workload byte/instruction counts must be non-negative");
+    }
+    if (flushRatio < 0.0 || flushRatio > 1.0) {
+        return Status::invalidArgument(
+            "flush ratio alpha must lie in [0, 1], got ", flushRatio);
+    }
+    if (dataRefs <= 0) {
+        return Status::invalidArgument(
+            "workload needs a positive data-reference count");
+    }
     const double misses = lambdaM(line_bytes);
-    if (misses > dataRefs)
-        fatal("Lambda_m = ", misses, " exceeds the data references ",
-              dataRefs, "; the hit ratio would be negative");
-    if (misses + writeArounds > instructions)
-        fatal("more missing load/stores than instructions");
+    if (misses > dataRefs) {
+        return Status::invalidArgument(
+            "Lambda_m = ", misses, " exceeds the data references ",
+            dataRefs, "; the hit ratio would be negative");
+    }
+    if (misses + writeArounds > instructions) {
+        return Status::invalidArgument(
+            "more missing load/stores than instructions");
+    }
     if (writeAroundTransfers > 0 &&
-        writeAroundTransfers < writeArounds)
-        fatal("write-around transfers cannot be fewer than the "
-              "write-around stores");
+        writeAroundTransfers < writeArounds) {
+        return Status::invalidArgument(
+            "write-around transfers cannot be fewer than the "
+            "write-around stores");
+    }
+    return Status();
 }
 
 double
@@ -99,7 +112,7 @@ Workload::fromHitRatio(double instructions, double data_refs,
     w.flushRatio = flush_ratio;
     w.bytesRead = (1.0 - hit_ratio) * data_refs * line_bytes;
     w.writeArounds = 0.0;
-    w.validate(line_bytes);
+    okOrThrow(w.validate(line_bytes));
     return w;
 }
 
@@ -119,7 +132,7 @@ Workload::fromHitRatioWriteAround(double instructions,
     const double misses = (1.0 - hit_ratio) * data_refs;
     w.writeArounds = misses * store_miss_frac;
     w.bytesRead = (misses - w.writeArounds) * line_bytes;
-    w.validate(line_bytes);
+    okOrThrow(w.validate(line_bytes));
     return w;
 }
 
@@ -138,7 +151,7 @@ Workload::fromCacheRun(const CacheStats &stats,
             ? stats.writeTransfers(bus_width_bytes)
             : w.writeArounds;
     w.flushRatio = stats.flushRatio(line_bytes);
-    w.validate(line_bytes);
+    okOrThrow(w.validate(line_bytes));
     return w;
 }
 

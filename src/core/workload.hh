@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cache/cache.hh"
+#include "util/status.hh"
 
 namespace uatm {
 
@@ -49,8 +50,10 @@ struct Workload
     /** Total data references Lambda_h + Lambda_m. */
     double dataRefs = 0;
 
-    /** fatal() when the numbers are inconsistent. */
-    void validate(double line_bytes) const;
+    /** OK when the numbers are consistent at line size
+     *  @p line_bytes; InvalidArgument with the first violation
+     *  otherwise.  The from*() builders throw it as StatusError. */
+    Status validate(double line_bytes) const;
 
     /** Load/store instructions that miss: Lambda_m = R/L + W
      *  (Eq. 1); W counted in instructions. */

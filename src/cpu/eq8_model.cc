@@ -9,6 +9,7 @@
 
 #include "cache/cache.hh"
 #include "util/logging.hh"
+#include "util/status.hh"
 
 namespace uatm {
 
@@ -17,9 +18,11 @@ estimatePhiEq8(TraceSource &source, std::uint64_t max_refs,
                StallFeature feature, const CacheConfig &cache_config,
                std::uint32_t bus_width_bytes, Cycles mu_m)
 {
-    if (feature == StallFeature::FS || feature == StallFeature::NB)
-        fatal("Eq. 8 is derived for the BL/BNL features; got ",
-              stallFeatureName(feature));
+    if (feature == StallFeature::FS || feature == StallFeature::NB) {
+        throw StatusError(Status::invalidArgument(
+            "Eq. 8 is derived for the BL/BNL features; got ",
+            stallFeatureName(feature)));
+    }
     UATM_ASSERT(mu_m > 0, "mu_m must be positive");
     UATM_ASSERT(cache_config.lineBytes >= bus_width_bytes,
                 "line must be at least the bus width");

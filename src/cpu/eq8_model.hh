@@ -50,7 +50,8 @@ struct Eq8Estimate
  *        variants it alludes to (BL: any load/store in the window
  *        stalls to completion; BNL2: same-line accesses whose
  *        chunk has arrived proceed; BNL3: the stall lasts only
- *        until the requested chunk).  FS/NB are rejected.
+ *        until the requested chunk).  FS/NB throw
+ *        StatusError(InvalidArgument).
  * @param cache   the functional cache the misses come from
  * @param bus_width_bytes D
  * @param mu_m    memory cycle time

@@ -12,17 +12,20 @@
 
 namespace uatm {
 
-void
+Status
 CacheAreaModel::validate() const
 {
-    if (addressBits < 16 || addressBits > 64)
-        fatal("address width ", addressBits, " is not plausible");
+    if (addressBits < 16 || addressBits > 64) {
+        return Status::invalidArgument(
+            "address width ", addressBits, " is not plausible");
+    }
+    return Status();
 }
 
 std::uint32_t
 CacheAreaModel::tagBits(const CacheConfig &config) const
 {
-    validate();
+    okOrThrow(validate());
     okOrThrow(config.validate());
     const auto offset_bits = static_cast<std::uint32_t>(
         std::countr_zero(
@@ -68,7 +71,7 @@ costEffectivenessSweep(const MissRatioTable &table,
                        const CacheAreaModel &area,
                        CacheConfig geometry)
 {
-    delay.validate();
+    okOrThrow(delay.validate());
     std::vector<CostEffectivenessPoint> points;
     for (const auto &entry : table.points()) {
         geometry.lineBytes = entry.lineBytes;

@@ -35,7 +35,9 @@ struct CacheAreaModel
      *  small associativity). */
     std::uint32_t replacementBitsPerLine = 1;
 
-    void validate() const;
+    /** OK for a plausible address width (16 to 64 bits);
+     *  InvalidArgument otherwise. */
+    Status validate() const;
 
     /** Tag bits per line for the given geometry. */
     std::uint32_t tagBits(const CacheConfig &config) const;

@@ -11,15 +11,18 @@
 
 namespace uatm {
 
-void
+Status
 LineDelayModel::validate() const
 {
-    if (c < 1.0)
-        fatal("latency c must be at least the one-cycle hit time");
-    if (beta <= 0.0)
-        fatal("bus speed beta must be positive");
     if (busWidth <= 0.0)
-        fatal("bus width must be positive");
+        return Status::invalidArgument("bus width must be positive");
+    if (c < 1.0) {
+        return Status::invalidArgument(
+            "latency c must be at least the one-cycle hit time");
+    }
+    if (beta <= 0.0)
+        return Status::invalidArgument("bus speed beta must be positive");
+    return Status();
 }
 
 double
@@ -56,13 +59,16 @@ LineDelayModel::fromNanoseconds(double latency_ns, double ns_per_byte,
                                 double cpu_cycle_ns,
                                 double bus_width_bytes)
 {
-    UATM_ASSERT(cpu_cycle_ns > 0.0, "CPU cycle time must be positive");
+    if (!(cpu_cycle_ns > 0.0)) {
+        throw StatusError(Status::invalidArgument(
+            "CPU cycle time must be positive, got ", cpu_cycle_ns));
+    }
     LineDelayModel m;
     // Latency is normalised and carries the one-cycle hit on top.
     m.c = latency_ns / cpu_cycle_ns + 1.0;
     m.beta = ns_per_byte * bus_width_bytes / cpu_cycle_ns;
     m.busWidth = bus_width_bytes;
-    m.validate();
+    okOrThrow(m.validate());
     return m;
 }
 

@@ -11,6 +11,8 @@
 
 #include <string>
 
+#include "util/status.hh"
+
 namespace uatm {
 
 /**
@@ -30,7 +32,10 @@ struct LineDelayModel
     /** Bus width D in bytes. */
     double busWidth = 4.0;
 
-    void validate() const;
+    /** OK for a physical model; InvalidArgument with the first
+     *  violation otherwise (the bus width is checked first, since
+     *  fromNanoseconds derives beta from it). */
+    Status validate() const;
 
     /** Time to fill an L-byte line: c + beta * L / D. */
     double fillTime(double line_bytes) const;
@@ -50,6 +55,8 @@ struct LineDelayModel
      * Build from physical parameters: Delay(ns) = latency_ns +
      * ns_per_byte * bytes, normalised by the CPU cycle time.  These
      * are the "Delay = 360ns + 15ns/byte" forms of Figure 6.
+     * Throws StatusError(InvalidArgument) for a non-positive cycle
+     * time or a model that fails validate().
      */
     static LineDelayModel fromNanoseconds(double latency_ns,
                                           double ns_per_byte,

@@ -17,13 +17,15 @@ double
 lineMissFactor(const LineDelayModel &model, double line0,
                double line1, double alpha0, double alpha1)
 {
-    model.validate();
+    okOrThrow(model.validate());
     UATM_ASSERT(alpha0 >= 0.0 && alpha1 >= 0.0,
                 "flush ratios must be non-negative");
     const double a = (1.0 + alpha0) * model.fillTime(line0) - 1.0;
     const double b = (1.0 + alpha1) * model.fillTime(line1) - 1.0;
-    if (a <= 0.0 || b <= 0.0)
-        fatal("per-miss cost must exceed the hit cycle for Eq. 13");
+    if (a <= 0.0 || b <= 0.0) {
+        throw StatusError(Status::outOfRange(
+            "per-miss cost must exceed the hit cycle for Eq. 13"));
+    }
     return a / b;
 }
 

@@ -22,7 +22,9 @@ namespace uatm {
  * Eq. 13's miss-count ratio between line sizes at equal execution
  * time: r = ((1+alpha0)(c + (L0/D) beta) - 1) /
  *           ((1+alpha1)(c + (L1/D) beta) - 1).
- * r < 1 when L1 > L0 (each larger-line miss costs more).
+ * r < 1 when L1 > L0 (each larger-line miss costs more).  Throws
+ * StatusError: InvalidArgument for a model that fails validate(),
+ * OutOfRange when a per-miss cost does not exceed the hit cycle.
  */
 double lineMissFactor(const LineDelayModel &model, double line0,
                       double line1, double alpha0 = 0.0,

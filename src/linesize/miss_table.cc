@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
+#include "util/status.hh"
 
 namespace uatm {
 
@@ -15,21 +15,27 @@ MissRatioTable::MissRatioTable(std::string name,
                                std::vector<LinePoint> points)
     : name_(std::move(name)), points_(std::move(points))
 {
-    if (points_.size() < 2)
-        fatal("miss-ratio table '", name_,
-              "' needs at least two line sizes");
+    if (points_.size() < 2) {
+        throw StatusError(Status::invalidArgument(
+            "miss-ratio table '", name_,
+            "' needs at least two line sizes"));
+    }
     std::sort(points_.begin(), points_.end(),
               [](const LinePoint &a, const LinePoint &b) {
                   return a.lineBytes < b.lineBytes;
               });
     for (std::size_t i = 1; i < points_.size(); ++i) {
-        if (points_[i].lineBytes == points_[i - 1].lineBytes)
-            fatal("duplicate line size ", points_[i].lineBytes,
-                  " in table '", name_, "'");
+        if (points_[i].lineBytes == points_[i - 1].lineBytes) {
+            throw StatusError(Status::invalidArgument(
+                "duplicate line size ", points_[i].lineBytes,
+                " in table '", name_, "'"));
+        }
     }
     for (const auto &p : points_) {
-        if (p.missRatio < 0.0 || p.missRatio > 1.0)
-            fatal("miss ratio out of [0, 1] in table '", name_, "'");
+        if (p.missRatio < 0.0 || p.missRatio > 1.0) {
+            throw StatusError(Status::invalidArgument(
+                "miss ratio out of [0, 1] in table '", name_, "'"));
+        }
     }
 }
 
@@ -40,7 +46,8 @@ MissRatioTable::missRatio(std::uint32_t line_bytes) const
         if (p.lineBytes == line_bytes)
             return p.missRatio;
     }
-    fatal("table '", name_, "' has no line size ", line_bytes);
+    throw StatusError(Status::notFound(
+        "table '", name_, "' has no line size ", line_bytes));
 }
 
 bool

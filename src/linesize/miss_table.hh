@@ -28,12 +28,15 @@ struct LinePoint
 class MissRatioTable
 {
   public:
+    /** At least two distinct line sizes, each with a miss ratio in
+     *  [0, 1]; anything else throws StatusError(InvalidArgument). */
     MissRatioTable(std::string name, std::vector<LinePoint> points);
 
     const std::string &name() const { return name_; }
     const std::vector<LinePoint> &points() const { return points_; }
 
-    /** Miss ratio for an exact table line size; fatal() if absent. */
+    /** Miss ratio for an exact table line size; throws
+     *  StatusError(NotFound) if absent. */
     double missRatio(std::uint32_t line_bytes) const;
 
     /** True when the table holds @p line_bytes. */

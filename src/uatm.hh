@@ -58,7 +58,6 @@
 #include "core/execution_time.hh"
 #include "core/machine.hh"
 #include "core/size_model.hh"
-#include "core/superscalar.hh"
 #include "core/tradeoff.hh"
 #include "core/workload.hh"
 

@@ -92,8 +92,6 @@ logLevelFromString(std::string_view name, LogLevel fallback)
         return LogLevel::Warn;
     if (name == "inform" || name == "info")
         return LogLevel::Inform;
-    if (name == "debug")
-        return LogLevel::Debug;
     detail::emitMessage(
         "warn", "unknown log level '" + std::string(name) +
                     "', using '" +
@@ -111,8 +109,6 @@ logLevelName(LogLevel level)
         return "warn";
       case LogLevel::Inform:
         return "inform";
-      case LogLevel::Debug:
-        return "debug";
     }
     return "unknown";
 }

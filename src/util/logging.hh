@@ -4,13 +4,12 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a library bug), fatal() is for unusable user input
- * (bad configuration), warn()/inform()/debug() report conditions
- * without stopping execution.
+ * (bad configuration), warn()/inform() report conditions without
+ * stopping execution.
  *
- * Runtime filtering: UATM_LOG_LEVEL=quiet|warn|inform|debug (or
+ * Runtime filtering: UATM_LOG_LEVEL=quiet|warn|inform (or
  * setLogLevel()) picks the highest severity that still prints;
- * the default is inform, so debug() is silent unless asked for.
- * panic()/fatal() always print.  UATM_LOG_TIMESTAMPS=1 (or
+ * the default is inform.  panic()/fatal() always print.  UATM_LOG_TIMESTAMPS=1 (or
  * setLogTimestamps(true)) prefixes every line with an ISO-8601
  * UTC timestamp for correlating long bench runs with external
  * monitoring.
@@ -38,7 +37,6 @@ enum class LogLevel : std::uint8_t
     Quiet = 0,
     Warn = 1,
     Inform = 2,
-    Debug = 3,
 };
 
 /** Current threshold (initialised from UATM_LOG_LEVEL). */
@@ -48,8 +46,9 @@ LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
 /**
- * Parse "quiet"/"warn"/"inform"/"debug" (case-sensitive);
- * returns @p fallback with a warning for anything else.
+ * Parse "quiet"/"warn"/"inform" (case-sensitive; "info" is an
+ * alias of "inform"); returns @p fallback with a warning for
+ * anything else.
  */
 LogLevel logLevelFromString(std::string_view name,
                             LogLevel fallback = LogLevel::Inform);
@@ -127,17 +126,6 @@ inform(Args &&...args)
     if (!detail::levelEnabled(LogLevel::Inform))
         return;
     detail::emitMessage("info", detail::foldMessage(
-        std::forward<Args>(args)...));
-}
-
-/** Report developer-facing detail (off by default). */
-template <typename... Args>
-void
-debug(Args &&...args)
-{
-    if (!detail::levelEnabled(LogLevel::Debug))
-        return;
-    detail::emitMessage("debug", detail::foldMessage(
         std::forward<Args>(args)...));
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_status.hh"
 #include "linesize/cost_model.hh"
 #include "linesize/line_tradeoff.hh"
 
@@ -77,9 +78,10 @@ TEST(AreaModel, RejectsSillyAddressWidth)
 {
     CacheAreaModel area;
     area.addressBits = 8;
-    EXPECT_EXIT({ area.validate(); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "plausible");
+    EXPECT_TRUE(isStatus(area.validate(), ErrorCode::InvalidArgument,
+                         "plausible"));
+    EXPECT_TRUE(throwsStatus([&] { area.tagBits(geometry()); },
+                             ErrorCode::InvalidArgument, "plausible"));
 }
 
 TEST(CostEffective, SweepCoversTheTable)

@@ -9,6 +9,7 @@
 
 #include "cpu/eq8_model.hh"
 #include "cpu/phi_measurement.hh"
+#include "expect_status.hh"
 #include "trace/generators.hh"
 
 namespace uatm {
@@ -33,12 +34,12 @@ load(Addr addr, std::uint32_t gap = 0)
 TEST(Eq8, RejectsNonBnlFeatures)
 {
     Trace t;
-    EXPECT_EXIT(
-        {
+    EXPECT_TRUE(throwsStatus(
+        [&] {
             estimatePhiEq8(t, 10, StallFeature::FS, fig1Cache(),
                            4, 8);
         },
-        ::testing::ExitedWithCode(EXIT_FAILURE), "BNL");
+        ErrorCode::InvalidArgument, "BNL"));
 }
 
 TEST(Eq8, NoMissesGivesZero)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/equivalence.hh"
+#include "expect_status.hh"
 
 namespace uatm {
 namespace {
@@ -52,23 +53,39 @@ TEST(CacheSizeModel, InverseRoundTrips)
 
 TEST(CacheSizeModel, RejectsUnsortedAnchors)
 {
-    EXPECT_EXIT(
-        {
+    EXPECT_TRUE(throwsStatus(
+        [] {
             CacheSizeModel bad({SizePoint{1024, 0.9},
                                 SizePoint{512, 0.95}});
         },
-        ::testing::ExitedWithCode(EXIT_FAILURE), "ascending");
+        ErrorCode::InvalidArgument, "ascending"));
 }
 
 TEST(CacheSizeModel, RejectsDecreasingHitRatio)
 {
-    EXPECT_EXIT(
-        {
+    EXPECT_TRUE(throwsStatus(
+        [] {
             CacheSizeModel bad({SizePoint{512, 0.95},
                                 SizePoint{1024, 0.9}});
         },
-        ::testing::ExitedWithCode(EXIT_FAILURE),
-        "non-decreasing");
+        ErrorCode::InvalidArgument, "non-decreasing"));
+}
+
+TEST(CacheSizeModel, RejectsASingleAnchor)
+{
+    EXPECT_TRUE(throwsStatus(
+        [] { CacheSizeModel bad({SizePoint{1024, 0.9}}); },
+        ErrorCode::InvalidArgument, "at least two anchor points"));
+}
+
+TEST(CacheSizeModel, RejectsHitRatioAboveOne)
+{
+    EXPECT_TRUE(throwsStatus(
+        [] {
+            CacheSizeModel bad({SizePoint{512, 0.95},
+                                SizePoint{1024, 1.5}});
+        },
+        ErrorCode::InvalidArgument, "out of [0, 1]"));
 }
 
 // ----------------------------------------------------------- DesignPoint
@@ -182,6 +199,29 @@ TEST(Example1, Case2ThirtyTwoKWideMatches128KNarrow)
     EXPECT_NEAR(narrow.hitRatio, 0.9775, 1e-3);
     EXPECT_NEAR(designCacheSize(narrow, sizes), 128.0 * 1024,
                 0.05 * 128 * 1024);
+}
+
+TEST(Equivalence, NarrowBusHitRatioNeverExceedsOne)
+{
+    // The OutOfRange exit for a narrow design above HR = 1 guards
+    // a bound no input crosses: HR2 + (1 - 1/r)(1 - HR2) =
+    // 1 - (1 - HR2)/r < 1 for every r > 0, and the rounded sum
+    // stays at or below 1.  Push r from just past 1 to ~1e15
+    // (mu_m just above the hit time) and HR2 to both ends.
+    for (double mu : {1.0 + 1e-15, 1.0 + 1e-9, 2.0, 1e6}) {
+        for (double hr : {0.0, 0.5, 0.999999999, 1.0}) {
+            DesignPoint wide;
+            wide.machine.busWidth = 8;
+            wide.machine.lineBytes = 8;
+            wide.machine.cycleTime = mu;
+            wide.hitRatio = hr;
+            const DesignPoint narrow =
+                equivalentNarrowBusDesign(wide, 0.0);
+            EXPECT_LE(narrow.hitRatio, 1.0)
+                << "mu_m = " << mu << ", HR2 = " << hr;
+            EXPECT_GE(narrow.hitRatio, hr);
+        }
+    }
 }
 
 TEST(Equivalence, ImpossibleCompensationIsFatal)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_status.hh"
 #include "linesize/delay_model.hh"
 #include "linesize/line_tradeoff.hh"
 #include "linesize/miss_table.hh"
@@ -70,6 +71,37 @@ TEST(DelayModel, FromNanoseconds)
         LineDelayModel::fromNanoseconds(360, 15, 60, 8);
     EXPECT_DOUBLE_EQ(m.smithLatency(), 6.0);
     EXPECT_DOUBLE_EQ(m.beta, 2.0);
+    EXPECT_TRUE(throwsStatus(
+        [] { LineDelayModel::fromNanoseconds(360, 15, 0, 8); },
+        ErrorCode::InvalidArgument,
+        "CPU cycle time must be positive, got 0"));
+}
+
+TEST(DelayModel, RejectsLatencyBelowTheHitTime)
+{
+    EXPECT_TRUE(isStatus(model(-0.5, 2).validate(),
+                         ErrorCode::InvalidArgument,
+                         "latency c must be at least the one-cycle "
+                         "hit time"));
+}
+
+TEST(DelayModel, RejectsNonPositiveBusSpeed)
+{
+    EXPECT_TRUE(isStatus(model(6, 0).validate(),
+                         ErrorCode::InvalidArgument,
+                         "bus speed beta must be positive"));
+}
+
+TEST(DelayModel, RejectsNonPositiveBusWidth)
+{
+    EXPECT_TRUE(isStatus(model(6, 2, 0).validate(),
+                         ErrorCode::InvalidArgument,
+                         "bus width must be positive"));
+    // fromNanoseconds derives beta from the bus width, so a zero
+    // width must be blamed on the width, not on beta.
+    EXPECT_TRUE(throwsStatus(
+        [] { LineDelayModel::fromNanoseconds(360, 15, 60, 0); },
+        ErrorCode::InvalidArgument, "bus width must be positive"));
 }
 
 // ------------------------------------------------------- MissRatioTable
@@ -87,19 +119,36 @@ TEST(MissTable, LookupAndSorting)
 TEST(MissTable, MissingLineIsFatal)
 {
     MissRatioTable t("t", {LinePoint{8, 0.07}, LinePoint{16, 0.05}});
-    EXPECT_EXIT({ t.missRatio(64); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "no line size");
+    EXPECT_TRUE(throwsStatus([&] { t.missRatio(64); },
+                             ErrorCode::NotFound, "no line size"));
 }
 
 TEST(MissTable, DuplicateLinesRejected)
 {
-    EXPECT_EXIT(
-        {
+    EXPECT_TRUE(throwsStatus(
+        [] {
             MissRatioTable bad(
                 "bad", {LinePoint{8, 0.1}, LinePoint{8, 0.2}});
         },
-        ::testing::ExitedWithCode(EXIT_FAILURE), "duplicate");
+        ErrorCode::InvalidArgument, "duplicate"));
+}
+
+TEST(MissTable, RejectsASingleLineSize)
+{
+    EXPECT_TRUE(throwsStatus(
+        [] { MissRatioTable bad("bad", {LinePoint{8, 0.1}}); },
+        ErrorCode::InvalidArgument,
+        "'bad' needs at least two line sizes"));
+}
+
+TEST(MissTable, RejectsMissRatioAboveOne)
+{
+    EXPECT_TRUE(throwsStatus(
+        [] {
+            MissRatioTable bad(
+                "bad", {LinePoint{8, 0.1}, LinePoint{16, 1.5}});
+        },
+        ErrorCode::InvalidArgument, "miss ratio out of [0, 1]"));
 }
 
 TEST(MissTable, DesignTargetTablesAreMonotone)
@@ -136,6 +185,16 @@ TEST(LineTradeoff, MissFactorHandComputed)
     // alpha = 0: r = (c' + beta L0/D)/(c' + beta L1/D)
     //          = (6 + 4)/(6 + 16) = 10/22.
     EXPECT_NEAR(lineMissFactor(m, 8, 32), 10.0 / 22.0, 1e-12);
+}
+
+TEST(LineTradeoff, RejectsCostAtTheHitCycle)
+{
+    // c = 1 and a bus so fast that beta L/D rounds away: a fill
+    // costs exactly the hit cycle, and Eq. 13 divides by zero.
+    const auto m = model(0, 1e-20, 4);
+    EXPECT_TRUE(throwsStatus([&] { lineMissFactor(m, 4, 8); },
+                             ErrorCode::OutOfRange,
+                             "must exceed the hit cycle for Eq. 13"));
 }
 
 TEST(LineTradeoff, RequiredGainPositiveAndScalesWithMR)

@@ -27,9 +27,9 @@ TEST(UmbrellaHeader, EverythingIsReachable)
     Machine machine;
     EXPECT_TRUE(machine.validate().ok());
     LineDelayModel delay;
-    delay.validate();
+    EXPECT_TRUE(delay.validate().ok());
     CacheAreaModel area;
-    area.validate();
+    EXPECT_TRUE(area.validate().ok());
     SUCCEED();
 }
 

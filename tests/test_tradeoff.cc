@@ -8,6 +8,7 @@
 
 #include "core/execution_time.hh"
 #include "core/tradeoff.hh"
+#include "expect_status.hh"
 
 namespace uatm {
 namespace {
@@ -268,6 +269,14 @@ TEST(Eq6, OutOfRangeThrows)
         EXPECT_NE(e.status().message().find("validity"),
                   std::string::npos);
     }
+    // A hit ratio outside [0, 1] is an input error, in both
+    // directions (a CLI flag or a scenario file can give one).
+    EXPECT_TRUE(throwsStatus([] { hitRatioTraded(2.0, 1.5); },
+                             ErrorCode::InvalidArgument,
+                             "hit ratio must be in [0, 1], got 1.5"));
+    EXPECT_TRUE(throwsStatus([] { hitRatioGainRequired(2.0, -0.5); },
+                             ErrorCode::InvalidArgument,
+                             "hit ratio must be in [0, 1], got -0.5"));
 }
 
 TEST(Eq7, InverseDirectionConsistent)

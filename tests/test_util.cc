@@ -710,12 +710,14 @@ TEST(WriteWholeFile, ReplacesWhatTheFileHeld)
 TEST(Logging, LevelNamesRoundTrip)
 {
     for (LogLevel level :
-         {LogLevel::Quiet, LogLevel::Warn, LogLevel::Inform,
-          LogLevel::Debug}) {
+         {LogLevel::Quiet, LogLevel::Warn, LogLevel::Inform}) {
         EXPECT_EQ(logLevelFromString(logLevelName(level)), level);
     }
     EXPECT_EQ(logLevelFromString("info"), LogLevel::Inform);
     EXPECT_EQ(logLevelFromString("nonsense", LogLevel::Warn),
+              LogLevel::Warn);
+    // No message logs below inform, so there is no debug level.
+    EXPECT_EQ(logLevelFromString("debug", LogLevel::Warn),
               LogLevel::Warn);
 }
 
@@ -725,9 +727,8 @@ TEST(Logging, SetLevelFiltersLowerSeverities)
     setLogLevel(LogLevel::Warn);
     EXPECT_TRUE(detail::levelEnabled(LogLevel::Warn));
     EXPECT_FALSE(detail::levelEnabled(LogLevel::Inform));
-    EXPECT_FALSE(detail::levelEnabled(LogLevel::Debug));
-    setLogLevel(LogLevel::Debug);
-    EXPECT_TRUE(detail::levelEnabled(LogLevel::Debug));
+    setLogLevel(LogLevel::Inform);
+    EXPECT_TRUE(detail::levelEnabled(LogLevel::Inform));
     setLogLevel(LogLevel::Quiet);
     EXPECT_FALSE(detail::levelEnabled(LogLevel::Warn));
     setLogLevel(was);

@@ -8,6 +8,7 @@
 
 #include "core/machine.hh"
 #include "core/workload.hh"
+#include "expect_status.hh"
 
 namespace uatm {
 namespace {
@@ -76,17 +77,75 @@ TEST(Workload, ValidateRejectsNegativeHitRatio)
     w.instructions = 100;
     w.bytesRead = 32 * 200; // 200 misses > 50 refs
     w.dataRefs = 50;
-    EXPECT_EXIT(w.validate(32),
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "negative");
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "negative"));
+    // The builders reject the same workload by throwing.
+    CacheStats stats;
+    stats.instructions = 1000;
+    stats.accesses = 50;
+    stats.fills = 200;
+    EXPECT_TRUE(throwsStatus(
+        [&] { Workload::fromCacheRun(stats, 32); },
+        ErrorCode::InvalidArgument, "negative"));
 }
 
 TEST(Workload, ValidateRejectsBadAlpha)
 {
     Workload w = Workload::fromHitRatio(100, 30, 0.9, 32, 0.5);
     w.flushRatio = 1.5;
-    EXPECT_EXIT(w.validate(32),
-                ::testing::ExitedWithCode(EXIT_FAILURE), "alpha");
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "alpha"));
+    EXPECT_TRUE(throwsStatus(
+        [] { Workload::fromHitRatio(100, 30, 0.9, 32, 1.5); },
+        ErrorCode::InvalidArgument, "alpha"));
+}
+
+TEST(Workload, ValidateRejectsNoInstructions)
+{
+    Workload w = Workload::fromHitRatio(100, 30, 0.9, 32, 0.5);
+    w.instructions = 0;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "positive instruction count"));
+}
+
+TEST(Workload, ValidateRejectsNegativeCounts)
+{
+    Workload w = Workload::fromHitRatio(100, 30, 0.9, 32, 0.5);
+    w.instrBytesRead = -1;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "must be non-negative"));
+}
+
+TEST(Workload, ValidateRejectsNoDataReferences)
+{
+    Workload w = Workload::fromHitRatio(100, 30, 0.9, 32, 0.5);
+    w.dataRefs = 0;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "positive data-reference count"));
+}
+
+TEST(Workload, ValidateRejectsMoreMissesThanInstructions)
+{
+    // 60 line misses and 50 write-arounds fit in the 200 data
+    // references but not in the 100 instructions.
+    Workload w;
+    w.instructions = 100;
+    w.dataRefs = 200;
+    w.bytesRead = 32 * 60;
+    w.writeArounds = 50;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "more missing load/stores than "
+                         "instructions"));
+}
+
+TEST(Workload, ValidateRejectsTooFewWriteAroundTransfers)
+{
+    Workload w = Workload::fromHitRatioWriteAround(1000, 300, 0.9, 32,
+                                                   0.5, 0.5);
+    w.writeAroundTransfers = w.writeArounds / 2;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "cannot be fewer than the write-around "
+                         "stores"));
 }
 
 TEST(Workload, BusTrafficPerInstructionGoodmanMetric)

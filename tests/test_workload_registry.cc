@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -401,10 +402,21 @@ TEST(WorkloadSpecParse, ErrorsAreTypedAndNameTheContext)
 
 // --------------------------------------- WorkloadSpec, JSON
 
-/** A temp trace file so the "trace" method can build sources; one
- *  @p name per test, since ctest runs tests as parallel processes. */
-std::string
-writeTempTrace(const std::string &name)
+/** A temp trace file so the "trace" method can build sources,
+ *  removed when the test that made it ends; one name per test,
+ *  since ctest runs tests as parallel processes. */
+struct TempTrace
+{
+    explicit TempTrace(const std::string &name);
+    ~TempTrace() { std::remove(path.c_str()); }
+    TempTrace(const TempTrace &) = delete;
+    TempTrace &operator=(const TempTrace &) = delete;
+
+    std::string path;
+};
+
+TempTrace::TempTrace(const std::string &name)
+    : path(::testing::TempDir() + "uatm_registry_" + name + ".trc")
 {
     Trace trace;
     Rng rng(7);
@@ -416,19 +428,16 @@ writeTempTrace(const std::string &name)
             rng.nextBool(0.3) ? RefKind::Store : RefKind::Load;
         trace.append(ref);
     }
-    const std::string path =
-        ::testing::TempDir() + "uatm_registry_" + name + ".trc";
     EXPECT_TRUE(BinaryTraceFormat::writeFile(trace, path).ok());
-    return path;
 }
 
 TEST(WorkloadSpecJson, EveryRegisteredMethodRoundTrips)
 {
-    const std::string trace_path = writeTempTrace("round_trip");
+    const TempTrace trace("round_trip");
     for (const auto &name : WorkloadRegistry::instance().names()) {
         WorkloadSpec spec = WorkloadSpec::of(name, {}, 11);
         if (name == "trace") {
-            spec.params.setString("path", trace_path);
+            spec.params.setString("path", trace.path);
             spec.params.setString("format", "binary");
         }
         const auto json = spec.toJson();
@@ -538,7 +547,7 @@ TEST(GoldenStreamDigest, EveryRegisteredMethodAtDefaults)
         std::uint64_t seed1;
         std::uint64_t seed2;
     };
-    // "trace" replays writeTempTrace()'s fixed 64 references, so
+    // "trace" replays TempTrace's fixed 64 references, so
     // its digest does not depend on the seed.
     static const Golden kGolden[] = {
         {"none", kNoStream, kNoStream},
@@ -557,7 +566,7 @@ TEST(GoldenStreamDigest, EveryRegisteredMethodAtDefaults)
         // whole binary runs in one process.
         {"test-stride", 0xb1fa09f6c0dccb4ull, 0xd396de53ca5c2c0full},
     };
-    const std::string trace_path = writeTempTrace("golden");
+    const TempTrace trace("golden");
     for (const auto &name : WorkloadRegistry::instance().names()) {
         const auto *golden = std::find_if(
             std::begin(kGolden), std::end(kGolden),
@@ -572,7 +581,7 @@ TEST(GoldenStreamDigest, EveryRegisteredMethodAtDefaults)
               std::pair{std::uint64_t{7}, golden->seed2}}) {
             WorkloadSpec spec = WorkloadSpec::of(name, {}, seed);
             if (name == "trace") {
-                spec.params.setString("path", trace_path);
+                spec.params.setString("path", trace.path);
                 spec.params.setString("format", "binary");
             }
             expectGoldenStream(spec, digest,
@@ -658,7 +667,8 @@ TEST(GoldenStreamDigest, MeasuredReuseProfileJson)
 TEST(WorkloadSpecMake, TraceSpecMakesShareOneDecode)
 {
     WorkloadSpec spec = WorkloadSpec::of("trace", {}, 1);
-    spec.params.setString("path", writeTempTrace("share"));
+    const TempTrace trace("share");
+    spec.params.setString("path", trace.path);
     const std::uint64_t before = TraceFileStore::instance().decodes();
     auto a = okOrThrow(spec.make());
     auto b = okOrThrow(spec.make());
