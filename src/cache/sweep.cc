@@ -60,7 +60,7 @@ CacheRunResult
 runCacheSim(const CacheConfig &config, TraceSource &source,
             std::uint64_t refs, std::uint64_t warmup_refs)
 {
-    UATM_PROFILE_SCOPE("cache.run_sim");
+    UATM_PROFILE_SCOPE("cache.sim");
     UATM_ASSERT(warmup_refs <= refs,
                 "warmup longer than the whole run");
     source.reset();

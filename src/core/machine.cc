@@ -14,21 +14,26 @@ namespace uatm {
 Status
 Machine::validate() const
 {
-    if (busWidth <= 0)
-        return Status::invalidArgument("bus width must be positive");
-    if (lineBytes < busWidth) {
+    // Each check is written so that a NaN fails it.
+    if (!(busWidth > 0)) {
+        return Status::invalidArgument(
+            "bus width D must be positive, got ", busWidth);
+    }
+    if (!(lineBytes >= busWidth)) {
         return Status::invalidArgument(
             "line size L = ", lineBytes,
             " must be at least the bus width D = ", busWidth);
     }
-    if (cycleTime <= 0) {
+    if (!(cycleTime > 0)) {
         return Status::invalidArgument(
-            "memory cycle time must be positive");
+            "memory cycle time mu_m must be positive, got ",
+            cycleTime);
     }
     if (pipelined) {
-        if (pipelineInterval <= 0) {
+        if (!(pipelineInterval > 0)) {
             return Status::invalidArgument(
-                "pipeline interval q must be positive");
+                "pipeline interval q must be positive, got ",
+                pipelineInterval);
         }
         if (pipelineInterval > cycleTime) {
             return Status::invalidArgument(

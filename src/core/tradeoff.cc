@@ -38,7 +38,7 @@ TradeoffContext::validate() const
             "the tradeoff base machine must be non-pipelined "
             "(Sec. 5.3 compares against that ground)");
     }
-    if (alpha < 0.0 || alpha > 1.0) {
+    if (!(alpha >= 0.0 && alpha <= 1.0)) {
         return Status::invalidArgument(
             "alpha must lie in [0, 1], got ", alpha);
     }

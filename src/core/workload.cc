@@ -14,21 +14,27 @@ namespace uatm {
 Status
 Workload::validate(double line_bytes) const
 {
-    if (instructions <= 0) {
+    // Each check is written so that a NaN fails it.
+    if (!(instructions > 0)) {
         return Status::invalidArgument(
-            "workload needs a positive instruction count");
+            "workload needs a positive instruction count, got ",
+            instructions);
     }
-    if (bytesRead < 0 || instrBytesRead < 0 || writeArounds < 0) {
+    if (!(bytesRead >= 0 && instrBytesRead >= 0 &&
+          writeArounds >= 0)) {
         return Status::invalidArgument(
-            "workload byte/instruction counts must be non-negative");
+            "workload byte/instruction counts must be non-negative, "
+            "got bytes read ", bytesRead, ", instruction bytes read ",
+            instrBytesRead, ", write-arounds ", writeArounds);
     }
-    if (flushRatio < 0.0 || flushRatio > 1.0) {
+    if (!(flushRatio >= 0.0 && flushRatio <= 1.0)) {
         return Status::invalidArgument(
             "flush ratio alpha must lie in [0, 1], got ", flushRatio);
     }
-    if (dataRefs <= 0) {
+    if (!(dataRefs > 0)) {
         return Status::invalidArgument(
-            "workload needs a positive data-reference count");
+            "workload needs a positive data-reference count, got ",
+            dataRefs);
     }
     const double misses = lambdaM(line_bytes);
     if (misses > dataRefs) {

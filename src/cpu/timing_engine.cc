@@ -333,7 +333,7 @@ TimingEngine::prunePrefetchSet()
 TimingStats
 TimingEngine::run(TraceSource &source, std::uint64_t max_refs)
 {
-    UATM_PROFILE_SCOPE("engine.run");
+    UATM_PROFILE_SCOPE("cpu.engine");
     obs::EventTracer &tracer = *tracer_;
     source.reset();
     cache_.reset();

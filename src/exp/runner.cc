@@ -193,19 +193,16 @@ Runner::run(const Scenario &scenario,
         tel.worker = lane;
         const auto lifeStart = Clock::now();
         laneStartNs[lane] = nsBetween(wallStart, lifeStart);
-        // Per-worker hardware counters under UATM_PERF: opened on
-        // the worker's own thread so the group counts exactly
-        // this worker.  Unavailability (paranoid, seccomp, no
-        // PMU) is recorded, never fatal.
-        std::optional<obs::PerfCounterGroup> counters;
+        // Per-worker hardware counters under UATM_PERF, read from
+        // the worker thread's own group, the one its kernels'
+        // profile scopes read, so the thread opens one group.
+        // Unavailability (paranoid, seccomp, no PMU) is recorded,
+        // never fatal.
+        const obs::PerfCounterGroup *counters =
+            countersArmed ? &obs::threadPerfCounters() : nullptr;
         obs::PerfReading counterBegin;
-        if (countersArmed) {
-            counters.emplace();
-            if (counters->available()) {
-                counters->start();
-                counterBegin = counters->read();
-            }
-        }
+        if (counters && counters->available())
+            counterBegin = counters->read();
         while (true) {
             const auto acquireStart = Clock::now();
             std::size_t i =

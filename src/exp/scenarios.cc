@@ -282,6 +282,11 @@ runLineTradeoff(const LineTradeoff &spec, Runner &runner)
 
     std::vector<SweepPoint> points;
     runGeometrySweep(sweep, runner, &points);
+    // A failed point leaves an empty sample; report why it failed,
+    // not the malformed table its sample would make.
+    if (const auto &failures = runner.lastStats().failures;
+        !failures.empty())
+        throw StatusError(failures.front().status);
 
     MissRatioTable missRatios =
         MissRatioTable::fromSweep("measured", points);

@@ -173,7 +173,8 @@ struct LineTradeoffResult
     std::uint32_t smith = 0;
 };
 
-/** Sweep MR(L) on @p runner, then run both selectors on it. */
+/** Sweep MR(L) on @p runner, then run both selectors on it.  A
+ *  failed sweep point throws its Status as a StatusError. */
 LineTradeoffResult runLineTradeoff(const LineTradeoff &spec,
                                    Runner &runner);
 

@@ -222,58 +222,4 @@ RunnerTelemetry::load(const std::string &path)
     return fromJson(parsed.value, document);
 }
 
-void
-RunnerTelemetry::registerStats(obs::StatRegistry &registry,
-                               const std::string &prefix) const
-{
-    obs::StatGroup group(registry, prefix);
-    group.addScalar("threads_requested", threadsRequested,
-                    "worker threads requested");
-    group.addScalar("threads_used", threadsUsed,
-                    "worker threads spawned (0 = inline)");
-    group.addScalar("points", static_cast<double>(pointCount),
-                    "points executed");
-    group.addScalar("points_failed",
-                    static_cast<double>(pointsFailed),
-                    "points that produced an error row");
-    group.addScalar("wall_ns", static_cast<double>(wallNs),
-                    "pool wall-clock time", "ns");
-    group.addScalar("expand_ns", static_cast<double>(expandNs),
-                    "scenario expansion time", "ns");
-    group.addScalar("merge_ns", static_cast<double>(mergeNs),
-                    "deterministic slot-merge time", "ns");
-    group.addScalar("load_imbalance", loadImbalance(),
-                    "max/mean per-worker kernel time");
-    group.addScalar("parallel_efficiency", parallelEfficiency(),
-                    "kernel time / pool wall-clock capacity");
-    group.addLatencyHistogram("point_ns", pointLatency,
-                              "per-point kernel latency", "ns");
-    for (const auto &worker : workers) {
-        obs::StatGroup wg = group.group(
-            "worker" + std::to_string(worker.worker));
-        wg.addScalar("utilization", worker.utilization(),
-                     "kernel time / worker lifetime");
-        if (!worker.counters.available)
-            continue;
-        using obs::PerfEvent;
-        if (worker.counters.has(PerfEvent::Instructions) &&
-            worker.counters.has(PerfEvent::Cycles)) {
-            wg.addScalar("ipc", worker.counters.ipc(),
-                         "instructions per cycle");
-        }
-        if (worker.counters.has(PerfEvent::CacheMisses) &&
-            worker.counters.has(PerfEvent::CacheReferences)) {
-            wg.addScalar("cache_miss_rate",
-                         worker.counters.cacheMissRate(),
-                         "cache misses / cache references");
-        }
-        if (worker.counters.has(PerfEvent::CpuMigrations)) {
-            wg.addScalar(
-                "cpu_migrations",
-                worker.counters.get(PerfEvent::CpuMigrations),
-                "cpu migrations over the worker's lifetime");
-        }
-    }
-}
-
 } // namespace uatm::exp

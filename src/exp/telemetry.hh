@@ -15,8 +15,8 @@
  * (RUNNER_*.json) that tools/run_report consumes for the scaling
  * diagnosis (per-worker utilization, load-imbalance index, top-K
  * slowest points, Amdahl serial-fraction fit — see exp/report.hh),
- * and registers into a StatRegistry like any other stat source,
- * including a log-bucketed per-point latency histogram.
+ * and carries a log-bucketed per-point latency histogram, which
+ * the daemon merges into its serve.point histogram.
  */
 
 #ifndef UATM_EXP_TELEMETRY_HH
@@ -151,15 +151,6 @@ struct RunnerTelemetry
     /** Read and parse one RUNNER_*.json file. */
     static Expected<RunnerTelemetry>
     load(const std::string &path);
-
-    /**
-     * Register the run's telemetry under @p prefix: the scalar
-     * run facts, the point-latency histogram, and one utilization
-     * scalar per worker.
-     */
-    void registerStats(obs::StatRegistry &registry,
-                       const std::string &prefix =
-                           "runner.telemetry") const;
 };
 
 } // namespace uatm::exp

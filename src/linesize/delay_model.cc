@@ -5,6 +5,7 @@
 
 #include "linesize/delay_model.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -14,14 +15,20 @@ namespace uatm {
 Status
 LineDelayModel::validate() const
 {
-    if (busWidth <= 0.0)
-        return Status::invalidArgument("bus width must be positive");
-    if (c < 1.0) {
+    // Each check is written so that a NaN fails it.
+    if (!(busWidth > 0.0)) {
         return Status::invalidArgument(
-            "latency c must be at least the one-cycle hit time");
+            "bus width must be positive, got ", busWidth);
     }
-    if (beta <= 0.0)
-        return Status::invalidArgument("bus speed beta must be positive");
+    if (!(c >= 1.0 && std::isfinite(c))) {
+        return Status::invalidArgument(
+            "latency c must be at least the one-cycle hit time "
+            "and finite, got ", c);
+    }
+    if (!(beta > 0.0 && std::isfinite(beta))) {
+        return Status::invalidArgument(
+            "bus speed beta must be positive and finite, got ", beta);
+    }
     return Status();
 }
 

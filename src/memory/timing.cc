@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "obs/registry.hh"
 #include "util/logging.hh"
 
 namespace uatm {
@@ -92,24 +91,6 @@ MemoryTiming::chunkCompletionTimes(Cycles start,
                            config_.pipelineInterval;
     }
     return times;
-}
-
-void
-MemoryTiming::registerStats(obs::StatRegistry &registry,
-                            const std::string &prefix) const
-{
-    const obs::StatGroup root(registry, prefix);
-    root.addScalar("bus_width_bytes", config_.busWidthBytes,
-                   "external data bus width D", "bytes");
-    root.addScalar("cycle_time", static_cast<double>(
-                       config_.cycleTime),
-                   "memory cycle time mu_m per D-byte transfer",
-                   "cycles");
-    root.addScalar("pipelined", config_.pipelined ? 1.0 : 0.0,
-                   "pipelined memory system (Sec. 4.4)", "bool");
-    root.addScalar("pipeline_interval", static_cast<double>(
-                       config_.pipelineInterval),
-                   "pipelined issue interval q (Eq. 9)", "cycles");
 }
 
 } // namespace uatm

@@ -14,10 +14,6 @@
 
 #include "util/status.hh"
 
-namespace uatm::obs {
-class StatRegistry;
-} // namespace uatm::obs
-
 namespace uatm {
 
 /** Cycle counts are in CPU clock cycles. */
@@ -79,13 +75,6 @@ class MemoryTiming
      */
     std::vector<Cycles> chunkCompletionTimes(
         Cycles start, std::uint32_t line_bytes) const;
-
-    /**
-     * Register the memory-system parameters as config stats under
-     * @p prefix, e.g. "mem" -> "mem.bus_width_bytes".
-     */
-    void registerStats(obs::StatRegistry &registry,
-                       const std::string &prefix) const;
 
   private:
     MemoryConfig config_;

@@ -5,25 +5,24 @@
 
 #include "obs/profile.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string_view>
-
-#include "obs/registry.hh"
-#include "util/logging.hh"
 
 namespace uatm::obs {
 
 namespace {
 
-void
-dumpProfileAtExit()
+/** @p stats' histogram @p name; @p describe() names it on first use. */
+template <typename Describe>
+LatencyHistogram &
+histogramNamed(StatRegistry &stats, const std::string &name,
+               const char *unit, Describe &&describe)
 {
-    const std::string dump = ProfileRegistry::instance().format();
-    if (!dump.empty())
-        std::fputs(dump.c_str(), stderr);
+    if (StatEntry *entry = stats.findMutable(name))
+        return entry->histogram;
+    return stats.addLatencyHistogram(name, LatencyHistogram(),
+                                     describe(), unit);
 }
 
 } // namespace
@@ -50,7 +49,7 @@ ProfileRegistry::instance()
     // handler is sequenced before the registry's destruction.
     static const bool armed = [&] {
         if (registry.enabled())
-            std::atexit(dumpProfileAtExit);
+            std::atexit(dumpAtExit);
         return true;
     }();
     (void)armed;
@@ -58,17 +57,24 @@ ProfileRegistry::instance()
 }
 
 void
-ProfileRegistry::record(const char *name, double seconds)
+ProfileRegistry::dumpAtExit()
+{
+    ProfileRegistry &profile = instance();
+    std::lock_guard<std::mutex> guard(profile.mutex_);
+    if (profile.stats_.size() == 0)
+        return;
+    std::fprintf(stderr, "uatm profile (per-scope histograms):\n%s",
+                 profile.stats_.formatText().c_str());
+}
+
+void
+ProfileRegistry::record(const char *name, std::uint64_t ns)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    for (auto &[scope, stats] : scopes_) {
-        if (scope == name) {
-            stats.add(seconds);
-            return;
-        }
-    }
-    scopes_.emplace_back(name, RunningStats{});
-    scopes_.back().second.add(seconds);
+    histogramNamed(stats_, name, "ns", [name] {
+        return std::string("wall-clock time of the '") + name +
+               "' scope";
+    }).add(static_cast<double>(ns));
 }
 
 void
@@ -76,115 +82,39 @@ ProfileRegistry::recordCounters(const char *name,
                                 const PerfCounterValues &delta)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    ScopeCounters *counters = nullptr;
-    for (auto &[scope, sc] : counterScopes_) {
-        if (scope == name) {
-            counters = &sc;
-            break;
-        }
-    }
-    if (!counters) {
-        counterScopes_.emplace_back(name, ScopeCounters{});
-        counters = &counterScopes_.back().second;
-    }
     for (std::size_t i = 0; i < kPerfEventCount; ++i) {
         const auto event = static_cast<PerfEvent>(i);
         if (!delta.has(event))
             continue;
-        counters->stats[i].add(delta.value[i]);
-        counters->mask |= 1u << i;
+        const char *eventName = perfEventName(event);
+        histogramNamed(stats_,
+                       std::string(name) + "." + eventName, "count",
+                       [name, eventName] {
+                           return std::string(eventName) +
+                                  " delta per '" + name +
+                                  "' interval";
+                       })
+            .add(delta.value[i]);
     }
-}
-
-std::vector<std::pair<std::string, RunningStats>>
-ProfileRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return scopes_;
-}
-
-std::vector<
-    std::pair<std::string, ProfileRegistry::ScopeCounters>>
-ProfileRegistry::counterSnapshot() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return counterScopes_;
 }
 
 void
 ProfileRegistry::registerStats(StatRegistry &registry,
                                const std::string &prefix) const
 {
-    for (const auto &[scope, stats] : snapshot()) {
-        registry.addDistribution(prefix + "." + scope, stats,
-                                 "wall-clock time of the '" +
-                                     scope + "' scope",
-                                 "seconds");
+    std::lock_guard<std::mutex> guard(mutex_);
+    for (const StatEntry &entry : stats_.entries()) {
+        registry.addLatencyHistogram(prefix + "." + entry.name,
+                                     entry.histogram,
+                                     entry.description, entry.unit);
     }
-    for (const auto &[scope, counters] : counterSnapshot()) {
-        for (std::size_t i = 0; i < kPerfEventCount; ++i) {
-            const auto event = static_cast<PerfEvent>(i);
-            if (!(counters.mask & (1u << i)))
-                continue;
-            registry.addDistribution(
-                prefix + "." + scope + "." +
-                    perfEventName(event),
-                counters.stats[i],
-                std::string(perfEventName(event)) +
-                    " delta per '" + scope + "' interval",
-                "count");
-        }
-    }
-}
-
-std::string
-ProfileRegistry::format() const
-{
-    const auto scopes = snapshot();
-    if (scopes.empty())
-        return "";
-    std::size_t width = 0;
-    for (const auto &[scope, stats] : scopes)
-        width = std::max(width, scope.size());
-    std::ostringstream os;
-    os << "uatm profile (wall-clock seconds):\n";
-    for (const auto &[scope, stats] : scopes) {
-        os << "  " << scope
-           << std::string(width - scope.size(), ' ')
-           << "  total " << stats.mean() *
-                  static_cast<double>(stats.count())
-           << "  n " << stats.count()
-           << "  mean " << stats.mean()
-           << "  max " << stats.max() << '\n';
-    }
-    const auto counterScopes = counterSnapshot();
-    if (!counterScopes.empty()) {
-        os << "uatm profile counters (per-interval means):\n";
-        for (const auto &[scope, counters] : counterScopes) {
-            os << "  " << scope
-               << std::string(width > scope.size()
-                                  ? width - scope.size()
-                                  : 0,
-                              ' ');
-            for (std::size_t i = 0; i < kPerfEventCount; ++i) {
-                if (!(counters.mask & (1u << i)))
-                    continue;
-                os << "  "
-                   << perfEventName(static_cast<PerfEvent>(i))
-                   << ' ' << counters.stats[i].mean();
-            }
-            os << '\n';
-        }
-    }
-    return os.str();
 }
 
 void
 ProfileRegistry::clear()
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    scopes_.clear();
-    counterScopes_.clear();
+    stats_.clear();
 }
 
 } // namespace uatm::obs

@@ -2,39 +2,39 @@
  * @file
  * Scoped wall-clock profiling.
  *
- * UATM_PROFILE_SCOPE("engine.run") drops an RAII timer into a
- * scope; elapsed wall-clock seconds feed a named RunningStats in
- * the process-wide ProfileRegistry.  Profiling where our *own*
- * evaluation time goes is what makes fast-analytical-model work
- * (à la Gysi et al.) actionable.
+ * UATM_PROFILE_SCOPE("cpu.engine") drops an RAII timer into a
+ * scope; the elapsed wall-clock nanoseconds feed a LatencyHistogram
+ * named after the scope in the process-wide ProfileRegistry, the
+ * same summary the runner and the daemon keep for their timed
+ * spans.  Scope names follow perfbench's layers (cache.sim,
+ * cache.stack_sim, cpu.engine, core.equivalence).  Profiling where
+ * our *own* evaluation time goes is what makes fast-analytical-
+ * model work (à la Gysi et al.) actionable.
  *
  * Disabled by default: the timer constructor is an inline check of
  * one cached bool, so scattering scopes over hot paths is free
  * until UATM_PROFILE is set in the environment (which also dumps
- * the profile to stderr at exit) or setEnabled(true) is called.
+ * the histograms to stderr at exit) or setEnabled(true) is called.
  *
- * UATM_PERF additionally arms hardware counter deltas per scope:
- * each timed interval also records cycles/instructions/cache-miss
- * (etc.) deltas from the calling thread's PerfCounterGroup.  On
- * hosts where perf_event_open is forbidden the scopes silently
- * fall back to wall-clock only.  UATM_PERF implies UATM_PROFILE.
+ * UATM_PERF additionally records each timed interval's counter
+ * deltas from the calling thread's threadPerfCounters() group, one
+ * histogram per event named <scope>.<event>.  On hosts where
+ * perf_event_open is forbidden the scopes silently fall back to
+ * wall-clock only.  UATM_PERF implies UATM_PROFILE.
  */
 
 #ifndef UATM_OBS_PROFILE_HH
 #define UATM_OBS_PROFILE_HH
 
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/perf_counters.hh"
-#include "util/stats.hh"
+#include "obs/registry.hh"
 
 namespace uatm::obs {
-
-class StatRegistry;
 
 class ProfileRegistry
 {
@@ -49,34 +49,15 @@ class ProfileRegistry
     bool countersEnabled() const { return counters_; }
 
     /** Fold one timed interval into the named scope. */
-    void record(const char *name, double seconds);
+    void record(const char *name, std::uint64_t ns);
 
-    /** Fold one interval's counter deltas into the scope. */
+    /** Fold one interval's counter deltas into <scope>.<event>. */
     void recordCounters(const char *name,
                         const PerfCounterValues &delta);
 
-    /** (scope name, timing summary) in first-seen order. */
-    std::vector<std::pair<std::string, RunningStats>>
-    snapshot() const;
-
-    /** Per-scope per-event counter summaries. */
-    struct ScopeCounters
-    {
-        /** Bit (1 << event) per event with samples. */
-        std::uint32_t mask = 0;
-        std::array<RunningStats, kPerfEventCount> stats{};
-    };
-
-    /** (scope name, counters) for scopes that recorded any. */
-    std::vector<std::pair<std::string, ScopeCounters>>
-    counterSnapshot() const;
-
-    /** Register every scope as prefix.<name> distributions. */
+    /** Copy every histogram into @p registry as prefix.<name>. */
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
-
-    /** Aligned human-readable dump (seconds). */
-    std::string format() const;
 
     /** Forget all recorded scopes. */
     void clear();
@@ -84,10 +65,11 @@ class ProfileRegistry
   private:
     ProfileRegistry();
 
+    /** The UATM_PROFILE dump: a header, then formatText(). */
+    static void dumpAtExit();
+
     mutable std::mutex mutex_;
-    std::vector<std::pair<std::string, RunningStats>> scopes_;
-    std::vector<std::pair<std::string, ScopeCounters>>
-        counterScopes_;
+    StatRegistry stats_;
     bool enabled_ = false;
     bool counters_ = false;
 };
@@ -122,17 +104,17 @@ class ScopedTimer
             return;
         const auto elapsed =
             std::chrono::steady_clock::now() - start_;
-        if (counters_) {
-            const PerfCounterValues delta = scaleDelta(
-                begin_, threadPerfCounters().read());
-            if (delta.available) {
-                ProfileRegistry::instance().recordCounters(
-                    name_, delta);
-            }
-        }
-        ProfileRegistry::instance().record(
-            name_,
-            std::chrono::duration<double>(elapsed).count());
+        PerfCounterValues delta;
+        if (counters_)
+            delta = scaleDelta(begin_, threadPerfCounters().read());
+        ProfileRegistry &profile = ProfileRegistry::instance();
+        profile.record(
+            name_, static_cast<std::uint64_t>(
+                       std::chrono::duration_cast<
+                           std::chrono::nanoseconds>(elapsed)
+                           .count()));
+        if (delta.available)
+            profile.recordCounters(name_, delta);
     }
 
     ScopedTimer(const ScopedTimer &) = delete;

@@ -24,8 +24,6 @@ statKindName(StatKind kind)
         return "scalar";
       case StatKind::Formula:
         return "formula";
-      case StatKind::Distribution:
-        return "distribution";
       case StatKind::Histogram:
         return "histogram";
     }
@@ -309,8 +307,6 @@ StatEntry::valueNow() const
         return scalar;
       case StatKind::Formula:
         return formula ? formula() : 0.0;
-      case StatKind::Distribution:
-        return distribution.mean();
       case StatKind::Histogram:
         return histogram.mean();
     }
@@ -353,16 +349,6 @@ StatRegistry::addFormula(const std::string &name,
         std::move(formula);
 }
 
-void
-StatRegistry::addDistribution(const std::string &name,
-                              const RunningStats &distribution,
-                              const std::string &description,
-                              const std::string &unit)
-{
-    emplace(name, description, unit,
-            StatKind::Distribution).distribution = distribution;
-}
-
 LatencyHistogram &
 StatRegistry::addLatencyHistogram(const std::string &name,
                                   const LatencyHistogram &histogram,
@@ -403,20 +389,6 @@ StatRegistry::value(const std::string &name) const
     return entry->valueNow();
 }
 
-std::vector<const StatEntry *>
-StatRegistry::childrenOf(const std::string &prefix) const
-{
-    std::vector<const StatEntry *> out;
-    const std::string dotted = prefix + ".";
-    for (const auto &entry : entries_) {
-        if (entry.name == prefix ||
-            entry.name.starts_with(dotted)) {
-            out.push_back(&entry);
-        }
-    }
-    return out;
-}
-
 void
 StatRegistry::clear()
 {
@@ -435,15 +407,11 @@ StatRegistry::formatText() const
     for (const auto &entry : entries_) {
         os << entry.name
            << std::string(width - entry.name.size(), ' ') << " = ";
-        if (entry.kind == StatKind::Distribution) {
-            const RunningStats &d = entry.distribution;
-            os << d.mean() << " (n=" << d.count()
-               << ", sd=" << d.stddev() << ", min=" << d.min()
-               << ", max=" << d.max() << ")";
-        } else if (entry.kind == StatKind::Histogram) {
+        if (entry.kind == StatKind::Histogram) {
             const LatencyHistogram &h = entry.histogram;
             os << h.mean() << " (n=" << h.count()
-               << ", p50=" << h.p50() << ", p95=" << h.p95()
+               << ", sum=" << h.sum() << ", p50=" << h.p50()
+               << ", p95=" << h.p95()
                << ", p99=" << h.p99() << ", max=" << h.max()
                << ")";
         } else {
@@ -471,14 +439,7 @@ StatRegistry::toJson() const
     for (const auto &entry : entries_) {
         w.key(entry.name).beginObject();
         w.keyValue("kind", statKindName(entry.kind));
-        if (entry.kind == StatKind::Distribution) {
-            const RunningStats &d = entry.distribution;
-            w.keyValue("count", d.count());
-            w.keyValue("mean", d.mean());
-            w.keyValue("stddev", d.stddev());
-            w.keyValue("min", d.min());
-            w.keyValue("max", d.max());
-        } else if (entry.kind == StatKind::Histogram) {
+        if (entry.kind == StatKind::Histogram) {
             const LatencyHistogram &h = entry.histogram;
             w.keyValue("count", h.count());
             w.keyValue("sum", h.sum());
@@ -652,14 +613,10 @@ StatRegistry::dumpPrometheus(
     const auto derivedNames =
         [](const std::string &metric,
            StatKind kind) -> std::vector<std::string> {
-        switch (kind) {
-          case StatKind::Distribution:
-          case StatKind::Histogram:
+        if (kind == StatKind::Histogram)
             return {metric, metric + "_bucket", metric + "_sum",
                     metric + "_count"};
-          default:
-            return {metric};
-        }
+        return {metric};
     };
 
     for (const auto &entry : entries_) {
@@ -683,8 +640,6 @@ StatRegistry::dumpPrometheus(
                      std::to_string(suffix);
         }
 
-        const bool summary =
-            entry.kind == StatKind::Distribution;
         const bool histogram =
             entry.kind == StatKind::Histogram;
         os << "# HELP " << metric << ' '
@@ -693,10 +648,7 @@ StatRegistry::dumpPrometheus(
                                  : entry.description)
            << '\n';
         os << "# TYPE " << metric << ' '
-           << (histogram ? "histogram"
-               : summary ? "summary"
-                         : "gauge")
-           << '\n';
+           << (histogram ? "histogram" : "gauge") << '\n';
         if (histogram) {
             // Conformant exposition: cumulative _bucket series
             // over the occupied edges, always closed by le="+Inf"
@@ -737,22 +689,8 @@ StatRegistry::dumpPrometheus(
                << '\n';
             continue;
         }
-        if (!summary) {
-            os << metric << base << ' '
-               << promNumber(entry.valueNow()) << '\n';
-            continue;
-        }
-        const RunningStats &d = entry.distribution;
-        os << metric << promLabelBlock(labels, {{"quantile", "0"}})
-           << ' ' << promNumber(d.count() ? d.min() : 0.0) << '\n';
-        os << metric << promLabelBlock(labels, {{"quantile", "1"}})
-           << ' ' << promNumber(d.count() ? d.max() : 0.0) << '\n';
-        os << metric << "_sum" << base << ' '
-           << promNumber(d.mean() *
-                         static_cast<double>(d.count()))
-           << '\n';
-        os << metric << "_count" << base << ' '
-           << promNumber(static_cast<double>(d.count())) << '\n';
+        os << metric << base << ' '
+           << promNumber(entry.valueNow()) << '\n';
     }
     return os.str();
 }

@@ -6,10 +6,11 @@
  * unit — and register them here instead of (or alongside) their
  * bespoke structs.  Three stat kinds exist:
  *
- *  - Scalar:       a sampled numeric value (counter snapshot);
- *  - Formula:      a derived value evaluated lazily at dump time;
- *  - Distribution: a RunningStats summary (count/mean/stddev/
- *                  min/max), e.g. the wall-clock profile scopes.
+ *  - Scalar:    a sampled numeric value (counter snapshot);
+ *  - Formula:   a derived value evaluated lazily at dump time;
+ *  - Histogram: a LatencyHistogram, the one summary of a timed
+ *               span (runner points, served requests, profile
+ *               scopes).
  *
  * Names are dotted paths ("sim.fills", "stall.flush"); StatGroup
  * provides scoped prefixes so components can register relative
@@ -27,8 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/stats.hh"
-
 namespace uatm::obs {
 
 /** Bumped whenever the JSON stat-dump layout changes shape. */
@@ -38,7 +37,6 @@ enum class StatKind : std::uint8_t
 {
     Scalar,
     Formula,
-    Distribution,
     Histogram,
 };
 
@@ -136,11 +134,9 @@ struct StatEntry
 
     double scalar = 0.0;                ///< Scalar value
     std::function<double()> formula;    ///< Formula evaluator
-    RunningStats distribution;          ///< Distribution summary
     LatencyHistogram histogram;         ///< Histogram buckets
 
-    /** Scalar value, evaluated formula, or distribution/histogram
-     *  mean. */
+    /** Scalar value, evaluated formula, or histogram mean. */
     double valueNow() const;
 };
 
@@ -157,12 +153,6 @@ class StatRegistry
                     std::function<double()> formula,
                     const std::string &description,
                     const std::string &unit = "");
-
-    /** Register a distribution summary (copied). */
-    void addDistribution(const std::string &name,
-                         const RunningStats &distribution,
-                         const std::string &description,
-                         const std::string &unit = "");
 
     /**
      * Register a latency histogram (copied in).  The returned
@@ -198,10 +188,6 @@ class StatRegistry
         return entries_;
     }
 
-    /** Entries whose name starts with "prefix." (or equals it). */
-    std::vector<const StatEntry *>
-    childrenOf(const std::string &prefix) const;
-
     std::size_t size() const { return entries_.size(); }
     void clear();
 
@@ -229,8 +215,7 @@ class StatRegistry
      * series) are resolved with a deterministic "_2"/"_3" suffix
      * so no metric name ever repeats its HELP/TYPE block.
      * Scalars and formulas emit as gauges with a HELP/TYPE pair;
-     * distributions emit as summaries (quantile 0/1 = min/max,
-     * plus _sum and _count); latency histograms emit as conformant
+     * latency histograms emit as conformant
      * Prometheus histograms (cumulative `_bucket{le="..."}` series
      * ending in le="+Inf", plus `_sum` and `_count`).
      */
@@ -282,16 +267,6 @@ class StatGroup
     {
         registry_.addFormula(qualify(name), std::move(formula),
                              description, unit);
-    }
-
-    void
-    addDistribution(const std::string &name,
-                    const RunningStats &distribution,
-                    const std::string &description,
-                    const std::string &unit = "") const
-    {
-        registry_.addDistribution(qualify(name), distribution,
-                                  description, unit);
     }
 
     LatencyHistogram &

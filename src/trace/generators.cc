@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/status.hh"
 
 namespace uatm {
 
@@ -649,7 +650,8 @@ Spec92Profile::make(const std::string &name, std::uint64_t seed)
         return makeDoduc(rng);
     if (name == "hydro2d")
         return makeHydro2d(rng);
-    fatal("unknown SPEC92-like profile '", name, "'");
+    throw StatusError(Status::notFound(
+        "unknown SPEC92-like profile '", name, "'"));
 }
 
 } // namespace uatm

@@ -265,7 +265,8 @@ struct Spec92Profile
     /** The six program names used in the paper's Figure 1. */
     static const std::vector<std::string> &names();
 
-    /** Build the named profile; fatal() on an unknown name. */
+    /** Build the named profile; an unknown name throws a
+     *  StatusError (NotFound). */
     static std::unique_ptr<TraceSource> make(const std::string &name,
                                              std::uint64_t seed);
 };

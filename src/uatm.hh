@@ -24,7 +24,6 @@
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/random.hh"
-#include "util/stats.hh"
 #include "util/status.hh"
 #include "util/table.hh"
 

@@ -1,16 +1,18 @@
 # Fails when a fatal() call appears in the paper model's sources
-# (src/core, src/linesize and src/cpu), comments stripped: the model
-# rejects its inputs through Status and StatusError, and only the
-# CLI and bench boundaries exit (DESIGN.md §7).
+# (src/core, src/linesize and src/cpu) or the trace substrate's
+# (src/trace), comments stripped: the library rejects its inputs
+# through Status and StatusError, and only the CLI and bench
+# boundaries exit (DESIGN.md §7).
 #
 #   cmake -DROOT=<source tree> -P model_fatal_guard.cmake
 
 cmake_minimum_required(VERSION 3.16)
 
 file(GLOB_RECURSE sources
-    "${ROOT}/src/core/*" "${ROOT}/src/linesize/*" "${ROOT}/src/cpu/*")
+    "${ROOT}/src/core/*" "${ROOT}/src/linesize/*" "${ROOT}/src/cpu/*"
+    "${ROOT}/src/trace/*")
 if(NOT sources)
-    message(FATAL_ERROR "no model sources under '${ROOT}/src'")
+    message(FATAL_ERROR "no library sources under '${ROOT}/src'")
 endif()
 
 set(offenders "")
@@ -53,6 +55,6 @@ foreach(path IN LISTS sources)
 endforeach()
 
 if(offenders)
-    message(FATAL_ERROR "fatal() called in the paper model; return "
+    message(FATAL_ERROR "fatal() called in the library; return "
                         "or throw a Status instead:\n${offenders}")
 endif()

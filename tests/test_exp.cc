@@ -18,7 +18,7 @@
 #include "exp/scenario.hh"
 #include "exp/scenarios.hh"
 #include "exp/workload_spec.hh"
-#include "obs/registry.hh"
+#include "expect_status.hh"
 #include "obs/trace_event.hh"
 #include "trace/generators.hh"
 
@@ -421,23 +421,6 @@ TEST(Runner, TracerNoLongerForcesSerialAndArmsTelemetry)
     EXPECT_EQ(runner.lastStats().workers.size(), 4u);
 }
 
-TEST(Runner, StatsRegisterUnderPrefix)
-{
-    Runner runner(RunnerOptions{1});
-    Scenario scenario("tiny");
-    scenario.sweep("i", {0, 1},
-                   [](Point &, const AxisValue &) {});
-    runner.run(scenario, {"x"}, [](const Point &) {
-        return std::vector<Cell>{Cell::num(0.0)};
-    });
-    obs::StatRegistry registry;
-    runner.lastStats().registerStats(registry, "exp");
-    EXPECT_EQ(registry.value("exp.points"), 2.0);
-    EXPECT_EQ(registry.value("exp.points_failed"), 0.0);
-    EXPECT_EQ(registry.value("exp.threads_used"), 0.0);
-    EXPECT_TRUE(registry.contains("exp.wall_ns"));
-}
-
 // ------------------------------------------- parallel == serial
 
 TEST(Scenarios, ParallelPhiMatchesSerial)
@@ -506,6 +489,24 @@ TEST(Scenarios, LineTradeoffAgreesWithSmith)
     if (result.smith >= spec.baseLine) {
         EXPECT_EQ(result.recommended, result.smith);
     }
+}
+
+TEST(Scenarios, LineTradeoffThrowsTheFirstFailedPoint)
+{
+    // Every point of a zero-byte cache fails; the table must not be
+    // built from their empty samples.
+    LineTradeoff spec;
+    spec.base.sizeBytes = 0;
+    spec.base.assoc = 2;
+    spec.workload = WorkloadSpec::spec92("nasa7", 11);
+    spec.lineSizes = {8, 16};
+    spec.baseLine = 8;
+    spec.refs = 2000;
+
+    Runner runner(RunnerOptions{1});
+    EXPECT_TRUE(throwsStatus([&] { runLineTradeoff(spec, runner); },
+                             ErrorCode::InvalidArgument,
+                             "cache size 0 is not a power of two"));
 }
 
 void

@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "expect_status.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
 #include "trace/reuse_distance.hh"
@@ -299,10 +300,11 @@ TEST(Spec92Profile, HasSixNames)
     EXPECT_EQ(Spec92Profile::names().size(), 6u);
 }
 
-TEST(Spec92Profile, UnknownNameIsFatal)
+TEST(Spec92Profile, UnknownNameIsNotFound)
 {
-    EXPECT_EXIT(Spec92Profile::make("mcf", 1),
-                ::testing::ExitedWithCode(EXIT_FAILURE), "unknown");
+    EXPECT_TRUE(throwsStatus([] { Spec92Profile::make("mcf", 1); },
+                             ErrorCode::NotFound,
+                             "unknown SPEC92-like profile 'mcf'"));
 }
 
 TEST(Spec92Profile, AllProfilesProduceReferences)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "expect_status.hh"
 #include "linesize/delay_model.hh"
 #include "linesize/line_tradeoff.hh"
@@ -102,6 +104,30 @@ TEST(DelayModel, RejectsNonPositiveBusWidth)
     EXPECT_TRUE(throwsStatus(
         [] { LineDelayModel::fromNanoseconds(360, 15, 60, 0); },
         ErrorCode::InvalidArgument, "bus width must be positive"));
+}
+
+TEST(DelayModel, RejectsNaNAndInfinity)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(isStatus(model(nan, 2).validate(),
+                         ErrorCode::InvalidArgument,
+                         "latency c must be at least the one-cycle "
+                         "hit time and finite, got nan"));
+    EXPECT_TRUE(isStatus(model(inf, 2).validate(),
+                         ErrorCode::InvalidArgument,
+                         "and finite, got inf"));
+    EXPECT_TRUE(isStatus(model(6, nan).validate(),
+                         ErrorCode::InvalidArgument,
+                         "bus speed beta must be positive and finite, "
+                         "got nan"));
+    EXPECT_TRUE(isStatus(model(6, inf).validate(),
+                         ErrorCode::InvalidArgument,
+                         "bus speed beta must be positive and finite, "
+                         "got inf"));
+    EXPECT_TRUE(isStatus(model(6, 2, nan).validate(),
+                         ErrorCode::InvalidArgument,
+                         "bus width must be positive, got nan"));
 }
 
 // ------------------------------------------------------- MissRatioTable

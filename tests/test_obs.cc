@@ -127,33 +127,6 @@ TEST(StatRegistry, FormulaEvaluatesAtDumpTime)
     EXPECT_DOUBLE_EQ(reg.value("derived.x"), 10.0);
 }
 
-TEST(StatRegistry, DistributionKeepsMoments)
-{
-    RunningStats rs;
-    rs.add(1.0);
-    rs.add(3.0);
-    obs::StatRegistry reg;
-    reg.addDistribution("profile.run", rs, "wall clock",
-                        "seconds");
-    EXPECT_DOUBLE_EQ(reg.value("profile.run"), 2.0); // mean
-    const obs::StatEntry *entry = reg.find("profile.run");
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->distribution.count(), 2u);
-}
-
-TEST(StatRegistry, ChildrenOfSelectsSubtree)
-{
-    obs::StatRegistry reg;
-    reg.addScalar("stall.flush", 1.0, "");
-    reg.addScalar("stall.write", 2.0, "");
-    reg.addScalar("stallion", 3.0, ""); // NOT a child of "stall"
-    reg.addScalar("sim.fills", 4.0, "");
-    const auto kids = reg.childrenOf("stall");
-    ASSERT_EQ(kids.size(), 2u);
-    EXPECT_EQ(kids[0]->name, "stall.flush");
-    EXPECT_EQ(kids[1]->name, "stall.write");
-}
-
 TEST(StatRegistry, JsonDumpIsVersionedAndComplete)
 {
     obs::StatRegistry reg;
@@ -570,35 +543,14 @@ TEST(Prometheus, EscapesLabelValues)
     EXPECT_EQ(text.find("line1\nline2"), std::string::npos);
 }
 
-TEST(Prometheus, DistributionBecomesSummary)
-{
-    RunningStats rs;
-    rs.add(2.0);
-    rs.add(6.0);
-    obs::StatRegistry reg;
-    reg.addDistribution("profile.run", rs, "wall", "seconds");
-    const std::string text = reg.dumpPrometheus();
-    EXPECT_NE(
-        text.find("# TYPE uatm_profile_run_seconds summary\n"),
-        std::string::npos);
-    EXPECT_NE(text.find("{quantile=\"0\"} 2\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("{quantile=\"1\"} 6\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("uatm_profile_run_seconds_sum 8\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("uatm_profile_run_seconds_count 2\n"),
-              std::string::npos);
-}
-
 TEST(Prometheus, EveryLineIsHelpTypeOrSample)
 {
     obs::StatRegistry reg;
     reg.addScalar("a.b", 1.5, "first", "cycles");
     reg.addFormula("c", [] { return 2.0; }, "second");
-    RunningStats rs;
-    rs.add(1.0);
-    reg.addDistribution("d", rs, "third");
+    obs::LatencyHistogram h;
+    h.add(1.0);
+    reg.addLatencyHistogram("d", h, "third");
     std::istringstream in(
         reg.dumpPrometheus("uatm", {{"run", "r1"}}));
     std::string line;
@@ -616,7 +568,8 @@ TEST(Prometheus, EveryLineIsHelpTypeOrSample)
             << line;
         ++samples;
     }
-    // 2 gauges + 4 summary lines for the distribution.
+    // 2 gauges + the histogram's one occupied bucket, its +Inf
+    // bucket, _sum and _count.
     EXPECT_EQ(samples, 6u);
 }
 
@@ -947,23 +900,51 @@ TEST(ProfileRegistry, ScopedTimerFeedsNamedScope)
     }
     profile.setEnabled(was);
 
-    const auto scopes = profile.snapshot();
-    ASSERT_GE(scopes.size(), 2u);
-    bool found = false;
-    for (const auto &[name, rs] : scopes) {
-        if (name == "test.scope") {
-            found = true;
-            EXPECT_EQ(rs.count(), 2u);
-            EXPECT_GE(rs.min(), 0.0);
-        }
-    }
-    EXPECT_TRUE(found);
+    obs::StatRegistry reg;
+    profile.registerStats(reg, "profile");
+    const obs::StatEntry *scope = reg.find("profile.test.scope");
+    ASSERT_NE(scope, nullptr);
+    EXPECT_EQ(scope->kind, obs::StatKind::Histogram);
+    EXPECT_EQ(scope->unit, "ns");
+    EXPECT_EQ(scope->histogram.count(), 2u);
+    EXPECT_GE(scope->histogram.min(), 0.0);
+    const obs::StatEntry *other = reg.find("profile.test.other");
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->histogram.count(), 1u);
+
+    profile.clear();
+    obs::StatRegistry cleared;
+    profile.registerStats(cleared, "profile");
+    EXPECT_EQ(cleared.size(), 0u);
+}
+
+TEST(ProfileRegistry, CounterDeltasBecomeHistogramsPerEvent)
+{
+    auto &profile = obs::ProfileRegistry::instance();
+    profile.clear();
+    obs::PerfCounterValues delta;
+    delta.available = true;
+    delta.mask = 1u << static_cast<unsigned>(
+                     obs::PerfEvent::ContextSwitches);
+    delta.value[static_cast<std::size_t>(
+        obs::PerfEvent::ContextSwitches)] = 3.0;
+    profile.recordCounters("test.counted", delta);
+    delta.value[static_cast<std::size_t>(
+        obs::PerfEvent::ContextSwitches)] = 5.0;
+    profile.recordCounters("test.counted", delta);
 
     obs::StatRegistry reg;
     profile.registerStats(reg, "profile");
-    EXPECT_TRUE(reg.contains("profile.test.scope"));
     profile.clear();
-    EXPECT_TRUE(profile.snapshot().empty());
+    // Only the event the mask names gets a histogram.
+    ASSERT_EQ(reg.size(), 1u);
+    const obs::StatEntry *entry =
+        reg.find("profile.test.counted.context_switches");
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->kind, obs::StatKind::Histogram);
+    EXPECT_EQ(entry->unit, "count");
+    EXPECT_EQ(entry->histogram.count(), 2u);
+    EXPECT_DOUBLE_EQ(entry->histogram.sum(), 8.0);
 }
 
 TEST(ProfileRegistry, DisabledTimerRecordsNothing)
@@ -976,8 +957,9 @@ TEST(ProfileRegistry, DisabledTimerRecordsNothing)
         UATM_PROFILE_SCOPE("test.ghost");
     }
     profile.setEnabled(was);
-    for (const auto &[name, rs] : profile.snapshot())
-        EXPECT_NE(name, "test.ghost");
+    obs::StatRegistry reg;
+    profile.registerStats(reg, "profile");
+    EXPECT_FALSE(reg.contains("profile.test.ghost"));
 }
 
 // ------------------------------------------------------- BenchSuite
@@ -1639,6 +1621,7 @@ TEST(StatRegistry, HistogramAppearsInTextAndJsonDumps)
 
     const std::string text = registry.formatText();
     EXPECT_NE(text.find("runner.point_ns"), std::string::npos);
+    EXPECT_NE(text.find("sum=111,"), std::string::npos);
     EXPECT_NE(text.find("p50="), std::string::npos);
     EXPECT_NE(text.find("p99="), std::string::npos);
 

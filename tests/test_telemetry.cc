@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,6 +44,17 @@ trivialKernel()
         return std::vector<Cell>{
             Cell::num(static_cast<double>(point.index))};
     };
+}
+
+/** Open file descriptors of this process; -1 without /proc. */
+long
+openDescriptors()
+{
+    std::error_code error;
+    std::filesystem::directory_iterator it("/proc/self/fd", error);
+    if (error)
+        return -1;
+    return std::distance(it, std::filesystem::directory_iterator());
 }
 
 } // namespace
@@ -83,6 +96,36 @@ TEST(RunnerTelemetry, WorkerCountersNeedUatmPerf)
         setenv("UATM_PERF", previous.c_str(), 1);
     else
         unsetenv("UATM_PERF");
+}
+
+TEST(RunnerTelemetry, ArmedWorkerReadsTheThreadCounterGroup)
+{
+    // Under UATM_PERF a worker reads the group its thread keeps for
+    // profile scopes instead of opening a second one, so an inline
+    // run holds no counter descriptor beyond the caller's group.
+    const char *saved = std::getenv("UATM_PERF");
+    const std::string previous = saved ? saved : "";
+    setenv("UATM_PERF", "1", 1);
+    const obs::PerfCounterGroup &group = obs::threadPerfCounters();
+    const long before = openDescriptors();
+    long during = -1;
+    Runner runner(RunnerOptions{1});
+    runner.run(fourPointScenario(), {"x"},
+               [&during](const Point &) {
+                   during = openDescriptors();
+                   return std::vector<Cell>{Cell::num(1.0)};
+               });
+    if (saved)
+        setenv("UATM_PERF", previous.c_str(), 1);
+    else
+        unsetenv("UATM_PERF");
+
+    EXPECT_EQ(during, before);
+    ASSERT_EQ(runner.lastStats().workers.size(), 1u);
+    const obs::PerfCounterValues &counters =
+        runner.lastStats().workers[0].counters;
+    EXPECT_EQ(counters.available, group.available());
+    EXPECT_EQ(counters.mask & ~group.mask(), 0u);
 }
 
 TEST(RunnerTelemetry, ArmedSerialRunRecordsEveryPoint)
@@ -496,20 +539,6 @@ TEST(RunnerTelemetry, FromJsonRefusesNumbersItsFieldsCannotHold)
         EXPECT_EQ(loaded.status().message(),
                   std::string("telemetry document: ") + c.message);
     }
-}
-
-TEST(RunnerTelemetry, StatsRegisterUnderPrefix)
-{
-    Runner runner(RunnerOptions{2});
-    runner.run(fourPointScenario(), {"x"}, trivialKernel());
-
-    obs::StatRegistry registry;
-    runner.lastStats().registerStats(registry, "tel");
-    EXPECT_EQ(registry.value("tel.points"), 4.0);
-    EXPECT_TRUE(registry.contains("tel.point_ns"));
-    EXPECT_TRUE(registry.contains("tel.load_imbalance"));
-    EXPECT_TRUE(registry.contains("tel.worker0.utilization"));
-    EXPECT_TRUE(registry.contains("tel.worker1.utilization"));
 }
 
 TEST(RunnerTelemetry, TracedParallelRunEmitsPerWorkerTracks)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/execution_time.hh"
 #include "core/tradeoff.hh"
 #include "expect_status.hh"
@@ -365,6 +367,14 @@ TEST(TradeoffContext, RejectsPipelinedBase)
     EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
     EXPECT_NE(status.message().find("non-pipelined"),
               std::string::npos);
+}
+
+TEST(TradeoffContext, RejectsNaNAlpha)
+{
+    const TradeoffContext ctx =
+        context(8, 32, 4, std::numeric_limits<double>::quiet_NaN());
+    EXPECT_TRUE(isStatus(ctx.validate(), ErrorCode::InvalidArgument,
+                         "alpha must lie in [0, 1], got nan"));
 }
 
 TEST(MissFactor, ThrowsWhenCostBelowHitCycle)

@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for the util substrate: PRNG, statistics, tables,
- * charts, the checked file writer and the option parser.
+ * Unit tests for the util substrate: PRNG, tables, charts, the
+ * checked file writer and the option parser.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -19,7 +18,6 @@
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/random.hh"
-#include "util/stats.hh"
 #include "util/status.hh"
 #include "util/table.hh"
 
@@ -141,111 +139,6 @@ TEST(Rng, ForkedStreamsAreIndependent)
     for (int i = 0; i < 64; ++i)
         same += child() == parent();
     EXPECT_LT(same, 2);
-}
-
-// -------------------------------------------------------- RunningStats
-
-TEST(RunningStats, EmptyIsZero)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, KnownMoments)
-{
-    RunningStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined)
-{
-    RunningStats a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double v = std::sin(i) * 10.0;
-        (i % 2 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeIntoEmpty)
-{
-    RunningStats a, b;
-    b.add(1.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(RunningStats, MergeEmptyIntoEmpty)
-{
-    RunningStats a, b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeEmptyIntoPopulatedIsNoOp)
-{
-    RunningStats a, empty;
-    a.add(2.0);
-    a.add(6.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-}
-
-TEST(RunningStats, MergePropagatesMinMaxBothDirections)
-{
-    RunningStats lo, hi;
-    lo.add(-5.0);
-    lo.add(0.0);
-    hi.add(3.0);
-    hi.add(42.0);
-
-    RunningStats a = lo;
-    a.merge(hi); // other side holds the max
-    EXPECT_DOUBLE_EQ(a.min(), -5.0);
-    EXPECT_DOUBLE_EQ(a.max(), 42.0);
-
-    RunningStats b = hi;
-    b.merge(lo); // other side holds the min
-    EXPECT_DOUBLE_EQ(b.min(), -5.0);
-    EXPECT_DOUBLE_EQ(b.max(), 42.0);
-    EXPECT_EQ(b.count(), 4u);
-    EXPECT_DOUBLE_EQ(b.mean(), 10.0);
-}
-
-TEST(RunningStats, ResetReturnsToEmpty)
-{
-    RunningStats s;
-    s.add(7.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    RunningStats other;
-    other.add(1.0);
-    s.merge(other); // merging after reset behaves like fresh
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 1.0);
 }
 
 // ------------------------------------------------------------- TextTable

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/machine.hh"
 #include "core/workload.hh"
 #include "expect_status.hh"
@@ -122,6 +124,30 @@ TEST(Workload, ValidateRejectsNoDataReferences)
     w.dataRefs = 0;
     EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
                          "positive data-reference count"));
+}
+
+TEST(Workload, ValidateRejectsNaN)
+{
+    // A NaN trips no `x <= 0` or `x < lo || x > hi` check, so each
+    // check must be written to fail on it.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Workload base = Workload::fromHitRatio(100, 30, 0.9, 32, 0.5);
+    Workload w = base;
+    w.instructions = nan;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "positive instruction count, got nan"));
+    w = base;
+    w.bytesRead = nan;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "got bytes read nan"));
+    w = base;
+    w.flushRatio = nan;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "alpha must lie in [0, 1], got nan"));
+    w = base;
+    w.dataRefs = nan;
+    EXPECT_TRUE(isStatus(w.validate(32), ErrorCode::InvalidArgument,
+                         "positive data-reference count, got nan"));
 }
 
 TEST(Workload, ValidateRejectsMoreMissesThanInstructions)
@@ -256,6 +282,32 @@ TEST(Machine, ValidateRejectsLineSmallerThanBus)
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
     EXPECT_NE(status.message().find("at least"), std::string::npos);
+}
+
+TEST(Machine, ValidateRejectsNaN)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Machine base;
+    base.busWidth = 4;
+    base.lineBytes = 16;
+    Machine m = base;
+    m.busWidth = nan;
+    EXPECT_TRUE(isStatus(m.validate(), ErrorCode::InvalidArgument,
+                         "bus width D must be positive, got nan"));
+    m = base;
+    m.lineBytes = nan;
+    EXPECT_TRUE(isStatus(m.validate(), ErrorCode::InvalidArgument,
+                         "line size L = nan"));
+    m = base;
+    m.cycleTime = nan;
+    EXPECT_TRUE(isStatus(m.validate(), ErrorCode::InvalidArgument,
+                         "mu_m must be positive, got nan"));
+    m = base;
+    m.pipelined = true;
+    m.pipelineInterval = nan;
+    EXPECT_TRUE(isStatus(m.validate(), ErrorCode::InvalidArgument,
+                         "pipeline interval q must be positive, got "
+                         "nan"));
 }
 
 TEST(Machine, WithCycleTimePreservesRest)
