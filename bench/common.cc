@@ -12,6 +12,7 @@
 
 #include "cpu/stall_feature.hh"
 #include "obs/bench.hh"
+#include "obs/flags.hh"
 #include "obs/profile.hh"
 #include "obs/registry.hh"
 #include "obs/trace_event.hh"
@@ -24,25 +25,20 @@ BenchArgs
 parseArgs(int argc, char **argv)
 {
     BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--filter=", 0) == 0) {
-            args.filter = arg.substr(9);
-        } else if (arg == "--list") {
-            args.listOnly = true;
-        } else if (arg.rfind("--reps=", 0) == 0) {
-            const long long parsed =
-                std::atoll(arg.c_str() + 7);
-            if (parsed < 1)
-                fatal("invalid --reps value '", arg.substr(7),
-                      "' (need an integer >= 1)");
-            args.reps = static_cast<std::uint32_t>(parsed);
-        } else {
-            fatal("unknown argument '", arg, "'\nusage: ",
-                  argv[0],
-                  " [--filter=<substr>] [--list] [--reps=<n>]");
-        }
-    }
+    obs::Flags flags(std::filesystem::path(argv[0]).filename().string(),
+                     "Run this binary's benchmarks.");
+    flags.add("filter", args.filter,
+              "only run benchmarks whose name contains it");
+    flags.add("list", args.listOnly,
+              "print the (filtered) names and exit");
+    flags.add("reps", args.reps,
+              "timed repetitions for the micro harness; 0 leaves its "
+              "default",
+              1);
+    bool helped = false;
+    okOrFatal(flags.parse(argc, argv, &helped));
+    if (helped)
+        std::exit(0);
     return args;
 }
 

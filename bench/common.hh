@@ -31,11 +31,12 @@ namespace uatm::bench {
  * Command-line options shared by the bench binaries, so CI and
  * developers can run benchmark subsets without rebuilding:
  *
- *   --filter=<substr>  only run benchmarks whose name contains it
+ *   --filter <substr>  only run benchmarks whose name contains it
  *   --list             print the (filtered) names and exit
- *   --reps=<n>         timed repetitions for the micro harness
+ *   --reps <n>         timed repetitions for the micro harness
  *
- * parseArgs() fatal()s with a usage message on anything else.
+ * Read by obs::Flags, so "--name=value" works too and --help
+ * prints them and exits; parseArgs() fatal()s on a bad flag.
  */
 struct BenchArgs
 {

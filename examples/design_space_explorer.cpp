@@ -16,13 +16,13 @@
  *       --mu 8 --refs 100000 --threads 4 --format csv
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cpu/timing_engine.hh"
 #include "exp/runner.hh"
-#include "util/options.hh"
 #include "util/table.hh"
 
 #include "example_cli.hh"
@@ -32,37 +32,36 @@ using namespace uatm;
 static int
 run(int argc, char **argv)
 {
-    OptionParser options(
-        "design_space_explorer",
-        "Sweep cache size, bus width and stalling features "
-        "through the timing engine.");
-    examples::addWorkloadOptions(options, "doduc", 1);
-    options.addInt("mu", 8, "memory cycle time per bus transfer");
-    options.addInt("refs", 100000, "references to simulate");
-    options.addInt("line", 32, "cache line size in bytes");
-    options.addFlag("pipelined", "use a pipelined memory (q=2)");
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
-        return 0;
-    const auto cli = examples::parseRunnerOptions(options);
-
-    const auto workload = examples::parseWorkloadOptions(options);
-    const auto mu = static_cast<Cycles>(options.getInt("mu"));
-    const auto line =
-        static_cast<std::uint32_t>(options.getInt("line"));
-
     exp::Scenario scenario(
         "design_space",
         "cache size x bus width x stall feature x write buffer");
-    scenario.refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
-    scenario.workload = workload;
+    scenario.refs = 100000;
     scenario.cache.assoc = 2;
-    scenario.cache.lineBytes = line;
-    scenario.memory.cycleTime = mu;
-    scenario.memory.pipelined = options.getFlag("pipelined");
+    scenario.cache.lineBytes = 32;
+    scenario.memory.cycleTime = 8;
     scenario.memory.pipelineInterval = 2;
     scenario.writeBuffer.readBypass = true;
+
+    examples::WorkloadCli workload_cli{"doduc", 1};
+    examples::RunnerCli cli;
+    obs::Flags flags(
+        "design_space_explorer",
+        "Sweep cache size, bus width and stalling features "
+        "through the timing engine.");
+    workload_cli.bind(flags);
+    flags.add("mu", scenario.memory.cycleTime,
+              "memory cycle time per bus transfer");
+    flags.add("refs", scenario.refs, "references to simulate", 1);
+    flags.add("line", scenario.cache.lineBytes,
+              "cache line size in bytes");
+    flags.add("pipelined", scenario.memory.pipelined,
+              "use a pipelined memory (q=2)");
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
+        return 0;
+
+    const auto workload = workload_cli.spec();
+    scenario.workload = workload;
 
     scenario.sweepLabeled(
         "cache", {{"8K", 8192}, {"32K", 32768}, {"128K", 131072}},
@@ -94,11 +93,11 @@ run(int argc, char **argv)
         });
 
     if (cli.narrate())
-        std::printf(
-            "workload %s, mu_m = %llu, %llu refs, L = %u\n\n",
-            workload.describe().c_str(),
-            static_cast<unsigned long long>(mu),
-            static_cast<unsigned long long>(scenario.refs), line);
+        std::printf("workload %s, mu_m = %" PRIu64 ", %" PRIu64
+                    " refs, L = %u\n\n",
+                    workload.describe().c_str(),
+                    scenario.memory.cycleTime, scenario.refs,
+                    scenario.cache.lineBytes);
 
     exp::Runner runner = cli.makeRunner();
     cli.emit(runner.run(
@@ -115,7 +114,8 @@ run(int argc, char **argv)
                     static_cast<std::int64_t>(stats.cycles)),
                 exp::Cell::num(stats.cpi(), 3),
                 exp::Cell::num(stats.meanMemoryDelay(), 3)};
-        }));
+        }),
+        runner);
 
     if (cli.narrate())
         std::printf(

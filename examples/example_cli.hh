@@ -1,12 +1,14 @@
 /**
  * @file
  * Shared command-line plumbing for the example binaries: the
- * --threads / --format / --out triple every scenario-driven
- * example exposes, parsed into a Runner and an emission target.
+ * --workload / --seed pair and the --threads / --format / --out /
+ * --fail-fast flags every scenario-driven example exposes, each
+ * bound to the field it fills (obs/flags.hh).
  *
- * The examples are the CLI boundary of the error contract: library
- * errors arrive here as Status values or StatusError exceptions
- * and become fatal() exits (guardedMain, okOrFatal, valueOrFatal).
+ * The examples are the CLI boundary of the error contract: a bad
+ * flag and library errors arrive here as Status values or
+ * StatusError exceptions and become fatal() exits (parseFlags,
+ * guardedMain, okOrFatal, valueOrFatal).
  */
 
 #ifndef UATM_EXAMPLES_EXAMPLE_CLI_HH
@@ -19,62 +21,82 @@
 #include "exp/result_table.hh"
 #include "exp/runner.hh"
 #include "exp/workload_spec.hh"
-#include "util/options.hh"
+#include "obs/flags.hh"
 #include "util/status.hh"
 
 namespace uatm::examples {
 
+/** The largest --cache-kb: a size in KiB whose size in bytes still
+ *  fits 64 bits. */
+constexpr std::uint64_t kMaxCacheKb = (std::uint64_t{1} << 54) - 1;
+
+/** Read argv into @p flags' bindings: false after --help (the
+ *  caller exits 0), and a bad flag is fatal(). */
+inline bool
+parseFlags(obs::Flags &flags, int argc, char **argv)
+{
+    bool helped = false;
+    okOrFatal(flags.parse(argc, argv, &helped));
+    return !helped;
+}
+
 /**
- * Declare the shared --workload / --seed pair.  The value syntax
- * is "<method>[:k=v,...]" against the workload registry ("ycsb-a",
+ * The shared --workload / --seed pair.  The value syntax is
+ * "<method>[:k=v,...]" against the workload registry ("ycsb-a",
  * "ycsb-a:theta=0.9,records=1e6", "reuse-dist:depth=128", bare
  * Spec92 profile names like "doduc") — see trace_tool
  * --list-workloads for the method catalogue.
  */
-inline void
-addWorkloadOptions(OptionParser &options,
-                   const std::string &default_workload,
-                   std::int64_t default_seed)
+struct WorkloadCli
 {
-    options.addString("workload", default_workload,
-                      "workload method "
-                      "\"<method>[:k=v,...]\" (see trace_tool "
-                      "--list-workloads)");
-    options.addInt("seed", default_seed, "workload seed");
-}
+    std::string workload;
+    std::uint64_t seed = 1;
 
-/** Parse --workload/--seed; a bad method or param is fatal(). */
-inline exp::WorkloadSpec
-parseWorkloadOptions(const OptionParser &options)
-{
-    return valueOrFatal(exp::WorkloadSpec::parse(
-        options.getString("workload"),
-        static_cast<std::uint64_t>(options.getInt("seed"))));
-}
+    void bind(obs::Flags &flags)
+    {
+        flags.add("workload", workload,
+                  "workload method \"<method>[:k=v,...]\" (see "
+                  "trace_tool --list-workloads)");
+        flags.add("seed", seed, "workload seed");
+    }
 
-/** Declare --threads, --format, --out and --fail-fast. */
-inline void
-addRunnerOptions(OptionParser &options)
-{
-    options.addInt("threads", 1,
-                   "worker threads (0 = all hardware threads)");
-    options.addString("format", "text",
-                      "result table format: text | csv | json");
-    options.addString("out", "",
-                      "write the result table here instead of "
-                      "stdout");
-    options.addFlag("fail-fast",
-                    "abort on the first failed point instead of "
-                    "emitting an error row for it");
-}
+    /** The named workload; a bad method or param is fatal(). */
+    exp::WorkloadSpec spec() const
+    {
+        return valueOrFatal(exp::WorkloadSpec::parse(workload, seed));
+    }
+};
 
-/** The parsed --threads / --format / --out triple. */
+/** The --threads / --format / --out / --fail-fast flags. */
 struct RunnerCli
 {
     unsigned threads = 1;
+    std::string formatName = "text";
+    std::string out;
     bool failFast = false;
     exp::TableFormat format = exp::TableFormat::Text;
-    std::string out;
+
+    void bind(obs::Flags &flags)
+    {
+        flags.add("threads", threads,
+                  "worker threads (0 = all hardware threads)");
+        flags.add("format", formatName,
+                  "result table format: text | csv | json");
+        flags.add("out", out,
+                  "write the result table here instead of stdout");
+        flags.add("fail-fast", failFast,
+                  "abort on the first failed point instead of "
+                  "emitting an error row for it");
+    }
+
+    /** parseFlags(), then --format: false after --help. */
+    bool parse(obs::Flags &flags, int argc, char **argv)
+    {
+        if (!parseFlags(flags, argc, argv))
+            return false;
+        format = valueOrFatal(exp::parseTableFormat(formatName));
+        return true;
+    }
 
     /** True when narrative printf output won't corrupt the table
      *  stream (table is a file, or it renders as text). */
@@ -95,20 +117,16 @@ struct RunnerCli
     {
         okOrFatal(table.emit(format, out));
     }
-};
 
-inline RunnerCli
-parseRunnerOptions(const OptionParser &options)
-{
-    RunnerCli cli;
-    cli.threads =
-        static_cast<unsigned>(options.getInt("threads"));
-    cli.failFast = options.getFlag("fail-fast");
-    cli.format =
-        valueOrFatal(exp::parseTableFormat(options.getString("format")));
-    cli.out = options.getString("out");
-    return cli;
-}
+    /** The same for the table of @p runner's last run, after one
+     *  warning per failed point behind its error rows. */
+    void emit(const exp::ResultTable &table,
+              const exp::Runner &runner) const
+    {
+        runner.lastStats().warnFailures();
+        emit(table);
+    }
+};
 
 /**
  * Run @p body, converting an escaping StatusError into a clean

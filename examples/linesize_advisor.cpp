@@ -21,7 +21,6 @@
 #include <string>
 
 #include "exp/scenarios.hh"
-#include "util/options.hh"
 
 #include "example_cli.hh"
 
@@ -30,41 +29,43 @@ using namespace uatm;
 static int
 run(int argc, char **argv)
 {
-    OptionParser options(
+    exp::LineTradeoff spec;
+    spec.refs = 150000;
+    std::uint64_t cache_kb = 16;
+    double latency_ns = 360.0;
+    double ns_per_byte = 15.0;
+    double cycle_ns = 60.0;
+    std::uint32_t bus = 8;
+    examples::WorkloadCli workload{"nasa7", 11};
+    examples::RunnerCli cli;
+    obs::Flags flags(
         "linesize_advisor",
         "Recommend a cache line size from measured miss ratios "
         "and the memory's delay function.");
-    examples::addWorkloadOptions(options, "nasa7", 11);
-    options.addInt("cache-kb", 16, "cache capacity in KB");
-    options.addDouble("latency-ns", 360.0, "memory access latency");
-    options.addDouble("ns-per-byte", 15.0, "transfer time per byte");
-    options.addDouble("cycle-ns", 60.0, "CPU cycle time");
-    options.addInt("bus", 8, "bus width in bytes");
-    options.addInt("refs", 150000, "references to simulate");
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
+    workload.bind(flags);
+    flags.add("cache-kb", cache_kb, "cache capacity in KB", 0,
+              examples::kMaxCacheKb);
+    flags.add("latency-ns", latency_ns, "memory access latency");
+    flags.add("ns-per-byte", ns_per_byte, "transfer time per byte");
+    flags.add("cycle-ns", cycle_ns, "CPU cycle time");
+    flags.add("bus", bus, "bus width in bytes");
+    flags.add("refs", spec.refs, "references to simulate", 1);
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
         return 0;
-    const auto cli = examples::parseRunnerOptions(options);
 
-    exp::LineTradeoff spec;
-    spec.delay = LineDelayModel::fromNanoseconds(
-        options.getDouble("latency-ns"),
-        options.getDouble("ns-per-byte"),
-        options.getDouble("cycle-ns"),
-        static_cast<double>(options.getInt("bus")));
+    spec.delay = LineDelayModel::fromNanoseconds(latency_ns, ns_per_byte,
+                                                 cycle_ns, bus);
     if (cli.narrate())
         std::printf("delay model: %s\n\n",
                     spec.delay.describe().c_str());
 
     // Measure MR(L) for the candidate lines with the simulator.
-    spec.base.sizeBytes =
-        static_cast<std::uint64_t>(options.getInt("cache-kb")) *
-        1024;
+    spec.base.sizeBytes = cache_kb * 1024;
     spec.base.assoc = 2;
-    spec.workload = examples::parseWorkloadOptions(options);
+    spec.workload = workload.spec();
     spec.lineSizes = {8, 16, 32, 64, 128};
     spec.baseLine = 8;
-    spec.refs = static_cast<std::uint64_t>(options.getInt("refs"));
     spec.warmupRefs = spec.refs / 10;
 
     exp::Runner runner = cli.makeRunner();

@@ -19,7 +19,6 @@
 #include "core/tradeoff.hh"
 #include "cpu/timing_engine.hh"
 #include "exp/runner.hh"
-#include "util/options.hh"
 
 #include "example_cli.hh"
 
@@ -28,29 +27,43 @@ using namespace uatm;
 static int
 run(int argc, char **argv)
 {
-    OptionParser options(
+    exp::Scenario scenario("memory_system_candidates",
+                           "candidate memory systems end to end");
+    scenario.refs = 120000;
+    scenario.cache.sizeBytes = 8 * 1024;
+    scenario.cache.assoc = 2;
+    scenario.cache.lineBytes = 32;
+    scenario.memory.cycleTime = 12;
+    scenario.memory.pipelineInterval = 2;
+    scenario.cpu.feature = StallFeature::FS;
+    scenario.writeBuffer.readBypass = true;
+
+    examples::WorkloadCli workload_cli{"nasa7", 21};
+    examples::RunnerCli cli;
+    obs::Flags flags(
         "memory_system_planner",
         "Rank pipelined memory, bus doubling and write buffers "
         "for a given memory cycle time.");
-    examples::addWorkloadOptions(options, "nasa7", 21);
-    options.addInt("mu", 12, "memory cycle time per bus transfer");
-    options.addInt("line", 32, "cache line size in bytes");
-    options.addInt("q", 2, "pipelined issue interval");
-    options.addInt("refs", 120000, "references to simulate");
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
+    workload_cli.bind(flags);
+    flags.add("mu", scenario.memory.cycleTime,
+              "memory cycle time per bus transfer");
+    flags.add("line", scenario.cache.lineBytes,
+              "cache line size in bytes");
+    flags.add("q", scenario.memory.pipelineInterval,
+              "pipelined issue interval");
+    flags.add("refs", scenario.refs, "references to simulate", 1);
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
         return 0;
-    const auto cli = examples::parseRunnerOptions(options);
 
-    const auto workload = examples::parseWorkloadOptions(options);
-    const double mu = static_cast<double>(options.getInt("mu"));
-    const double line =
-        static_cast<double>(options.getInt("line"));
-    const double q = static_cast<double>(options.getInt("q"));
+    const auto workload = workload_cli.spec();
+    scenario.workload = workload;
+    const Cycles mu = scenario.memory.cycleTime;
+    const Cycles q = scenario.memory.pipelineInterval;
 
     TradeoffContext ctx;
     ctx.machine.busWidth = 4;
-    ctx.machine.lineBytes = line;
+    ctx.machine.lineBytes = scenario.cache.lineBytes;
     ctx.machine.cycleTime = mu;
     ctx.alpha = 0.5;
 
@@ -72,7 +85,7 @@ run(int argc, char **argv)
         if (const auto crossover = crossoverCycleTime(
                 ctx, TradeFeature::PipelinedMemory,
                 TradeFeature::DoubleBus, q, 1.0,
-                std::max(2.0, q), 400.0)) {
+                std::max<double>(2.0, q), 400.0)) {
             std::printf("\npipelined memory overtakes bus "
                         "doubling at mu_m = %.2f cycles — your "
                         "part is %s that point\n",
@@ -91,19 +104,6 @@ run(int argc, char **argv)
     // One labelled axis: the candidate memory systems.  Each
     // candidate's label encodes (bus doubling, pipelining, write
     // buffering); the applier decodes it into the point's configs.
-    exp::Scenario scenario("memory_system_candidates",
-                           "candidate memory systems end to end");
-    scenario.refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
-    scenario.workload = workload;
-    scenario.cache.sizeBytes = 8 * 1024;
-    scenario.cache.assoc = 2;
-    scenario.cache.lineBytes = static_cast<std::uint32_t>(line);
-    scenario.memory.cycleTime = static_cast<Cycles>(mu);
-    scenario.memory.pipelineInterval = static_cast<Cycles>(q);
-    scenario.cpu.feature = StallFeature::FS;
-    scenario.writeBuffer.readBypass = true;
-
     enum Candidate { Base = 0, Wbuf, WideBus, Pipelined };
     scenario.sweepLabeled(
         "system",
@@ -141,7 +141,8 @@ run(int argc, char **argv)
                     static_cast<std::int64_t>(stats.cycles)),
                 exp::Cell::num(stats.cpi(), 3),
                 exp::Cell::num(stats.meanMemoryDelay(), 3)};
-        }));
+        }),
+        runner);
     return 0;
 }
 

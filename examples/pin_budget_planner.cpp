@@ -23,7 +23,6 @@
 
 #include "core/equivalence.hh"
 #include "exp/scenarios.hh"
-#include "util/options.hh"
 
 #include "example_cli.hh"
 
@@ -32,26 +31,28 @@ using namespace uatm;
 static int
 run(int argc, char **argv)
 {
-    OptionParser options(
+    exp::GeometrySweep spec;
+    spec.refs = 150000;
+    Cycles mu = 12;
+    examples::WorkloadCli workload{"ear", 5};
+    examples::RunnerCli cli;
+    obs::Flags flags(
         "pin_budget_planner",
         "Compare spending pins (bus width) vs chip area (cache "
         "size) at each design point.");
-    examples::addWorkloadOptions(options, "ear", 5);
-    options.addInt("mu", 12, "memory cycle time per bus transfer");
-    options.addInt("refs", 150000, "references to simulate");
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
+    workload.bind(flags);
+    flags.add("mu", mu, "memory cycle time per bus transfer");
+    flags.add("refs", spec.refs, "references to simulate", 1);
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
         return 0;
-    const auto cli = examples::parseRunnerOptions(options);
 
     // 1. Measure the size -> hit-ratio curve for this workload,
     //    sharded by the runner.
-    exp::GeometrySweep spec;
     spec.base.assoc = 2;
     spec.base.lineBytes = 32;
-    spec.workload = examples::parseWorkloadOptions(options);
+    spec.workload = workload.spec();
     spec.values = {4096, 8192, 16384, 32768, 65536, 131072, 262144};
-    spec.refs = static_cast<std::uint64_t>(options.getInt("refs"));
     spec.warmupRefs = spec.refs / 10;
     exp::Runner runner = cli.makeRunner();
     std::vector<SweepPoint> sweep;
@@ -70,7 +71,6 @@ run(int argc, char **argv)
 
     // 2. At each size: the cache size whose hit ratio equals the
     //    performance of doubling the bus instead (Eq. 7).
-    const double mu = static_cast<double>(options.getInt("mu"));
     exp::ResultTable table("pin_budget",
                            {"cache", "hr_pct", "bus_equiv_cache",
                             "area_factor", "verdict"});

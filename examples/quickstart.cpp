@@ -22,7 +22,6 @@
 #include "cache/sweep.hh"
 #include "core/equivalence.hh"
 #include "exp/scenarios.hh"
-#include "util/options.hh"
 
 #include "example_cli.hh"
 
@@ -31,26 +30,28 @@ run(int argc, char **argv)
 {
     using namespace uatm;
 
-    OptionParser options(
+    Cycles mu = 8;
+    exp::FeatureGrid grid;
+    grid.baseHitRatio = 0.95;
+    examples::WorkloadCli workload_cli{"none", 1};
+    examples::RunnerCli cli;
+    obs::Flags flags(
         "quickstart",
         "Price each architectural feature in hit ratio (Table 3).");
-    options.addInt("mu", 8, "memory cycle time per bus transfer");
-    options.addDouble("hit-ratio", 0.95,
-                      "base hit ratio (ignored when --workload "
-                      "names a real generator)");
-    examples::addWorkloadOptions(options, "none", 1);
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
+    flags.add("mu", mu, "memory cycle time per bus transfer");
+    flags.add("hit-ratio", grid.baseHitRatio,
+              "base hit ratio (ignored when --workload names a real "
+              "generator)");
+    workload_cli.bind(flags);
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
         return 0;
-    const auto cli = examples::parseRunnerOptions(options);
-    const auto workload = examples::parseWorkloadOptions(options);
+    const auto workload = workload_cli.spec();
 
     // 1. Describe the base machine (Sec. 3 vocabulary).
-    exp::FeatureGrid grid;
     grid.ctx.machine.busWidth = 4;   // D: 32-bit external data bus
     grid.ctx.machine.lineBytes = 32; // L
     grid.ctx.alpha = 0.5;            // flush ratio (paper default)
-    grid.baseHitRatio = options.getDouble("hit-ratio");
     if (!workload.isNone()) {
         // Measure the base hit ratio from the named workload
         // instead of taking --hit-ratio on faith.
@@ -68,8 +69,7 @@ run(int argc, char **argv)
     }
     grid.phiPartial = 6.5; // measured BNL phi (cf. Figure 1)
     grid.q = 2.0;
-    grid.cycleTimes = {
-        static_cast<double>(options.getInt("mu"))};
+    grid.cycleTimes.assign(1, mu);
 
     if (cli.narrate())
         std::printf("base machine: %s @ HR = %.0f %%\n\n",
@@ -82,7 +82,7 @@ run(int argc, char **argv)
     // 2. Ask what each feature trades (Eqs. 3 and 6 / Table 3),
     //    as a scenario through the runner.
     exp::Runner runner = cli.makeRunner();
-    cli.emit(exp::runFeatureGrid(grid, runner));
+    cli.emit(exp::runFeatureGrid(grid, runner), runner);
 
     if (!cli.narrate())
         return 0;

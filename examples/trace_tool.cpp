@@ -36,7 +36,6 @@
 #include "trace/trace_stats.hh"
 #include "util/file.hh"
 #include "util/logging.hh"
-#include "util/options.hh"
 #include "util/status.hh"
 
 using namespace uatm;
@@ -83,83 +82,85 @@ listWorkloads()
 int
 run(int argc, char **argv)
 {
-    OptionParser options(
-        "trace_tool",
-        "Generate, inspect and replay uatm memory traces.");
-    options.addString("mode", "generate",
-                      "generate | inspect | replay | reuse-profile");
-    examples::addWorkloadOptions(options, "nasa7", 1);
-    options.addInt("refs", 50000, "references to generate");
-    options.addFlag("ifetch",
-                    "interleave instruction fetches (generate)");
-    options.addString("out", "trace.trc",
-                      "output path (generate/reuse-profile)");
-    options.addString("in", "trace.trc",
-                      "input path (inspect/replay/reuse-profile)");
-    options.addString("format", "binary", "text | binary");
-    options.addInt("cache-kb", 8, "cache capacity (replay)");
-    options.addInt("assoc", 2, "associativity (replay)");
-    options.addInt("line", 32, "line size (replay/reuse-profile)");
-    options.addInt("depth", 256,
-                   "maximum stack depth (reuse-profile)");
-    options.addFlag("list-workloads",
-                    "list the registered workload methods and exit");
-    options.addString("describe", "",
-                      "print a workload method's parameters and "
-                      "exit");
-    if (!options.parse(argc, argv))
+    std::string mode = "generate";
+    examples::WorkloadCli workload{"nasa7", 1};
+    std::uint64_t refs = 50000;
+    bool ifetch = false;
+    std::string out = "trace.trc";
+    std::string in = "trace.trc";
+    std::string format = "binary";
+    std::uint64_t cache_kb = 8;
+    CacheConfig config;
+    config.assoc = 2;
+    config.lineBytes = 32;
+    std::size_t depth = 256;
+    bool list_workloads = false;
+    std::string describe;
+    obs::Flags flags("trace_tool",
+                     "Generate, inspect and replay uatm memory traces.");
+    flags.add("mode", mode,
+              "generate | inspect | replay | reuse-profile");
+    workload.bind(flags);
+    flags.add("refs", refs, "references to generate");
+    flags.add("ifetch", ifetch,
+              "interleave instruction fetches (generate)");
+    flags.add("out", out, "output path (generate/reuse-profile)");
+    flags.add("in", in, "input path (inspect/replay/reuse-profile)");
+    flags.add("format", format, "text | binary");
+    flags.add("cache-kb", cache_kb, "cache capacity (replay)", 0,
+              examples::kMaxCacheKb);
+    flags.add("assoc", config.assoc, "associativity (replay)");
+    flags.add("line", config.lineBytes,
+              "line size (replay/reuse-profile)");
+    flags.add("depth", depth, "maximum stack depth (reuse-profile)");
+    flags.add("list-workloads", list_workloads,
+              "list the registered workload methods and exit");
+    flags.add("describe", describe,
+              "print a workload method's parameters and exit");
+    if (!examples::parseFlags(flags, argc, argv))
         return 0;
 
-    if (options.getFlag("list-workloads")) {
+    if (list_workloads) {
         listWorkloads();
         return 0;
     }
-    if (!options.getString("describe").empty()) {
-        std::fputs(
-            valueOrFatal(exp::WorkloadRegistry::instance().describe(
-                             options.getString("describe")))
-                .c_str(),
-            stdout);
+    if (!describe.empty()) {
+        std::fputs(valueOrFatal(
+                       exp::WorkloadRegistry::instance().describe(describe))
+                       .c_str(),
+                   stdout);
         std::fputc('\n', stdout);
         return 0;
     }
 
-    const std::string mode = options.getString("mode");
-    const std::string format = options.getString("format");
-
     if (mode == "generate") {
-        exp::WorkloadSpec spec =
-            examples::parseWorkloadOptions(options);
-        spec.withIFetch = options.getFlag("ifetch");
+        exp::WorkloadSpec spec = workload.spec();
+        spec.withIFetch = ifetch;
         auto source = valueOrFatal(spec.make());
         Trace trace;
-        const auto refs =
-            static_cast<std::uint64_t>(options.getInt("refs"));
         for (std::uint64_t i = 0; i < refs; ++i) {
             auto ref = source->next();
             if (!ref)
                 break;
             trace.append(*ref);
         }
-        saveTrace(trace, options.getString("out"), format);
+        saveTrace(trace, out, format);
         std::printf("wrote %zu references (%llu instructions) to "
                     "%s\n",
                     trace.size(),
                     static_cast<unsigned long long>(
                         trace.instructionCount()),
-                    options.getString("out").c_str());
+                    out.c_str());
         return 0;
     }
 
     if (mode == "inspect") {
-        Trace trace = loadTrace(options.getString("in"), format);
+        Trace trace = loadTrace(in, format);
         WorkloadProfile profile(32);
         trace.reset();
         while (auto ref = trace.next())
             profile.add(*ref);
-        std::fputs(
-            profile.format(options.getString("in")).c_str(),
-            stdout);
+        std::fputs(profile.format(in).c_str(), stdout);
         std::printf("  ifetch refs      = %llu\n",
                     static_cast<unsigned long long>(
                         trace.countKind(RefKind::IFetch)));
@@ -167,15 +168,8 @@ run(int argc, char **argv)
     }
 
     if (mode == "replay") {
-        Trace trace = loadTrace(options.getString("in"), format);
-        CacheConfig config;
-        config.sizeBytes =
-            static_cast<std::uint64_t>(options.getInt("cache-kb")) *
-            1024;
-        config.assoc =
-            static_cast<std::uint32_t>(options.getInt("assoc"));
-        config.lineBytes =
-            static_cast<std::uint32_t>(options.getInt("line"));
+        Trace trace = loadTrace(in, format);
+        config.sizeBytes = cache_kb * 1024;
         SetAssocCache cache(config);
         // Compulsory misses are the stream's distinct lines: the
         // footprint at the cache's line size.
@@ -201,13 +195,10 @@ run(int argc, char **argv)
     }
 
     if (mode == "reuse-profile") {
-        Trace trace = loadTrace(options.getString("in"), format);
+        Trace trace = loadTrace(in, format);
         const auto profile = valueOrFatal(ReuseProfile::measure(
-            trace, trace.size(),
-            static_cast<std::uint32_t>(options.getInt("line")),
-            static_cast<std::size_t>(options.getInt("depth"))));
+            trace, trace.size(), config.lineBytes, depth));
         const std::string json = profile.toJsonText();
-        const std::string out = options.getString("out");
         // generate's default --out is a .trc path; route the JSON
         // to stdout unless the user chose a destination.
         if (out.empty() || out == "trace.trc") {

@@ -22,6 +22,7 @@
  *       --workload hydro2d --hit-ratio 0.95 --threads 4
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 
@@ -34,36 +35,35 @@ using namespace uatm;
 static int
 run(int argc, char **argv)
 {
-    OptionParser options("unified_report",
-                         "One-page architectural tradeoff report "
-                         "for a described machine.");
-    options.addInt("mu", 10, "memory cycle time per bus transfer");
-    options.addInt("line", 32, "cache line size in bytes");
-    options.addInt("bus", 4, "bus width in bytes");
-    options.addDouble("hit-ratio", 0.95, "base data-cache hit "
-                      "ratio");
-    options.addDouble("alpha", 0.5, "flush ratio");
-    options.addInt("q", 2, "pipelined issue interval");
-    examples::addWorkloadOptions(options, "hydro2d", 1);
-    options.addInt("refs", 80000, "references to simulate");
-    examples::addRunnerOptions(options);
-    if (!options.parse(argc, argv))
-        return 0;
-    const auto cli = examples::parseRunnerOptions(options);
-
+    Cycles mu = 10;
+    std::uint32_t line = 32;
+    std::uint32_t bus = 4;
+    double hr = 0.95;
     TradeoffContext ctx;
-    ctx.machine.busWidth =
-        static_cast<double>(options.getInt("bus"));
-    ctx.machine.lineBytes =
-        static_cast<double>(options.getInt("line"));
-    ctx.machine.cycleTime =
-        static_cast<double>(options.getInt("mu"));
-    ctx.alpha = options.getDouble("alpha");
-    const double hr = options.getDouble("hit-ratio");
-    const double q = static_cast<double>(options.getInt("q"));
-    const auto refs =
-        static_cast<std::uint64_t>(options.getInt("refs"));
-    const auto workload = examples::parseWorkloadOptions(options);
+    ctx.alpha = 0.5;
+    Cycles q = 2;
+    std::uint64_t refs = 80000;
+    examples::WorkloadCli workload_cli{"hydro2d", 1};
+    examples::RunnerCli cli;
+    obs::Flags flags("unified_report",
+                     "One-page architectural tradeoff report for a "
+                     "described machine.");
+    flags.add("mu", mu, "memory cycle time per bus transfer");
+    flags.add("line", line, "cache line size in bytes");
+    flags.add("bus", bus, "bus width in bytes");
+    flags.add("hit-ratio", hr, "base data-cache hit ratio");
+    flags.add("alpha", ctx.alpha, "flush ratio");
+    flags.add("q", q, "pipelined issue interval");
+    workload_cli.bind(flags);
+    flags.add("refs", refs, "references to simulate", 1);
+    cli.bind(flags);
+    if (!cli.parse(flags, argc, argv))
+        return 0;
+
+    ctx.machine.busWidth = bus;
+    ctx.machine.lineBytes = line;
+    ctx.machine.cycleTime = mu;
+    const auto workload = workload_cli.spec();
 
     if (cli.narrate())
         std::printf(
@@ -80,10 +80,8 @@ run(int argc, char **argv)
         // profile per runner shard.
         PhiExperiment phi_exp;
         phi_exp.feature = StallFeature::BNL3;
-        phi_exp.cycleTime =
-            static_cast<Cycles>(ctx.machine.cycleTime);
-        phi_exp.cache.lineBytes =
-            static_cast<std::uint32_t>(ctx.machine.lineBytes);
+        phi_exp.cycleTime = mu;
+        phi_exp.cache.lineBytes = line;
         phi_exp.refs = refs / 2;
         const double phi =
             std::min(exp::measurePhiAllProfilesParallel(
@@ -119,7 +117,7 @@ run(int argc, char **argv)
     if (ctx.machine.lineOverBus() > 2.0) {
         const auto crossover = crossoverCycleTime(
             ctx, TradeFeature::PipelinedMemory,
-            TradeFeature::DoubleBus, q, 1.0, std::max(2.0, q),
+            TradeFeature::DoubleBus, q, 1.0, std::max<double>(2.0, q),
             400.0);
         if (crossover) {
             std::printf("    pipelining beats a wider bus from "
@@ -172,22 +170,19 @@ run(int argc, char **argv)
     }
 
     // ---- 5. end-to-end --------------------------------------------
-    std::printf("\n[5] end-to-end check (%llu refs)\n",
-                static_cast<unsigned long long>(refs));
+    std::printf("\n[5] end-to-end check (%" PRIu64 " refs)\n", refs);
     {
-        auto run = [&](std::uint32_t bus, bool pipelined,
+        auto run = [&](std::uint32_t bus_bytes, bool pipelined,
                        std::uint32_t wbuf) {
             CacheConfig cache;
             cache.sizeBytes = 8 * 1024;
             cache.assoc = 2;
-            cache.lineBytes = static_cast<std::uint32_t>(
-                ctx.machine.lineBytes);
+            cache.lineBytes = line;
             MemoryConfig mem;
-            mem.busWidthBytes = bus;
-            mem.cycleTime =
-                static_cast<Cycles>(ctx.machine.cycleTime);
+            mem.busWidthBytes = bus_bytes;
+            mem.cycleTime = mu;
             mem.pipelined = pipelined;
-            mem.pipelineInterval = static_cast<Cycles>(q);
+            mem.pipelineInterval = q;
             CpuConfig cpu;
             cpu.feature = StallFeature::FS;
             TimingEngine engine(cache, mem,
@@ -199,18 +194,11 @@ run(int argc, char **argv)
             auto source = okOrThrow(check.make());
             return engine.run(*source, refs);
         };
-        const auto base = run(
-            static_cast<std::uint32_t>(ctx.machine.busWidth),
-            false, 0);
-        const auto best =
-            ctx.machine.cycleTime >= 5.0 &&
-                    ctx.machine.lineOverBus() > 2.0
-                ? run(static_cast<std::uint32_t>(
-                          ctx.machine.busWidth),
-                      true, 8)
-                : run(static_cast<std::uint32_t>(
-                          ctx.machine.busWidth * 2),
-                      false, 8);
+        const auto base = run(bus, false, 0);
+        const auto best = ctx.machine.cycleTime >= 5.0 &&
+                                  ctx.machine.lineOverBus() > 2.0
+                              ? run(bus, true, 8)
+                              : run(bus * 2, false, 8);
         std::printf("    baseline: %llu cycles (CPI %.3f)\n",
                     static_cast<unsigned long long>(base.cycles),
                     base.cpi());

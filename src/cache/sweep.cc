@@ -51,8 +51,9 @@ noteSweepDispatch(bool fast_path, bool structural,
         g_perPointSweeps.fetch_add(1, std::memory_order_relaxed);
     } else {
         g_declinedSweeps.fetch_add(1, std::memory_order_relaxed);
-        warn("geometry sweep fell back to per-point simulation: ",
-             reason);
+        if (!reason.empty())
+            warn("geometry sweep fell back to per-point simulation: ",
+                 reason);
     }
 }
 

@@ -351,13 +351,6 @@ Runner::run(const Scenario &scenario,
     if (traceArmed)
         emitWorkerSpans(tracer, stats_, laneStartNs);
 
-    // Log after the join, from one thread, so warn() lines do not
-    // interleave.
-    for (const auto &failure : stats_.failures) {
-        warn("point ", failure.index, " (", failure.label,
-             ") failed: ", failure.status.toString());
-    }
-
     if (failFast && firstError)
         std::rethrow_exception(firstError);
 

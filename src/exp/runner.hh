@@ -15,7 +15,9 @@
  * points still run, the failed point's row is emitted with typed
  * error cells ("!invalid_argument"-style), and the failure is
  * counted in RunnerTelemetry::pointsFailed and listed in
- * RunnerTelemetry::failures.  Set RunnerOptions::failFast to
+ * RunnerTelemetry::failures.  The runner logs nothing: the program
+ * that emits the table reports each failure once
+ * (RunnerTelemetry::warnFailures).  Set RunnerOptions::failFast to
  * restore the old first-failure-aborts-the-run behaviour.
  *
  * Point kernels must be self-contained: no shared mutable state

@@ -35,7 +35,10 @@ ratioCells(const CacheRunResult &run)
 
 /**
  * One stack-sim pass that prices every valid size of @p spec, or
- * nullopt with @p reason naming why the sweep declines it.
+ * nullopt when the sweep declines it: with @p reason naming a
+ * configuration the pass does not model, and with none when every
+ * point fails on its own, so the failure is reported once, as the
+ * points' error.
  */
 std::optional<GeometryHitSurface>
 stackSimSurface(const GeometrySweep &spec, std::string &reason)
@@ -44,14 +47,11 @@ stackSimSurface(const GeometrySweep &spec, std::string &reason)
         reason = ineligible;
         return std::nullopt;
     }
+    // The per-point kernel reproduces the identical error row for
+    // every point, so decline rather than fail.
     auto source = spec.workload.make();
-    if (!source.ok()) {
-        // The per-point kernel reproduces the identical error row
-        // for every point, so decline rather than fail.
-        reason = "workload construction failed: " +
-                 source.status().message();
+    if (!source.ok())
         return std::nullopt;
-    }
     GeometryGrid grid;
     grid.lineBytes = spec.base.lineBytes;
     grid.write = spec.base.write;
@@ -62,17 +62,13 @@ stackSimSurface(const GeometrySweep &spec, std::string &reason)
         if (config.validate().ok())
             grid.addConfig(config);
     }
-    if (grid.setCounts.empty()) {
-        reason = "no sweep value yields a valid geometry";
+    if (grid.setCounts.empty())
         return std::nullopt;
-    }
     try {
         return runStackSim(grid, *source.value(), spec.refs,
                            spec.warmupRefs);
-    } catch (const StatusError &e) {
-        // An access wider than the line: the per-point kernel
-        // raises the identical error for every point, so decline.
-        reason = "stack-sim pass failed: " + e.status().message();
+    } catch (const StatusError &) {
+        // An access wider than the line, which every point raises.
         return std::nullopt;
     }
 }
@@ -176,8 +172,14 @@ runGeometrySweep(const GeometrySweep &spec, Runner &runner,
                 ratios[2].value()};
             return cells;
         });
-    if (points)
+    if (points) {
+        // A failed point leaves an empty sample: report why it
+        // failed, not what its sample would make of the curve.
+        if (const auto &failures = runner.lastStats().failures;
+            !failures.empty())
+            throw StatusError(failures.front().status);
         *points = std::move(samples);
+    }
     return table;
 }
 
@@ -211,6 +213,10 @@ measurePhiAllProfilesParallel(const PhiExperiment &experiment,
                        Cell::num(result.phi, 3),
                        Cell::num(result.percentOfFull, 1)};
                });
+    // A failed profile has no result to average in.
+    if (const auto &failures = runner.lastStats().failures;
+        !failures.empty())
+        throw StatusError(failures.front().status);
     appendPhiAverage(results);
     return results;
 }
@@ -282,12 +288,6 @@ runLineTradeoff(const LineTradeoff &spec, Runner &runner)
 
     std::vector<SweepPoint> points;
     runGeometrySweep(sweep, runner, &points);
-    // A failed point leaves an empty sample; report why it failed,
-    // not the malformed table its sample would make.
-    if (const auto &failures = runner.lastStats().failures;
-        !failures.empty())
-        throw StatusError(failures.front().status);
-
     MissRatioTable missRatios =
         MissRatioTable::fromSweep("measured", points);
 

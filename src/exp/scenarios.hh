@@ -73,7 +73,8 @@ Scenario makeGeometryScenario(const GeometrySweep &spec);
  * Run the sweep on @p runner.  Table columns: the axis ("size" or
  * "line") then hit_ratio / miss_ratio / flush_ratio.  When
  * @p points is non-null it also receives the raw SweepPoints, in
- * axis order.
+ * axis order, and a failed point throws its Status as a
+ * StatusError instead (the first, in point order).
  */
 ResultTable runGeometrySweep(const GeometrySweep &spec,
                              Runner &runner,
@@ -96,7 +97,9 @@ Expected<std::vector<Cell>> priceGeometryPoint(const Point &point);
 /** One point per SPEC92-like profile (axis "workload"). */
 Scenario makePhiScenario(const PhiExperiment &experiment);
 
-/** Parallel drop-in for uatm::measurePhiAllProfiles. */
+/** Parallel drop-in for uatm::measurePhiAllProfiles.  A failed
+ *  profile throws its Status as a StatusError (the first, in
+ *  point order). */
 std::vector<PhiResult>
 measurePhiAllProfilesParallel(const PhiExperiment &experiment,
                               unsigned threads = 0);

@@ -11,6 +11,7 @@
 
 #include "obs/json.hh"
 #include "util/file.hh"
+#include "util/logging.hh"
 
 namespace uatm::exp {
 
@@ -30,6 +31,15 @@ RunnerTelemetry::kernelNsTotal() const
     for (const auto &w : workers)
         total += w.kernelNs;
     return total;
+}
+
+void
+RunnerTelemetry::warnFailures() const
+{
+    for (const PointFailure &failure : failures) {
+        warn("point ", failure.index, " (", failure.label,
+             ") failed: ", failure.status.toString());
+    }
 }
 
 double

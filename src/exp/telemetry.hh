@@ -138,6 +138,11 @@ struct RunnerTelemetry
     /** Write toJson() to @p path; error Status when unwritable. */
     Status writeJson(const std::string &path) const;
 
+    /** One warning per failed point, in point order: how a program
+     *  reports the failures behind a table's error rows ("point 3
+     *  (size=0) failed: ..."), since the runner logs nothing. */
+    void warnFailures() const;
+
     /**
      * Read a document produced by toJson(), or by a v1 or v2
      * writer; @p document names it in errors.  A value of the

@@ -11,9 +11,50 @@
 #include "obs/json.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
-#include "util/options.hh"
 
 namespace uatm::exp {
+
+Expected<std::vector<KeyValue>>
+parseKeyValueList(std::string_view text)
+{
+    std::vector<KeyValue> pairs;
+    if (text.empty())
+        return pairs;
+    std::size_t start = 0;
+    while (start <= text.size()) {
+        std::size_t end = text.find(',', start);
+        if (end == std::string_view::npos)
+            end = text.size();
+        const std::string_view item =
+            text.substr(start, end - start);
+        if (item.empty()) {
+            return Status::parseError(
+                "empty element in key=value list '",
+                std::string(text), "'");
+        }
+        const std::size_t eq = item.find('=');
+        if (eq == std::string_view::npos) {
+            return Status::parseError(
+                "'", std::string(item),
+                "' is not of the form key=value");
+        }
+        if (eq == 0) {
+            return Status::parseError(
+                "empty key in '", std::string(item), "'");
+        }
+        pairs.push_back(KeyValue{std::string(item.substr(0, eq)),
+                                 std::string(item.substr(eq + 1))});
+        if (end == text.size())
+            break;
+        start = end + 1;
+        if (start == text.size()) {
+            return Status::parseError(
+                "trailing comma in key=value list '",
+                std::string(text), "'");
+        }
+    }
+    return pairs;
+}
 
 WorkloadSpec
 WorkloadSpec::of(std::string method, ParamMap params,

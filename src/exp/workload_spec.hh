@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "exp/param_map.hh"
 #include "trace/source.hh"
@@ -37,6 +38,24 @@ class JsonValue;
 }
 
 namespace uatm::exp {
+
+/** One "key=value" element of a comma-separated list. */
+struct KeyValue
+{
+    std::string key;
+    std::string value;
+
+    bool operator==(const KeyValue &) const = default;
+};
+
+/**
+ * Parse "k1=v1,k2=v2,..." (the params of a --workload argument)
+ * into ordered pairs.  An empty string is the empty list.  Missing
+ * '=', empty keys, and empty elements ("a=1,,b=2") are ParseError.
+ * Values may be empty ("hist=") and may not contain ',' (no
+ * escaping).
+ */
+Expected<std::vector<KeyValue>> parseKeyValueList(std::string_view text);
 
 struct WorkloadSpec
 {

@@ -70,11 +70,24 @@ LineDelayModel::fromNanoseconds(double latency_ns, double ns_per_byte,
         throw StatusError(Status::invalidArgument(
             "CPU cycle time must be positive, got ", cpu_cycle_ns));
     }
+    if (std::isinf(cpu_cycle_ns)) {
+        throw StatusError(Status::invalidArgument(
+            "CPU cycle time must be finite, got ", cpu_cycle_ns));
+    }
     LineDelayModel m;
     // Latency is normalised and carries the one-cycle hit on top.
     m.c = latency_ns / cpu_cycle_ns + 1.0;
     m.beta = ns_per_byte * bus_width_bytes / cpu_cycle_ns;
     m.busWidth = bus_width_bytes;
+    // A tiny cycle time overflows the cycle counts: name the inputs,
+    // not a c or beta nobody typed.
+    if (m.busWidth > 0.0 && !(std::isfinite(m.c) && std::isfinite(m.beta))) {
+        throw StatusError(Status::invalidArgument(
+            "the delay ", latency_ns, " ns + ", ns_per_byte,
+            " ns/byte (D = ", bus_width_bytes,
+            " bytes) is not a finite number of ", cpu_cycle_ns,
+            " ns CPU cycles"));
+    }
     okOrThrow(m.validate());
     return m;
 }

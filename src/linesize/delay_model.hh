@@ -55,8 +55,10 @@ struct LineDelayModel
      * Build from physical parameters: Delay(ns) = latency_ns +
      * ns_per_byte * bytes, normalised by the CPU cycle time.  These
      * are the "Delay = 360ns + 15ns/byte" forms of Figure 6.
-     * Throws StatusError(InvalidArgument) for a non-positive cycle
-     * time or a model that fails validate().
+     * Throws StatusError(InvalidArgument) for a cycle time that is
+     * not positive and finite, for inputs whose c or beta is not a
+     * finite number of cycles (naming the inputs), and for a model
+     * that fails validate().
      */
     static LineDelayModel fromNanoseconds(double latency_ns,
                                           double ns_per_byte,

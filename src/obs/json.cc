@@ -5,6 +5,7 @@
 
 #include "obs/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -203,6 +204,13 @@ const std::string &
 JsonValue::asString() const
 {
     UATM_ASSERT(isString(), "JSON value is not a string");
+    return string_;
+}
+
+const std::string &
+JsonValue::literal() const
+{
+    UATM_ASSERT(isNumber(), "JSON value is not a number");
     return string_;
 }
 
@@ -441,23 +449,41 @@ class JsonParser
         }
     }
 
+    /** Step over a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        const std::size_t from = pos_;
+        while (!eof() && peek() >= '0' && peek() <= '9')
+            ++pos_;
+        return pos_ > from;
+    }
+
     void
     parseNumber(JsonValue &out)
     {
+        // RFC 8259's grammar, leading zeros aside: a minus, digits,
+        // then a fraction and an exponent, each with digits of its
+        // own, so "+8", ".5" and "1." are not numbers.
         const std::size_t start = pos_;
-        if (consume('-')) {}
-        while (!eof() &&
-               ((peek() >= '0' && peek() <= '9') || peek() == '.' ||
-                peek() == 'e' || peek() == 'E' || peek() == '+' ||
-                peek() == '-')) {
-            ++pos_;
-        }
-        const std::string token(text_.substr(start, pos_ - start));
-        if (token.empty() || token == "-") {
+        consume('-');
+        if (!digits()) {
             pos_ = start;
             fail("invalid value");
             return;
         }
+        bool ok = !consume('.') || digits();
+        if (ok && (consume('e') || consume('E'))) {
+            if (!consume('+'))
+                consume('-');
+            ok = digits();
+        }
+        if (!ok) {
+            pos_ = start;
+            fail("malformed number");
+            return;
+        }
+        std::string token(text_.substr(start, pos_ - start));
         char *end = nullptr;
         const double parsed = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size()) {
@@ -474,6 +500,7 @@ class JsonParser
         }
         out.kind_ = JsonValue::Kind::Number;
         out.number_ = parsed;
+        out.string_ = std::move(token);
     }
 
     void
@@ -613,6 +640,20 @@ exactUint(double v, std::uint64_t lo, std::uint64_t hi)
     return n;
 }
 
+std::optional<std::uint64_t>
+exactUint(const JsonValue &number, std::uint64_t lo, std::uint64_t hi)
+{
+    const std::string &text = number.literal();
+    if (text.find_first_not_of("0123456789") != std::string::npos)
+        return exactUint(number.asNumber(), lo, hi);
+    std::uint64_t n = 0;
+    if (std::from_chars(text.data(), text.data() + text.size(), n).ec !=
+            std::errc() ||
+        n < lo || n > hi)
+        return std::nullopt;
+    return n;
+}
+
 std::optional<std::int64_t>
 exactInt(double v)
 {
@@ -656,7 +697,7 @@ describeJson(const JsonValue &value)
       case JsonValue::Kind::Bool:
         return value.asBool() ? "true" : "false";
       case JsonValue::Kind::Number:
-        return JsonWriter::formatNumber(value.asNumber());
+        return value.literal();
       case JsonValue::Kind::String:
         return JsonWriter::escape(value.asString());
       default:

@@ -133,6 +133,9 @@ class JsonValue
     double asNumber() const;
     const std::string &asString() const;
 
+    /** A number as the document spells it ("1e6", "-0"). */
+    const std::string &literal() const;
+
     /** Array elements (asserts isArray()). */
     const std::vector<JsonValue> &items() const;
 
@@ -159,7 +162,7 @@ class JsonValue
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double number_ = 0.0;
-    std::string string_;
+    std::string string_;  ///< a string's text, a number's literal
     std::vector<JsonValue> items_;
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
@@ -176,12 +179,12 @@ struct JsonParseResult
 
 /**
  * Parse one JSON document (leading/trailing whitespace allowed,
- * nothing else may follow).  Strict RFC 8259: no comments, no
- * trailing commas; \uXXXX escapes (including surrogate pairs)
- * decode to UTF-8.  Nesting deeper than 256 levels is rejected, and
- * so is a number that overflows a double (JSON has no infinity); a
- * number that underflows reads as the nearest double, 0 or a
- * denormal.
+ * nothing else may follow).  Strict RFC 8259, leading zeros aside:
+ * no comments, no trailing commas, no "+8" or ".5"; \uXXXX escapes
+ * (including surrogate pairs) decode to UTF-8.  Nesting deeper than
+ * 256 levels is rejected, and so is a number that overflows a
+ * double (JSON has no infinity); a number that underflows reads as
+ * the nearest double, 0 or a denormal.
  */
 JsonParseResult parseJson(std::string_view text);
 
@@ -193,6 +196,13 @@ JsonParseResult parseJson(std::string_view text);
  * number reaches a truncating or undefined cast.
  */
 std::optional<std::uint64_t> exactUint(double v, std::uint64_t lo,
+                                       std::uint64_t hi);
+
+/** The same rule over a parsed @p number: a literal of digits alone
+ *  is read from them, so every std::uint64_t is exact; any other
+ *  ("1e6", "-0") is read through its double. */
+std::optional<std::uint64_t> exactUint(const JsonValue &number,
+                                       std::uint64_t lo,
                                        std::uint64_t hi);
 
 /** The signed twin of exactUint(), over std::int64_t's range. */
@@ -244,7 +254,8 @@ class JsonPath
     std::size_t index_ = kKey;
 };
 
-/** The value as a message quotes it: 7, "many", an array, ... */
+/** The value as a message quotes it: 7, 1e300 (a number as the
+ *  document spells it), "many", an array, ... */
 std::string describeJson(const JsonValue &value);
 
 /** OK when @p value is of @p kind; else "<path> must be a string
@@ -271,8 +282,8 @@ readJson(const JsonValue &value, const JsonPath &path, T &out,
          std::uint64_t hi = std::numeric_limits<T>::max())
 {
     hi = std::min<std::uint64_t>(hi, std::numeric_limits<T>::max());
-    const auto n = value.isNumber() ? exactUint(value.asNumber(), lo, hi)
-                                    : std::nullopt;
+    const auto n =
+        value.isNumber() ? exactUint(value, lo, hi) : std::nullopt;
     if (!n)
         return path.error("must be an integer in [", lo, ", ", hi,
                           "] (got ", describeJson(value), ")");

@@ -22,7 +22,6 @@
 #include "util/ascii_chart.hh"
 #include "util/file.hh"
 #include "util/logging.hh"
-#include "util/options.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 #include "util/table.hh"

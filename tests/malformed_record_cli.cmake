@@ -25,7 +25,7 @@ elseif(DOC STREQUAL "found")
 \"threads_used\": 1e30, \"points\": -5, \"wall_ns\": 1e300, \
 \"workers\": [], \"point_durations\": [{\"index\": 0, \"ns\": -3}]}")
     set(message
-        "threads_used must be an integer in [0, 4294967295] (got 1e+30)")
+        "threads_used must be an integer in [0, 4294967295] (got 1e30)")
 else()
     message(FATAL_ERROR "unknown DOC '${DOC}'")
 endif()

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
@@ -337,6 +338,35 @@ TEST(Runner, FaultIsolationIsByteIdenticalAcrossThreads)
     EXPECT_EQ(eight.lastStats().pointsFailed, 2u);
 }
 
+TEST(Runner, LogsNothingAndTheProgramReportsEachFailureOnce)
+{
+    Scenario scenario("quiet");
+    scenario.sweep("i", {0, 1, 2, 3}, [](Point &, const AxisValue &) {});
+    Runner runner(RunnerOptions{2});
+    testing::internal::CaptureStderr();
+    runner.run(scenario, {"x"},
+               [](const Point &point) -> Expected<std::vector<Cell>> {
+                   if (point.index % 2)
+                       return Status::invalidArgument("odd point");
+                   return std::vector<Cell>{Cell::num(1.0)};
+               });
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+    // One line per failure, in point order.
+    testing::internal::CaptureStderr();
+    runner.lastStats().warnFailures();
+    const std::string log = testing::internal::GetCapturedStderr();
+    const std::size_t first = log.find("point 1 (");
+    const std::size_t second = log.find("point 3 (");
+    ASSERT_NE(first, std::string::npos) << log;
+    ASSERT_NE(second, std::string::npos) << log;
+    EXPECT_LT(first, second);
+    EXPECT_NE(log.find("failed: invalid_argument: odd point"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 2) << log;
+}
+
 TEST(Runner, StatusReturnAndStatusErrorKeepTheirCodes)
 {
     Scenario scenario("typed");
@@ -509,6 +539,19 @@ TEST(Scenarios, LineTradeoffThrowsTheFirstFailedPoint)
                              "cache size 0 is not a power of two"));
 }
 
+TEST(Scenarios, PhiThrowsTheFirstFailedProfile)
+{
+    // A 2-byte line fails every profile; the average must not take
+    // in their default results.
+    PhiExperiment experiment;
+    experiment.cache.lineBytes = 2;
+    experiment.refs = 2000;
+    EXPECT_TRUE(throwsStatus(
+        [&] { measurePhiAllProfilesParallel(experiment, 2); },
+        ErrorCode::InvalidArgument,
+        "line size 2 must be a power of two"));
+}
+
 void
 expectSamePoints(const std::vector<SweepPoint> &a,
                  const std::vector<SweepPoint> &b)
@@ -580,26 +623,31 @@ TEST(Scenarios, StackSimAndPerPointEnginesAreByteIdentical)
 
         Runner fast_runner(RunnerOptions{threads});
         Runner brute_runner(RunnerOptions{threads});
-        std::vector<SweepPoint> fast_points;
-        std::vector<SweepPoint> brute_points;
         const std::string a =
-            runGeometrySweep(fast, fast_runner, &fast_points)
-                .renderCsv();
+            runGeometrySweep(fast, fast_runner).renderCsv();
         const std::string b =
-            runGeometrySweep(brute, brute_runner, &brute_points)
-                .renderCsv();
+            runGeometrySweep(brute, brute_runner).renderCsv();
         EXPECT_EQ(a, b) << threads << " threads";
-        // Beyond the rendered cells, the raw ratios are the same
-        // doubles under both engines.  The failed 5000 point keeps
-        // an empty sample.
-        expectSamePoints(fast_points, brute_points);
-        ASSERT_EQ(fast_points.size(), spec.values.size());
-        for (std::size_t i : {0, 2, 3})
-            EXPECT_EQ(fast_points[i].value, spec.values[i]);
         EXPECT_NE(a.find("!invalid_argument"), std::string::npos)
             << a;
         EXPECT_EQ(fast_runner.lastStats().pointsFailed, 1u);
         EXPECT_EQ(brute_runner.lastStats().pointsFailed, 1u);
+
+        // Beyond the rendered cells, the raw ratios are the same
+        // doubles under both engines.  Asked for them, a sweep with
+        // the failed 5000 point throws its error instead.
+        std::vector<SweepPoint> fast_points;
+        std::vector<SweepPoint> brute_points;
+        EXPECT_THROW(runGeometrySweep(fast, fast_runner, &fast_points),
+                     StatusError);
+        fast.values = {4096, 8192, 32768};
+        brute.values = fast.values;
+        runGeometrySweep(fast, fast_runner, &fast_points);
+        runGeometrySweep(brute, brute_runner, &brute_points);
+        expectSamePoints(fast_points, brute_points);
+        ASSERT_EQ(fast_points.size(), fast.values.size());
+        for (std::size_t i = 0; i < fast.values.size(); ++i)
+            EXPECT_EQ(fast_points[i].value, fast.values[i]);
 
         if (reference.empty())
             reference = a;
@@ -607,8 +655,8 @@ TEST(Scenarios, StackSimAndPerPointEnginesAreByteIdentical)
             EXPECT_EQ(a, reference) << threads << " threads";
     }
     const SweepDispatchCounters counters = sweepDispatchCounters();
-    EXPECT_EQ(counters.fastPath, 3u);
-    EXPECT_EQ(counters.perPoint, 3u);
+    EXPECT_EQ(counters.fastPath, 9u);
+    EXPECT_EQ(counters.perPoint, 6u);
     EXPECT_EQ(counters.declined, 0u);
     resetSweepDispatchStats();
 }

@@ -79,6 +79,28 @@ TEST(DelayModel, FromNanoseconds)
         "CPU cycle time must be positive, got 0"));
 }
 
+TEST(DelayModel, FromNanosecondsNeedsAFiniteCycleTime)
+{
+    // An infinite cycle time used to pass and make beta 0, so the
+    // error blamed a bus speed nobody typed.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(throwsStatus(
+        [&] { LineDelayModel::fromNanoseconds(360, 15, inf, 8); },
+        ErrorCode::InvalidArgument,
+        "CPU cycle time must be finite, got inf"));
+}
+
+TEST(DelayModel, FromNanosecondsNamesInputsWhoseCyclesOverflow)
+{
+    // A finite but tiny cycle time makes c and beta infinite: the
+    // message names the nanosecond inputs, not c.
+    EXPECT_TRUE(throwsStatus(
+        [] { LineDelayModel::fromNanoseconds(360, 15, 1e-320, 8); },
+        ErrorCode::InvalidArgument,
+        "the delay 360 ns + 15 ns/byte (D = 8 bytes) is not a finite "
+        "number of "));
+}
+
 TEST(DelayModel, RejectsLatencyBelowTheHitTime)
 {
     EXPECT_TRUE(isStatus(model(-0.5, 2).validate(),

@@ -399,6 +399,21 @@ TEST(JsonParser, NumbersThatOverflowADoubleAreRejected)
     }
 }
 
+TEST(JsonParser, NumbersFollowTheRfcGrammar)
+{
+    // A number starts with a minus or a digit, and a fraction or an
+    // exponent has digits of its own.
+    for (const char *bad : {"+8", ".95", "1.", "1e", "1e+", "-", "--1",
+                            "0x10", "1.5e3.2"}) {
+        EXPECT_FALSE(obs::parseJson(bad).ok) << "accepted: " << bad;
+    }
+    for (const char *good : {"8", "-0", "0.95", "1e6", "1E-3", "2.5e+2"}) {
+        const auto parsed = obs::parseJson(good);
+        ASSERT_TRUE(parsed.ok) << good << ": " << parsed.error;
+        EXPECT_EQ(parsed.value.literal(), good);
+    }
+}
+
 // ------------------------------------------------- the checked reader
 
 /** A document with one key of each kind the reader checks. */
@@ -450,6 +465,33 @@ TEST(JsonReader, IntegersFollowOneRule)
     EXPECT_EQ(obs::exactInt(-3.0), -3);
     EXPECT_FALSE(obs::exactInt(-3.5));
     EXPECT_FALSE(obs::exactInt(std::nan("")));
+}
+
+TEST(JsonReader, IntegerLiteralsReadExactly)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const auto exact = [](const char *text, std::uint64_t lo,
+                          std::uint64_t hi) {
+        return obs::exactUint(obs::parseJson(text).value, lo, hi);
+    };
+    // Digits are read as typed; 2^53 + 1 is no double.
+    EXPECT_EQ(exact("9007199254740993", 0, kMax), 9007199254740993u);
+    EXPECT_EQ(exact("18446744073709551615", 0, kMax), kMax);
+    EXPECT_FALSE(exact("18446744073709551616", 0, kMax));
+    EXPECT_FALSE(exact("10", 0, 9));
+    // Any other literal goes through its double.
+    EXPECT_EQ(exact("1e6", 0, kMax), 1000000u);
+    EXPECT_EQ(exact("-0", 0, kMax), 0u);
+    EXPECT_FALSE(exact("-1", 0, kMax));
+    EXPECT_FALSE(exact("2.5", 0, kMax));
+
+    // A message quotes the number as the document spells it.
+    std::uint64_t out = 0;
+    EXPECT_EQ(obs::readJson(obs::parseJson("1e300").value,
+                            obs::JsonPath("doc").key("n"), out)
+                  .message(),
+              "doc: n must be an integer in [0, 18446744073709551615] "
+              "(got 1e300)");
 }
 
 TEST(JsonReader, FieldsCheckKindRangeAndPresence)

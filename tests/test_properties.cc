@@ -34,6 +34,8 @@
 #include "trace/trace_stats.hh"
 #include "trace/ycsb.hh"
 
+#include "expect_status.hh"
+
 namespace uatm {
 namespace {
 
@@ -391,17 +393,21 @@ class PipelinedExactness
 TEST_P(PipelinedExactness, EngineMatchesEq9ForEveryQ)
 {
     const auto [mu, q] = GetParam();
-    if (q > mu)
-        GTEST_SKIP() << "q must not exceed mu_m";
-    CacheConfig cache;
-    cache.sizeBytes = 8 * 1024;
-    cache.assoc = 2;
-    cache.lineBytes = 32;
     MemoryConfig mem;
     mem.busWidthBytes = 4;
     mem.cycleTime = mu;
     mem.pipelined = true;
     mem.pipelineInterval = q;
+    if (q > mu) {
+        // No such pipeline: the memory refuses it, naming q.
+        EXPECT_TRUE(isStatus(mem.validate(), ErrorCode::InvalidArgument,
+                             "pipeline interval q = " + std::to_string(q)));
+        return;
+    }
+    CacheConfig cache;
+    cache.sizeBytes = 8 * 1024;
+    cache.assoc = 2;
+    cache.lineBytes = 32;
     CpuConfig cpu;
     cpu.feature = StallFeature::FS;
     TimingEngine engine(cache, mem, WriteBufferConfig{0, true},

@@ -453,7 +453,7 @@ TEST(SweepRequest, IntegersOutsideTheirFieldAreParseErrors)
          "[0, 4294967295] (got 4294967298)"},
         {R"({"refs": 1e300})",
          "sweep request: refs must be an integer in "
-         "[1, 18446744073709551615] (got 1e+300)"},
+         "[1, 18446744073709551615] (got 1e300)"},
     };
     for (const Case &c : cases) {
         auto request = serve::parseSweepRequest(c.json);
@@ -570,6 +570,28 @@ TEST(SweepRequest, LargeWorkloadSeedsSurviveParsing)
     EXPECT_EQ(direct.value().seed, 1099511627776u);
     EXPECT_EQ(request.value().scenario.workload.seed,
               direct.value().seed);
+}
+
+TEST(SweepRequest, SeedsAbove2To53ReadExactly)
+{
+    // An integer literal is read from its digits: 2^53 + 1 is not
+    // rounded to 2^53, and 2^64 - 1 fits its field.
+    for (const char *seed : {"9007199254740992", "9007199254740993",
+                             "18446744073709551615"}) {
+        auto request = serve::parseSweepRequest(
+            std::string(R"({"workload": {"method": "ycsb-a", "seed": )") +
+            seed + "}}");
+        ASSERT_TRUE(request.ok()) << request.status().toString();
+        EXPECT_EQ(std::to_string(request.value().scenario.workload.seed),
+                  seed);
+    }
+    auto over = serve::parseSweepRequest(
+        R"({"workload": {"method": "ycsb-a",
+                         "seed": 18446744073709551616}})");
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().message(),
+              "sweep request: workload.seed must be an integer in "
+              "[0, 18446744073709551615] (got 18446744073709551616)");
 }
 
 TEST(SweepRequest, WorkloadParamsHoldTheNumberTheKeyShows)

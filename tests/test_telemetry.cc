@@ -510,10 +510,10 @@ TEST(RunnerTelemetry, FromJsonRefusesNumbersItsFieldsCannotHold)
          "(got \"many\")"},
         {"\"threads_used\": 1e30, \"workers\": []}",
          "threads_used must be an integer in [0, 4294967295] "
-         "(got 1e+30)"},
+         "(got 1e30)"},
         {"\"wall_ns\": 1e300, \"workers\": []}",
          "wall_ns must be an integer in [0, 18446744073709551615] "
-         "(got 1e+300)"},
+         "(got 1e300)"},
         {"\"workers\": [], \"point_durations\": "
          "[{\"index\": 0, \"ns\": -3}]}",
          "point_durations[0].ns must be an integer in "

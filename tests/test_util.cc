@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the util substrate: PRNG, tables, charts, the
- * checked file writer and the option parser.
+ * Unit tests for the util substrate: PRNG, tables, charts, Status
+ * and the checked file writer.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "util/ascii_chart.hh"
 #include "util/file.hh"
 #include "util/logging.hh"
-#include "util/options.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 #include "util/table.hh"
@@ -184,288 +183,6 @@ TEST(AsciiChart, EmptyChartDoesNotCrash)
 {
     AsciiChart chart;
     EXPECT_NE(chart.render().find("empty"), std::string::npos);
-}
-
-// ----------------------------------------------------------- OptionParser
-
-TEST(OptionParser, ParsesTypedOptions)
-{
-    OptionParser p("prog");
-    p.addInt("count", 5, "a count");
-    p.addDouble("ratio", 0.5, "a ratio");
-    p.addString("name", "x", "a name");
-    p.addFlag("verbose", "a flag");
-
-    const char *argv[] = {"prog", "--count", "7", "--ratio=0.25",
-                          "--verbose"};
-    ASSERT_TRUE(p.parse(5, argv));
-    EXPECT_EQ(p.getInt("count"), 7);
-    EXPECT_DOUBLE_EQ(p.getDouble("ratio"), 0.25);
-    EXPECT_EQ(p.getString("name"), "x");
-    EXPECT_TRUE(p.getFlag("verbose"));
-}
-
-TEST(OptionParser, DefaultsSurviveEmptyArgv)
-{
-    OptionParser p("prog");
-    p.addInt("n", 42, "n");
-    const char *argv[] = {"prog"};
-    ASSERT_TRUE(p.parse(1, argv));
-    EXPECT_EQ(p.getInt("n"), 42);
-}
-
-TEST(OptionParser, HelpReturnsFalse)
-{
-    OptionParser p("prog", "desc");
-    p.addInt("n", 1, "n");
-    const char *argv[] = {"prog", "--help"};
-    EXPECT_FALSE(p.parse(2, argv));
-}
-
-TEST(OptionParser, UsageMentionsEveryOption)
-{
-    OptionParser p("prog");
-    p.addInt("alpha", 1, "the alpha value");
-    p.addFlag("fast", "go fast");
-    const std::string usage = p.usage();
-    EXPECT_NE(usage.find("--alpha"), std::string::npos);
-    EXPECT_NE(usage.find("--fast"), std::string::npos);
-    EXPECT_NE(usage.find("the alpha value"), std::string::npos);
-}
-
-// ----------------------------------------------- parseKeyValueList
-
-TEST(ParseKeyValueList, EmptyStringIsAnEmptyList)
-{
-    const auto pairs = parseKeyValueList("");
-    ASSERT_TRUE(pairs.ok());
-    EXPECT_TRUE(pairs.value().empty());
-}
-
-TEST(ParseKeyValueList, SplitsPairsInOrder)
-{
-    const auto pairs =
-        parseKeyValueList("theta=0.99,records=1e6,dist=uniform");
-    ASSERT_TRUE(pairs.ok());
-    const std::vector<KeyValue> expected = {
-        {"theta", "0.99"}, {"records", "1e6"}, {"dist", "uniform"}};
-    EXPECT_EQ(pairs.value(), expected);
-}
-
-TEST(ParseKeyValueList, ValuesMayBeEmptyAndContainEquals)
-{
-    const auto pairs = parseKeyValueList("a=,b=x=y");
-    ASSERT_TRUE(pairs.ok());
-    const std::vector<KeyValue> expected = {{"a", ""},
-                                            {"b", "x=y"}};
-    EXPECT_EQ(pairs.value(), expected);
-}
-
-TEST(ParseKeyValueList, MalformedListsAreParseErrors)
-{
-    for (const char *bad :
-         {"novalue", "=1", "a=1,,b=2", "a=1,", ",a=1"}) {
-        const auto pairs = parseKeyValueList(bad);
-        ASSERT_FALSE(pairs.ok()) << bad;
-        EXPECT_EQ(pairs.status().code(), ErrorCode::ParseError)
-            << bad;
-    }
-}
-
-TEST(OptionParser, GetKeyValueListParsesStringOptions)
-{
-    OptionParser p("prog");
-    p.addString("params", "a=1,b=two", "kv list");
-    const char *argv[] = {"prog"};
-    ASSERT_TRUE(p.parse(1, argv));
-    const auto pairs = p.getKeyValueList("params");
-    ASSERT_TRUE(pairs.ok());
-    ASSERT_EQ(pairs.value().size(), 2u);
-    EXPECT_EQ(pairs.value()[0].key, "a");
-    EXPECT_EQ(pairs.value()[1].value, "two");
-}
-
-TEST(OptionParser, GetKeyValueListReportsFormatErrors)
-{
-    OptionParser p("prog");
-    p.addString("params", "", "kv list");
-    const char *argv[] = {"prog", "--params", "oops"};
-    ASSERT_TRUE(p.parse(3, argv));
-    const auto pairs = p.getKeyValueList("params");
-    ASSERT_FALSE(pairs.ok());
-    EXPECT_EQ(pairs.status().code(), ErrorCode::ParseError);
-}
-
-// ------------------------------------- OptionParser, negative paths
-
-TEST(OptionParser, FlagAcceptsSpelledOutBooleans)
-{
-    OptionParser p("prog");
-    p.addFlag("a", "a");
-    p.addFlag("b", "b");
-    p.addFlag("c", "c");
-    const char *argv[] = {"prog", "--a=TRUE", "--b=Yes", "--c=0"};
-    ASSERT_TRUE(p.parse(4, argv));
-    EXPECT_TRUE(p.getFlag("a"));
-    EXPECT_TRUE(p.getFlag("b"));
-    EXPECT_FALSE(p.getFlag("c"));
-}
-
-TEST(OptionParser, BadFlagValueIsFatal)
-{
-    OptionParser p("prog");
-    p.addFlag("fast", "go fast");
-    const char *argv[] = {"prog", "--fast=maybe"};
-    ASSERT_TRUE(p.parse(2, argv));
-    EXPECT_EXIT({ p.getFlag("fast"); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "bad flag value");
-}
-
-TEST(OptionParser, IntOverflowIsFatal)
-{
-    OptionParser p("prog");
-    p.addInt("n", 0, "n");
-    const char *argv[] = {"prog", "--n=99999999999999999999"};
-    ASSERT_TRUE(p.parse(2, argv));
-    EXPECT_EXIT({ p.getInt("n"); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "overflows");
-}
-
-TEST(OptionParser, NonNumericIntIsFatal)
-{
-    OptionParser p("prog");
-    p.addInt("n", 0, "n");
-    const char *argv[] = {"prog", "--n=12abc"};
-    ASSERT_TRUE(p.parse(2, argv));
-    EXPECT_EXIT({ p.getInt("n"); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "not an integer");
-}
-
-TEST(OptionParser, DoubleOverflowIsFatal)
-{
-    OptionParser p("prog");
-    p.addDouble("x", 0.0, "x");
-    const char *argv[] = {"prog", "--x=1e999"};
-    ASSERT_TRUE(p.parse(2, argv));
-    EXPECT_EXIT({ p.getDouble("x"); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "overflows");
-}
-
-TEST(OptionParser, MissingValueIsFatal)
-{
-    OptionParser p("prog");
-    p.addInt("n", 0, "n");
-    const char *argv[] = {"prog", "--n"};
-    EXPECT_EXIT({ p.parse(2, argv); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "needs a value");
-}
-
-TEST(OptionParser, UnknownOptionIsFatal)
-{
-    OptionParser p("prog");
-    const char *argv[] = {"prog", "--bogus"};
-    EXPECT_EXIT({ p.parse(2, argv); },
-                ::testing::ExitedWithCode(EXIT_FAILURE),
-                "unknown option");
-}
-
-// ------------------------------------ OptionParser::tryParse, typed
-
-TEST(OptionParser, TryParseAcceptsValidArgv)
-{
-    OptionParser p("prog");
-    p.addInt("n", 1, "n");
-    p.addFlag("fast", "fast");
-    const char *argv[] = {"prog", "--n=42", "--fast"};
-    bool helped = true;
-    EXPECT_TRUE(p.tryParse(3, argv, &helped).ok());
-    EXPECT_FALSE(helped);
-    EXPECT_EQ(p.getInt("n"), 42);
-    EXPECT_TRUE(p.getFlag("fast"));
-}
-
-TEST(OptionParser, TryParseHelpSetsFlagAndStaysOk)
-{
-    OptionParser p("prog");
-    p.addInt("n", 1, "n");
-    const char *argv[] = {"prog", "--help"};
-    bool helped = false;
-    EXPECT_TRUE(p.tryParse(2, argv, &helped).ok());
-    EXPECT_TRUE(helped);
-}
-
-TEST(OptionParser, TryParseRejectsRepeatedOption)
-{
-    // Repetition is ambiguous — neither first- nor last-wins is
-    // obviously right — so both spellings are typed errors, not
-    // silent overwrites.
-    OptionParser p("prog");
-    p.addInt("n", 1, "n");
-    const char *argv[] = {"prog", "--n=1", "--n=2"};
-    const Status status = p.tryParse(3, argv);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
-    EXPECT_NE(status.message().find("more than once"),
-              std::string::npos);
-}
-
-TEST(OptionParser, TryParseRejectsRepeatedFlag)
-{
-    OptionParser p("prog");
-    p.addFlag("fast", "fast");
-    const char *argv[] = {"prog", "--fast", "--fast"};
-    const Status status = p.tryParse(3, argv);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
-}
-
-TEST(OptionParser, TryParseRejectsEmptyEqualsValue)
-{
-    // "--name=" is indistinguishable from a typo; omitting the
-    // option is how you ask for the default.
-    OptionParser p("prog");
-    p.addString("out", "default", "out");
-    const char *argv[] = {"prog", "--out="};
-    const Status status = p.tryParse(2, argv);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
-    EXPECT_NE(status.message().find("empty value"),
-              std::string::npos);
-}
-
-TEST(OptionParser, TryParseRejectsUnknownAndPositional)
-{
-    OptionParser p("prog");
-    p.addInt("n", 1, "n");
-    {
-        const char *argv[] = {"prog", "--bogus"};
-        const Status status = p.tryParse(2, argv);
-        ASSERT_FALSE(status.ok());
-        EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
-    }
-    {
-        OptionParser q("prog");
-        q.addInt("n", 1, "n");
-        const char *argv[] = {"prog", "stray"};
-        const Status status = q.tryParse(2, argv);
-        ASSERT_FALSE(status.ok());
-        EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
-    }
-}
-
-TEST(OptionParser, TryParseRejectsMissingValue)
-{
-    OptionParser p("prog");
-    p.addInt("n", 1, "n");
-    const char *argv[] = {"prog", "--n"};
-    const Status status = p.tryParse(2, argv);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
 }
 
 // ------------------------------------------------- Status, Expected

@@ -335,6 +335,45 @@ TEST(WorkloadRegistry, DescribeDocumentsParams)
         WorkloadRegistry::instance().describe("nosuch").ok());
 }
 
+// ----------------------------------------------- parseKeyValueList
+
+TEST(ParseKeyValueList, EmptyStringIsAnEmptyList)
+{
+    const auto pairs = parseKeyValueList("");
+    ASSERT_TRUE(pairs.ok());
+    EXPECT_TRUE(pairs.value().empty());
+}
+
+TEST(ParseKeyValueList, SplitsPairsInOrder)
+{
+    const auto pairs =
+        parseKeyValueList("theta=0.99,records=1e6,dist=uniform");
+    ASSERT_TRUE(pairs.ok());
+    const std::vector<KeyValue> expected = {
+        {"theta", "0.99"}, {"records", "1e6"}, {"dist", "uniform"}};
+    EXPECT_EQ(pairs.value(), expected);
+}
+
+TEST(ParseKeyValueList, ValuesMayBeEmptyAndContainEquals)
+{
+    const auto pairs = parseKeyValueList("a=,b=x=y");
+    ASSERT_TRUE(pairs.ok());
+    const std::vector<KeyValue> expected = {{"a", ""},
+                                            {"b", "x=y"}};
+    EXPECT_EQ(pairs.value(), expected);
+}
+
+TEST(ParseKeyValueList, MalformedListsAreParseErrors)
+{
+    for (const char *bad :
+         {"novalue", "=1", "a=1,,b=2", "a=1,", ",a=1"}) {
+        const auto pairs = parseKeyValueList(bad);
+        ASSERT_FALSE(pairs.ok()) << bad;
+        EXPECT_EQ(pairs.status().code(), ErrorCode::ParseError)
+            << bad;
+    }
+}
+
 // --------------------------------------- WorkloadSpec, CLI parse
 
 TEST(WorkloadSpecParse, BareSpec92ProfileNamesStillWork)
@@ -753,6 +792,35 @@ TEST(WorkloadSpecJson, SeedsMustFitTheirField)
     const auto back = WorkloadSpec::fromJson(json.value());
     ASSERT_TRUE(back.ok()) << back.status().toString();
     EXPECT_EQ(back.value().seed, big);
+}
+
+TEST(WorkloadSpecJson, IntegerSeedsReadExactly)
+{
+    // Seeds above 2^53 are read from their digits, not through a
+    // double that would round 2^53 + 1 down to 2^53.
+    const std::uint64_t two_to_53 = std::uint64_t{1} << 53;
+    for (const std::uint64_t seed :
+         {two_to_53, two_to_53 + 1, ~std::uint64_t{0}}) {
+        const std::string text =
+            "{\"method\":\"ycsb\",\"params\":{},\"seed\":" +
+            std::to_string(seed) + "}";
+        const auto spec = WorkloadSpec::fromJson(text);
+        ASSERT_TRUE(spec.ok()) << spec.status().toString();
+        EXPECT_EQ(spec.value().seed, seed);
+        const auto back =
+            WorkloadSpec::fromJson(spec.value().toJson().value());
+        ASSERT_TRUE(back.ok()) << back.status().toString();
+        EXPECT_EQ(back.value().seed, seed);
+    }
+
+    // One past the field's range is refused, quoting the literal.
+    const auto spec = WorkloadSpec::fromJson(
+        "{\"method\":\"ycsb\",\"params\":{},"
+        "\"seed\":18446744073709551616}");
+    ASSERT_FALSE(spec.ok());
+    EXPECT_EQ(spec.status().message(),
+              "workload spec: seed must be an integer in "
+              "[0, 18446744073709551615] (got 18446744073709551616)");
 }
 
 TEST(WorkloadSpecJson, UnknownMethodParsesButFailsAtMake)

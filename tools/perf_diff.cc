@@ -11,15 +11,15 @@
  *     --report-only    always exit 0 (CI log table, no gate),
  *                      including when the records cannot be
  *                      compared: the refusal is printed instead
- *     --sigmas=<s>     noise threshold in robust sigmas (default 4)
- *     --min-rel=<f>    relative change floor (default 0.10 = 10%)
+ *     --sigmas <s>     noise threshold in robust sigmas (default 4)
+ *     --min-rel <f>    relative change floor (default 0.10 = 10%)
  *     --no-drift-norm  gate on raw times instead of dividing the
  *                      suite's median after/before ratio out first
  *     --ignore-threads compare even when the recorded host core
  *                      counts or per-benchmark thread configs
  *                      differ (normally a refusal: the numbers
  *                      measure different parallel setups)
- *     --require-speedup=<slow>:<fast>:<min>
+ *     --require-speedup <slow>:<fast>:<min>
  *                      assert median(slow) / median(fast) >= min
  *                      within the AFTER record (repeatable).  With
  *                      this flag a single json argument is also
@@ -27,7 +27,7 @@
  *                      Gates intra-record invariants like "the
  *                      single-pass sweep engine beats brute force
  *                      by 3x" that a before/after diff cannot see.
- *     --counter=<name> additionally gate on a per-op hardware
+ *     --counter <name> additionally gate on a per-op hardware
  *                      counter ("instructions", "cycles",
  *                      "cache_misses", ...) recorded by the bench
  *                      harness.  Counters barely move under host
@@ -35,9 +35,13 @@
  *                      wall time would drown in noise.  Records
  *                      without the counter (perf unavailable,
  *                      older schema) are skipped, never gated.
- *     --counter-rel=<f>
+ *     --counter-rel <f>
  *                      relative threshold for --counter verdicts
  *                      (default 0.05 = 5%)
+ *
+ * Flags follow obs/flags.hh: "--name value" or "--name=value",
+ * numbers read as JSON numbers are (so "nan" is refused), and
+ * --help lists them.
  *
  * Records from different builds (build_type or compiler differ)
  * are never compared; records from different parallel setups are
@@ -53,28 +57,14 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/bench.hh"
+#include "obs/flags.hh"
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--report-only] [--sigmas=<s>] "
-        "[--min-rel=<f>] [--no-drift-norm] [--ignore-threads] "
-        "[--require-speedup=<slow>:<fast>:<min>] "
-        "[--counter=<name>] [--counter-rel=<f>] "
-        "[<before.json>] <after.json>\n",
-        argv0);
-    return 2;
-}
 
 /** One --require-speedup assertion: slow vs fast benchmark. */
 struct SpeedupGate
@@ -99,7 +89,8 @@ load(const std::string &path)
 }
 
 /** Benchmark names never contain ':', so the spec splits cleanly
- *  into slow:fast:min.  Returns false on malformed input. */
+ *  into slow:fast:min, min read as a number flag is.  Returns
+ *  false on malformed input. */
 bool
 parseSpeedupGate(const std::string &spec, SpeedupGate &gate)
 {
@@ -109,9 +100,11 @@ parseSpeedupGate(const std::string &spec, SpeedupGate &gate)
         return false;
     gate.slow = spec.substr(0, first);
     gate.fast = spec.substr(first + 1, last - first - 1);
-    gate.min = std::atof(spec.c_str() + last + 1);
-    return !gate.slow.empty() && !gate.fast.empty() &&
-           gate.min > 0.0;
+    return uatm::obs::readFlag(spec.substr(last + 1),
+                               uatm::obs::JsonPath("perf_diff"),
+                               gate.min)
+               .ok() &&
+           !gate.slow.empty() && !gate.fast.empty() && gate.min > 0.0;
 }
 
 /** Evaluate every gate against @p record; true when all hold. */
@@ -153,73 +146,62 @@ main(int argc, char **argv)
     obs::PerfDiffOptions options;
     obs::CounterDiffOptions counter_options;
     bool report_only = false;
+    bool no_drift_norm = false;
     bool ignore_threads = false;
-    bool counter_armed = false;
-    obs::PerfEvent counter_event = obs::PerfEvent::Instructions;
-    std::vector<SpeedupGate> gates;
+    std::vector<std::string> gate_specs;
+    std::string counter;
     std::vector<std::string> files;
+    obs::Flags flags("perf_diff",
+                     "Gate median ns/op changes between two BENCH_*.json "
+                     "records.");
+    flags.add("report-only", report_only,
+              "always exit 0, printing a refusal to compare instead");
+    flags.add("sigmas", options.sigmas,
+              "noise threshold in robust sigmas");
+    flags.add("min-rel", options.minRelative,
+              "relative change floor, as a fraction");
+    flags.add("no-drift-norm", no_drift_norm,
+              "gate on raw times instead of dividing the suite's "
+              "median after/before ratio out first");
+    flags.add("ignore-threads", ignore_threads,
+              "compare even when the host core counts or thread "
+              "configs differ");
+    flags.add("require-speedup", gate_specs,
+              "<slow>:<fast>:<min>: assert median(slow) / "
+              "median(fast) >= min in the after record (repeatable; "
+              "one record is then enough)");
+    flags.add("counter", counter,
+              "also gate on this per-op hardware counter "
+              "(instructions, cycles, cache_misses, ...)");
+    flags.add("counter-rel", counter_options.minRelative,
+              "relative threshold for --counter verdicts, as a "
+              "fraction");
+    flags.operands(files, "[<before.json>] <after.json>");
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--report-only") {
-            report_only = true;
-        } else if (arg == "--ignore-threads") {
-            ignore_threads = true;
-        } else if (arg.rfind("--require-speedup=", 0) == 0) {
-            SpeedupGate gate;
-            if (!parseSpeedupGate(arg.substr(18), gate)) {
-                std::fprintf(stderr,
-                             "perf_diff: invalid "
-                             "--require-speedup spec '%s'\n",
-                             arg.c_str() + 18);
-                return 2;
-            }
-            gates.push_back(std::move(gate));
-        } else if (arg.rfind("--counter=", 0) == 0) {
-            if (!obs::perfEventFromName(arg.substr(10),
-                                        counter_event)) {
-                std::fprintf(stderr,
-                             "perf_diff: unknown counter '%s'\n",
-                             arg.c_str() + 10);
-                return 2;
-            }
-            counter_armed = true;
-        } else if (arg.rfind("--counter-rel=", 0) == 0) {
-            counter_options.minRelative =
-                std::atof(arg.c_str() + 14);
-            if (counter_options.minRelative <= 0.0) {
-                std::fprintf(stderr,
-                             "perf_diff: invalid --counter-rel "
-                             "value '%s'\n",
-                             arg.c_str() + 14);
-                return 2;
-            }
-        } else if (arg == "--no-drift-norm") {
-            options.normalizeDrift = false;
-        } else if (arg.rfind("--sigmas=", 0) == 0) {
-            options.sigmas = std::atof(arg.c_str() + 9);
-            if (options.sigmas <= 0.0) {
-                std::fprintf(stderr,
-                             "perf_diff: invalid --sigmas value "
-                             "'%s'\n",
-                             arg.c_str() + 9);
-                return 2;
-            }
-        } else if (arg.rfind("--min-rel=", 0) == 0) {
-            options.minRelative = std::atof(arg.c_str() + 10);
-            if (options.minRelative < 0.0) {
-                std::fprintf(stderr,
-                             "perf_diff: invalid --min-rel value "
-                             "'%s'\n",
-                             arg.c_str() + 10);
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
+    bool helped = false;
+    if (const Status parsed = flags.parse(argc, argv, &helped);
+        !parsed.ok())
+        return flags.usageError(parsed.message());
+    if (helped)
+        return 0;
+    if (options.sigmas <= 0.0 || options.minRelative < 0.0 ||
+        counter_options.minRelative <= 0.0)
+        return flags.usageError("perf_diff: --sigmas and --counter-rel "
+                                "must be positive, --min-rel not "
+                                "negative");
+    options.normalizeDrift = !no_drift_norm;
+    std::vector<SpeedupGate> gates(gate_specs.size());
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        if (!parseSpeedupGate(gate_specs[i], gates[i]))
+            return flags.usageError(
+                "perf_diff: invalid --require-speedup spec '" +
+                gate_specs[i] + "'");
     }
+    obs::PerfEvent counter_event = obs::PerfEvent::Instructions;
+    const bool counter_armed = !counter.empty();
+    if (counter_armed && !obs::perfEventFromName(counter, counter_event))
+        return flags.usageError("perf_diff: unknown counter '" +
+                                counter + "'");
     if (files.size() == 1 && !gates.empty()) {
         // Gate-only mode: intra-record speedup assertions.
         const auto record = load(files[0]);
@@ -229,7 +211,8 @@ main(int argc, char **argv)
         return (!ok && !report_only) ? 1 : 0;
     }
     if (files.size() != 2)
-        return usage(argv[0]);
+        return flags.usageError("perf_diff: expected two records, or "
+                                "one with --require-speedup");
 
     const auto before = load(files[0]);
     if (!before)

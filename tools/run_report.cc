@@ -15,14 +15,17 @@
  *
  *   run_report [options] <telemetry.json>...
  *
- *     --top=<k>        slowest points to list per run (default 5)
- *     --bench=<path>   fit Amdahl's law on a
+ *     --top <k>        slowest points to list per run (default 5)
+ *     --bench <path>   fit Amdahl's law on a
  *                      BENCH_sweep_parallel.json instead of the
  *                      records' runner wall times: each
  *                      sweep/geometry/t<n> benchmark contributes
  *                      (n, median ns/rep)
- *     --format=<f>     "text" (default) or "json": emit the same
+ *     --format <f>     "text" (default) or "json": emit the same
  *                      diagnosis machine-readably on stdout
+ *
+ * Flags follow obs/flags.hh: "--name value" or "--name=value",
+ * --top is read as a JSON integer is, and --help lists them.
  *
  * Exit status: 0 = report printed, 2 = bad usage or no readable
  * input.  A file that is not JSON or breaks its schema (a negative
@@ -41,19 +44,10 @@
 #include "exp/report.hh"
 #include "exp/telemetry.hh"
 #include "obs/bench.hh"
+#include "obs/flags.hh"
 #include "obs/json.hh"
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--top=<k>] [--bench=<path>] "
-                 "[--format=text|json] <telemetry.json>...\n",
-                 argv0);
-    return 2;
-}
 
 /**
  * Thread count of a "sweep/geometry/t<n>" benchmark (8 for
@@ -208,42 +202,30 @@ main(int argc, char **argv)
 
     std::size_t topK = 5;
     std::string benchPath;
-    bool jsonFormat = false;
+    std::string format = "text";
     std::vector<std::string> files;
+    obs::Flags flags("run_report",
+                     "Diagnose runner scaling from RUNNER_*.json "
+                     "telemetry.");
+    flags.add("top", topK, "slowest points to list per run");
+    flags.add("bench", benchPath,
+              "fit Amdahl's law on this BENCH_sweep_parallel.json "
+              "instead of the records' runner wall times");
+    flags.add("format", format, "text | json");
+    flags.operands(files, "<telemetry.json>...");
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--top=", 0) == 0) {
-            const long parsed = std::atol(arg.c_str() + 6);
-            if (parsed < 0) {
-                std::fprintf(stderr,
-                             "run_report: invalid --top value "
-                             "'%s'\n",
-                             arg.c_str() + 6);
-                return 2;
-            }
-            topK = static_cast<std::size_t>(parsed);
-        } else if (arg.rfind("--bench=", 0) == 0) {
-            benchPath = arg.substr(8);
-        } else if (arg.rfind("--format=", 0) == 0) {
-            const std::string format = arg.substr(9);
-            if (format == "json") {
-                jsonFormat = true;
-            } else if (format != "text") {
-                std::fprintf(stderr,
-                             "run_report: invalid --format "
-                             "value '%s' (text|json)\n",
-                             format.c_str());
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
-    }
+    bool helped = false;
+    if (const Status parsed = flags.parse(argc, argv, &helped);
+        !parsed.ok())
+        return flags.usageError(parsed.message());
+    if (helped)
+        return 0;
+    if (format != "text" && format != "json")
+        return flags.usageError("run_report: invalid --format value '" +
+                                format + "' (text|json)");
+    const bool jsonFormat = format == "json";
     if (files.empty() && benchPath.empty())
-        return usage(argv[0]);
+        return flags.usageError("run_report: no input files");
 
     // (threads, wall ns) samples feeding the Amdahl fit: the
     // records' runner wall times, or the sweep benchmark's median

@@ -2,12 +2,12 @@
  * @file
  * uatm_client: command-line client for uatm-served.
  *
- *   uatm_client [--host=<h>] [--port=<n>] --scenario=<file|->
- *               [--out=<file>] [--threads=<n>]
- *   uatm_client [--host=<h>] [--port=<n>] --metrics
- *   uatm_client [--host=<h>] [--port=<n>] --workloads
- *   uatm_client --offline --scenario=<file|-> [--out=<file>]
- *               [--threads=<n>]
+ *   uatm_client [--host <h>] [--port <n>] --scenario <file|->
+ *               [--out <file>]
+ *   uatm_client [--host <h>] [--port <n>] --metrics
+ *   uatm_client [--host <h>] [--port <n>] --workloads
+ *   uatm_client --offline --scenario <file|-> [--out <file>]
+ *               [--threads <n>]
  *
  * The default mode POSTs the scenario JSON to /sweep and writes
  * the NDJSON result rows to --out (default stdout); the cache
@@ -16,8 +16,11 @@
  * endpoint.  --offline runs the same scenario in-process on the
  * same parser and kernel registry, emitting byte-identical NDJSON
  * — CI diffs the two to prove the daemon adds transport, not
- * meaning.  --threads overrides the request's thread count (0
- * keeps the scenario's own value).
+ * meaning — and warns once per failed point.  --threads overrides
+ * the offline run's thread count (0 keeps the scenario's own
+ * value); a daemon runs the body as sent, so without --offline it
+ * is refused.  Flags follow obs/flags.hh ("--name=value" works
+ * too).
  *
  * Exit status: 0 success, 1 transport or HTTP (non-2xx) error,
  * 2 bad usage.
@@ -30,10 +33,10 @@
 #include <string>
 
 #include "exp/runner.hh"
+#include "obs/flags.hh"
 #include "serve/http.hh"
 #include "serve/sweep_request.hh"
 #include "util/file.hh"
-#include "util/options.hh"
 
 namespace {
 
@@ -99,11 +102,12 @@ runOffline(const std::string &body, unsigned threads,
     exp::Runner runner(options);
     const exp::ResultTable table = runner.run(
         request.value().scenario, kernel->columns, kernel->eval);
+    const exp::RunnerTelemetry &stats = runner.lastStats();
+    stats.warnFailures();
     const Status written =
         writeOutput(out_path, table.renderNdjson());
     if (!written.ok())
         return failWith(written);
-    const exp::RunnerTelemetry &stats = runner.lastStats();
     std::fprintf(stderr,
                  "offline: points=%zu failed=%zu threads=%u\n",
                  std::size_t(stats.pointCount),
@@ -134,75 +138,55 @@ getAndPrint(const std::string &host, std::uint16_t port,
 int
 main(int argc, char **argv)
 {
-    OptionParser options("uatm_client",
-                         "Talk to a uatm_served daemon.");
-    options.addString("host", "127.0.0.1", "daemon host");
-    options.addInt("port", 0, "daemon port");
-    options.addString("scenario", "",
-                      "scenario JSON file ('-' = stdin)");
-    options.addString("out", "",
-                      "NDJSON output file (default stdout)");
-    options.addInt("threads", 0,
-                   "override the request's thread count");
-    options.addFlag("metrics", "GET /metrics and print it");
-    options.addFlag("workloads", "GET /workloads and print it");
-    options.addFlag("offline",
-                    "run the scenario in-process instead of "
-                    "contacting a daemon");
+    std::string host = "127.0.0.1";
+    std::uint16_t port = 0;
+    std::string scenario_path;
+    std::string out;
+    unsigned threads = 0;
+    bool metrics = false;
+    bool workloads = false;
+    bool offline = false;
+    obs::Flags flags("uatm_client", "Talk to a uatm_served daemon.");
+    flags.add("host", host, "daemon host");
+    flags.add("port", port, "daemon port");
+    flags.add("scenario", scenario_path,
+              "scenario JSON file ('-' = stdin)");
+    flags.add("out", out, "NDJSON output file (default stdout)");
+    flags.add("threads", threads,
+              "override the request's thread count");
+    flags.add("metrics", metrics, "GET /metrics and print it");
+    flags.add("workloads", workloads, "GET /workloads and print it");
+    flags.add("offline", offline,
+              "run the scenario in-process instead of contacting a "
+              "daemon");
 
     bool helped = false;
-    const Status parsed = options.tryParse(argc, argv, &helped);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "uatm_client: %s\n%s",
-                     parsed.message().c_str(),
-                     options.usage().c_str());
-        return 2;
-    }
+    if (const Status parsed = flags.parse(argc, argv, &helped);
+        !parsed.ok())
+        return flags.usageError(parsed.message());
     if (helped)
         return 0;
+    if (threads && !offline)
+        return flags.usageError("uatm_client: --threads needs --offline "
+                                "(a daemon runs the scenario as sent)");
 
-    const std::string host = options.getString("host");
-    const auto port = std::uint16_t(options.getInt("port"));
-    const unsigned threads = unsigned(options.getInt("threads"));
-
-    if (options.getFlag("metrics"))
+    if (metrics)
         return getAndPrint(host, port, "/metrics");
-    if (options.getFlag("workloads"))
+    if (workloads)
         return getAndPrint(host, port, "/workloads");
 
-    const std::string scenario_path =
-        options.getString("scenario");
-    if (scenario_path.empty()) {
-        std::fprintf(stderr,
-                     "uatm_client: --scenario is required "
-                     "(or --metrics/--workloads)\n%s",
-                     options.usage().c_str());
-        return 2;
-    }
+    if (scenario_path.empty())
+        return flags.usageError("uatm_client: --scenario is required "
+                                "(or --metrics/--workloads)");
     auto body = readInput(scenario_path);
     if (!body.ok())
         return failWith(body.status());
 
-    if (options.getFlag("offline")) {
-        return runOffline(body.value(), threads,
-                          options.getString("out"));
-    }
-
-    std::string request_body = body.value();
-    if (threads) {
-        // Patch the thread count without disturbing the document:
-        // re-send with a "threads" override only when the caller
-        // asked for one.  The field is top-level, so appending it
-        // by rewriting would need a JSON editor; instead we rely
-        // on the scenario author or pass it through verbatim.
-        std::fprintf(stderr,
-                     "uatm_client: note: --threads with a remote "
-                     "daemon requires the scenario to omit its "
-                     "own \"threads\" field; sending as-is\n");
-    }
+    if (offline)
+        return runOffline(body.value(), threads, out);
 
     auto response = serve::httpFetch(host, port, "POST", "/sweep",
-                                     request_body);
+                                     body.value());
     if (!response.ok())
         return failWith(response.status());
     const serve::HttpClientResponse &reply = response.value();
@@ -212,8 +196,7 @@ main(int argc, char **argv)
                      reply.status, reply.body.c_str());
         return 1;
     }
-    const Status written =
-        writeOutput(options.getString("out"), reply.body);
+    const Status written = writeOutput(out, reply.body);
     if (!written.ok())
         return failWith(written);
 

@@ -7,19 +7,23 @@
  *
  *   uatm_served [options]
  *
- *     --bind=<addr>         bind address (default 127.0.0.1)
- *     --port=<n>            port; 0 = ephemeral (default 0)
- *     --port-file=<path>    write the bound port here, for
+ *     --bind <addr>         bind address (default 127.0.0.1)
+ *     --port <n>            port; 0 = ephemeral (default 0)
+ *     --port-file <path>    write the bound port here, for
  *                           scripts that asked for an ephemeral
  *                           port (written atomically enough for
  *                           CI: port + newline, then flush)
- *     --threads=<n>         worker threads per sweep; 0 = all
+ *     --threads <n>         worker threads per sweep; 0 = all
  *                           hardware threads (default 0)
- *     --max-points=<n>      per-request point cap -> 413
- *     --max-queue=<n>       admitted-request cap -> 429
- *     --cache-capacity=<n>  in-memory point cache entries
- *     --cache-dir=<path>    on-disk point cache (default: memory
+ *     --max-points <n>      per-request point cap -> 413
+ *     --max-queue <n>       admitted-request cap -> 429
+ *     --cache-capacity <n>  in-memory point cache entries
+ *     --cache-dir <path>    on-disk point cache (default: memory
  *                           only)
+ *
+ * Flags follow obs/flags.hh ("--name=value" works too): a number
+ * its field cannot hold, such as --port 70000, is refused before
+ * anything binds.
  *
  * Exit status: 0 on a clean signal-driven shutdown, 1 when the
  * server cannot start, 2 on bad usage.
@@ -31,9 +35,9 @@
 #include <ostream>
 #include <thread>
 
+#include "obs/flags.hh"
 #include "serve/server.hh"
 #include "util/file.hh"
-#include "util/options.hh"
 
 namespace {
 
@@ -52,48 +56,30 @@ main(int argc, char **argv)
 {
     using namespace uatm;
 
-    OptionParser options("uatm_served",
-                         "Serve sweep scenarios over HTTP.");
-    options.addString("bind", "127.0.0.1", "bind address");
-    options.addInt("port", 0, "port (0 = ephemeral)");
-    options.addString("port-file", "",
-                      "write the bound port to this file");
-    options.addInt("threads", 0,
-                   "worker threads per sweep (0 = all cores)");
-    options.addInt("max-points", 4096,
-                   "per-request point cap (413 beyond it)");
-    options.addInt("max-queue", 8,
-                   "admitted-request cap (429 beyond it)");
-    options.addInt("cache-capacity", 1 << 16,
-                   "in-memory point cache entries");
-    options.addString("cache-dir", "",
-                      "on-disk point cache directory");
+    serve::ServerOptions server_options;
+    std::string port_file;
+    obs::Flags flags("uatm_served", "Serve sweep scenarios over HTTP.");
+    flags.add("bind", server_options.http.bindAddress, "bind address");
+    flags.add("port", server_options.http.port, "port (0 = ephemeral)");
+    flags.add("port-file", port_file,
+              "write the bound port to this file");
+    flags.add("threads", server_options.service.threads,
+              "worker threads per sweep (0 = all cores)");
+    flags.add("max-points", server_options.service.maxPointsPerRequest,
+              "per-request point cap (413 beyond it)");
+    flags.add("max-queue", server_options.service.maxQueueDepth,
+              "admitted-request cap (429 beyond it)");
+    flags.add("cache-capacity", server_options.service.cache.capacity,
+              "in-memory point cache entries");
+    flags.add("cache-dir", server_options.service.cache.dir,
+              "on-disk point cache directory");
 
     bool helped = false;
-    const Status parsed = options.tryParse(argc, argv, &helped);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "uatm_served: %s\n%s",
-                     parsed.message().c_str(),
-                     options.usage().c_str());
-        return 2;
-    }
+    if (const Status parsed = flags.parse(argc, argv, &helped);
+        !parsed.ok())
+        return flags.usageError(parsed.message());
     if (helped)
         return 0;
-
-    serve::ServerOptions server_options;
-    server_options.http.bindAddress = options.getString("bind");
-    server_options.http.port =
-        std::uint16_t(options.getInt("port"));
-    server_options.service.threads =
-        unsigned(options.getInt("threads"));
-    server_options.service.maxPointsPerRequest =
-        std::size_t(options.getInt("max-points"));
-    server_options.service.maxQueueDepth =
-        std::size_t(options.getInt("max-queue"));
-    server_options.service.cache.capacity =
-        std::size_t(options.getInt("cache-capacity"));
-    server_options.service.cache.dir =
-        options.getString("cache-dir");
 
     serve::Server server(server_options);
     const Status started = server.start();
@@ -103,7 +89,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const std::string port_file = options.getString("port-file");
     if (!port_file.empty()) {
         const Status written =
             writeWholeFile(port_file, [&server](std::ostream &out) {
