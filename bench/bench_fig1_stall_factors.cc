@@ -17,6 +17,7 @@
 #include "common.hh"
 #include "cpu/eq8_model.hh"
 #include "cpu/phi_measurement.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 using namespace uatm;
@@ -76,7 +77,7 @@ main()
             exp.feature = features[i];
             exp.cycleTime = mu;
             exp.refs = 60000;
-            const auto avg = measurePhiAllProfiles(exp).back();
+            const auto avg = exp::measurePhiAllProfiles(exp).back();
             row.push_back(TextTable::num(avg.percentOfFull, 1));
             series[i].x.push_back(static_cast<double>(mu));
             series[i].y.push_back(avg.percentOfFull);
@@ -100,7 +101,7 @@ main()
         exp.feature = features[i];
         exp.cycleTime = 8;
         exp.refs = 60000;
-        const auto results = measurePhiAllProfiles(exp);
+        const auto results = exp::measurePhiAllProfiles(exp);
         for (std::size_t p = 0; p < results.size(); ++p) {
             if (i == 0)
                 rows.push_back({results[p].workload});
@@ -137,7 +138,7 @@ main()
             exp.cycleTime = mu;
             exp.refs = 60000;
             const double dyn =
-                measurePhiAllProfiles(exp).back().phi;
+                exp::measurePhiAllProfiles(exp).back().phi;
             eq8.addRow({TextTable::num(mu, 0),
                         TextTable::num(est, 3),
                         TextTable::num(dyn, 3),
@@ -154,7 +155,7 @@ main()
         exp.feature = StallFeature::BNL3;
         exp.cycleTime = 8;
         exp.refs = 60000;
-        const auto bnl3_all = measurePhiAllProfiles(exp);
+        const auto bnl3_all = exp::measurePhiAllProfiles(exp);
         const auto bnl3 = bnl3_all.back();
         // Final stat dump for the manifest: first profile's full
         // timing breakdown at the BNL3 operating point.
@@ -169,10 +170,10 @@ main()
         exp.feature = StallFeature::BL;
         exp.cycleTime = 4;
         const double bl_small =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfiles(exp).back().percentOfFull;
         exp.cycleTime = 48;
         const double bl_large =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfiles(exp).back().percentOfFull;
         bench::compareLine("BL stalling rises with latency",
                            "rising toward 100 %",
                            TextTable::num(bl_small, 1) + " -> " +

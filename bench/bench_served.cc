@@ -170,7 +170,7 @@ run(int argc, char **argv)
     options.filter = args.filter;
     options.listOnly = args.listOnly;
     options.reps = args.reps;
-    suite.run(options);
+    valueOrFatal(suite.run(options));
 
     if (!args.listOnly && args.filter.empty() &&
         suite.results().size() == 2) {
@@ -188,6 +188,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return uatm::bench::guardedMain(
+    return uatm::guardedMain(
         [&] { return run(argc, argv); });
 }

@@ -329,6 +329,6 @@ main(int argc, char **argv)
                     "registered)\n",
                     suite.size());
     }
-    suite.run(options);
+    valueOrFatal(suite.run(options));
     return 0;
 }

@@ -200,7 +200,7 @@ run(int argc, char **argv)
     options.listOnly = args.listOnly;
     options.reps = args.reps;
 
-    suite.run(options);
+    valueOrFatal(suite.run(options));
 
     if (!args.listOnly && args.filter.empty() &&
         suite.results().size() == 5) {
@@ -250,6 +250,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return uatm::bench::guardedMain(
+    return uatm::guardedMain(
         [&] { return run(argc, argv); });
 }

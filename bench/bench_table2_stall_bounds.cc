@@ -9,6 +9,7 @@
 
 #include "common.hh"
 #include "cpu/phi_measurement.hh"
+#include "exp/scenarios.hh"
 
 using namespace uatm;
 
@@ -72,7 +73,7 @@ main()
         exp.feature = f;
         exp.cycleTime = 8;
         exp.refs = 60000;
-        const auto all = measurePhiAllProfiles(exp);
+        const auto all = exp::measurePhiAllProfiles(exp);
         const auto avg = all.back();
         bench::recordStats(all.front().timing, exp.cycleTime);
         const PhiBounds b = phiBounds(f, line_over_bus);

@@ -160,7 +160,7 @@ exportCsv(const std::string &name, const TextTable &table)
     snapshot.set("output", "csv", path.string());
     snapshot.set("output", "rows",
                  static_cast<std::uint64_t>(table.rows()));
-    snapshot.write(manifest_path.string());
+    okOrFatal(snapshot.write(manifest_path.string()));
     std::printf("[manifest] wrote %s\n",
                 manifest_path.string().c_str());
 }

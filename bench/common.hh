@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cache/config.hh"
@@ -91,22 +90,6 @@ void recordMachine(const CacheConfig &cache,
 /** Record the trace profile and seed driving the run. */
 void recordWorkload(const std::string &profile,
                     std::uint64_t seed, std::uint64_t refs);
-
-/**
- * Run @p body, converting an escaping StatusError into a clean
- * fatal() exit — the bench binaries sit at the CLI boundary of
- * the error contract, like the examples.
- */
-template <typename Fn>
-int
-guardedMain(Fn &&body)
-{
-    try {
-        return std::forward<Fn>(body)();
-    } catch (const StatusError &e) {
-        fatal(e.status().message());
-    }
-}
 
 /**
  * Record a final timing-stat dump (full stat registry, including

@@ -10,6 +10,7 @@
 #include "common.hh"
 #include "core/tradeoff.hh"
 #include "cpu/phi_measurement.hh"
+#include "exp/scenarios.hh"
 
 namespace uatm::bench {
 
@@ -61,7 +62,7 @@ runUnifiedFigure(const UnifiedFigureSpec &spec)
         exp.cache.lineBytes =
             static_cast<std::uint32_t>(spec.lineBytes);
         const double phi =
-            std::min(measurePhiAllProfiles(exp).back().phi,
+            std::min(exp::measurePhiAllProfiles(exp).back().phi,
                      ctx.machine.lineOverBus());
 
         const double traded_pipe =

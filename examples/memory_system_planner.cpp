@@ -149,6 +149,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return examples::guardedMain(
+    return guardedMain(
         [&] { return run(argc, argv); });
 }

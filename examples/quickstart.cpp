@@ -109,6 +109,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return uatm::examples::guardedMain(
+    return uatm::guardedMain(
         [&] { return run(argc, argv); });
 }

@@ -83,12 +83,9 @@ run(int argc, char **argv)
         phi_exp.cycleTime = mu;
         phi_exp.cache.lineBytes = line;
         phi_exp.refs = refs / 2;
-        const double phi =
-            std::min(exp::measurePhiAllProfilesParallel(
-                         phi_exp, cli.threads)
-                         .back()
-                         .phi,
-                     ctx.machine.lineOverBus());
+        const double phi = std::min(
+            exp::measurePhiAllProfiles(phi_exp, cli.threads).back().phi,
+            ctx.machine.lineOverBus());
 
         exp::ResultTable table(
             "feature_pricing",
@@ -217,6 +214,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return examples::guardedMain(
+    return guardedMain(
         [&] { return run(argc, argv); });
 }

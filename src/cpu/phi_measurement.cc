@@ -6,7 +6,6 @@
 #include "cpu/phi_measurement.hh"
 
 #include "trace/generators.hh"
-#include "util/logging.hh"
 
 namespace uatm {
 
@@ -55,34 +54,6 @@ measurePhi(const PhiExperiment &experiment,
         static_cast<double>(experiment.busWidthBytes);
     result.percentOfFull = 100.0 * result.phi / full;
     return result;
-}
-
-void
-appendPhiAverage(std::vector<PhiResult> &results)
-{
-    UATM_ASSERT(!results.empty(), "no phi rows to average");
-    double phi_sum = 0.0;
-    double pct_sum = 0.0;
-    for (const auto &row : results) {
-        phi_sum += row.phi;
-        pct_sum += row.percentOfFull;
-    }
-    PhiResult average;
-    average.workload = "average";
-    const auto n = static_cast<double>(results.size());
-    average.phi = phi_sum / n;
-    average.percentOfFull = pct_sum / n;
-    results.push_back(average);
-}
-
-std::vector<PhiResult>
-measurePhiAllProfiles(const PhiExperiment &experiment)
-{
-    std::vector<PhiResult> results;
-    for (const auto &name : Spec92Profile::names())
-        results.push_back(measurePhi(experiment, name));
-    appendPhiAverage(results);
-    return results;
 }
 
 } // namespace uatm

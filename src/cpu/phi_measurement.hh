@@ -2,9 +2,10 @@
  * @file
  * Stalling-factor measurement harness (paper Sec. 4.2, Figure 1).
  *
- * Runs the timing engine over the SPEC92-like profiles and reports
- * the empirical stalling factor phi, optionally averaged across the
- * six programs exactly as the paper's Figure 1 does.
+ * Runs the timing engine over one SPEC92-like profile and reports
+ * the empirical stalling factor phi.  Figure 1's average over the
+ * six programs is exp::measurePhiAllProfiles (exp/scenarios.hh),
+ * which runs this kernel once per profile on the scenario runner.
  */
 
 #ifndef UATM_CPU_PHI_MEASUREMENT_HH
@@ -12,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cache/config.hh"
 #include "cpu/stall_feature.hh"
@@ -57,21 +57,6 @@ struct PhiResult
 /** Measure phi on one named SPEC92-like profile. */
 PhiResult measurePhi(const PhiExperiment &experiment,
                      const std::string &profile_name);
-
-/**
- * Append the Figure 1 "average" row — the unweighted mean of phi
- * and of the percent-of-ceiling across the rows already present.
- * Shared by the serial and the scenario-layer parallel drivers so
- * both emit the same row.
- */
-void appendPhiAverage(std::vector<PhiResult> &results);
-
-/**
- * Measure phi on all six profiles and append an "average" row,
- * which is the quantity Figure 1 plots.
- */
-std::vector<PhiResult> measurePhiAllProfiles(
-    const PhiExperiment &experiment);
 
 } // namespace uatm
 

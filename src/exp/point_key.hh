@@ -10,7 +10,7 @@
  * are name-sorted (ParamMap).  Two points with equal keys are
  * therefore guaranteed to produce byte-identical result cells
  * under the same kernel, which is what makes sweep results safely
- * memoizable (the serve layer's PointCache, ROADMAP item 2).
+ * memoizable (the serve layer's PointCache).
  *
  * Every workload spec is data, so every point gets a key, except
  * one whose spec has an empty method: it names no stream, and it

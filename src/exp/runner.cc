@@ -160,8 +160,6 @@ Runner::run(const Scenario &scenario,
     // failures land by index, not by completion order.
     std::vector<std::optional<Status>> errors(points.size());
     std::atomic<std::size_t> next{0};
-    std::exception_ptr firstError;
-    std::mutex errorMutex;
 
     // Progress heartbeat: 1 means auto-size the interval to ~5%
     // of the grid so big sweeps print ~20 lines, small ones one.
@@ -172,17 +170,14 @@ Runner::run(const Scenario &scenario,
     std::atomic<std::size_t> completed{0};
     std::mutex progressMutex;
 
-    const bool failFast = options_.failFast;
     const unsigned lanes = std::max(threads, 1u);
 
     // The record lands in slots sized before the pool spawns:
     // point timings by index, like the cells, and worker totals
     // by lane.  A worker writes only the slots it owns, so
     // recording is lock-free and needs no synchronisation beyond
-    // the join.  timed[i] stays 0 for a point a fail-fast run
-    // skipped or aborted on.
+    // the join.
     std::vector<PointTiming> timings(points.size());
-    std::vector<char> timed(points.size(), 0);
     std::vector<WorkerTelemetry> laneTelemetry(lanes);
     std::vector<std::uint64_t> laneStartNs(lanes, 0);
 
@@ -211,46 +206,20 @@ Runner::run(const Scenario &scenario,
                 break;
             const auto start = Clock::now();
             tel.acquireNs += nsBetween(acquireStart, start);
-            bool failed = false;
-            std::exception_ptr thrown;
             try {
                 auto cells = kernel(points[i]);
-                if (cells.ok()) {
+                if (cells.ok())
                     slots[i] = std::move(cells).value();
-                } else {
+                else
                     errors[i] = cells.status();
-                    failed = true;
-                }
             } catch (const StatusError &e) {
                 errors[i] = e.status();
-                failed = true;
-                thrown = std::current_exception();
             } catch (const std::exception &e) {
                 errors[i] = Status::error(ErrorCode::KernelError,
                                           e.what());
-                failed = true;
-                thrown = std::current_exception();
             } catch (...) {
                 errors[i] = Status::error(ErrorCode::KernelError,
                                           "unknown exception");
-                failed = true;
-                thrown = std::current_exception();
-            }
-            if (failed && failFast) {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError) {
-                    // Rethrow what the kernel actually threw; wrap
-                    // status-return failures so they still escape
-                    // as an exception.
-                    firstError = thrown
-                        ? thrown
-                        : std::make_exception_ptr(
-                              StatusError(*errors[i]));
-                }
-                // Drain the queue so the pool winds down fast.
-                next.store(points.size(),
-                           std::memory_order_relaxed);
-                break;
             }
             const std::uint64_t durationNs =
                 nsBetween(start, Clock::now());
@@ -258,7 +227,6 @@ Runner::run(const Scenario &scenario,
             ++tel.points;
             timings[i] = PointTiming{
                 i, lane, nsBetween(wallStart, start), durationNs, {}};
-            timed[i] = 1;
             if (heartbeatEvery) {
                 const std::size_t done =
                     completed.fetch_add(
@@ -325,8 +293,6 @@ Runner::run(const Scenario &scenario,
     const std::uint64_t wallNs =
         nsBetween(wallStart, Clock::now());
 
-    // The record first, rethrow second: a fail-fast abort must not
-    // leave lastStats() describing the previous run.
     stats_ = RunnerTelemetry();
     stats_.scenario = scenario.name();
     stats_.threadsRequested = requested;
@@ -340,19 +306,14 @@ Runner::run(const Scenario &scenario,
             stats_.failures.push_back(
                 PointFailure{i, points[i].label(), *errors[i]});
         }
-        if (timed[i]) {
-            timings[i].label = points[i].label();
-            stats_.pointLatency.add(
-                static_cast<double>(timings[i].durationNs));
-            stats_.points.push_back(std::move(timings[i]));
-        }
+        timings[i].label = points[i].label();
+        stats_.pointLatency.add(
+            static_cast<double>(timings[i].durationNs));
+        stats_.points.push_back(std::move(timings[i]));
     }
     stats_.pointsFailed = stats_.failures.size();
     if (traceArmed)
         emitWorkerSpans(tracer, stats_, laneStartNs);
-
-    if (failFast && firstError)
-        std::rethrow_exception(firstError);
 
     const auto mergeStart = Clock::now();
     for (std::size_t i = 0; i < points.size(); ++i) {

@@ -10,15 +10,17 @@
  * merged ResultTable is byte-identical whether one thread ran the
  * whole grid or eight shared it.
  *
- * Failures are isolated per point: a kernel that throws or returns
- * an error Status marks only its own point as failed.  The other
- * points still run, the failed point's row is emitted with typed
- * error cells ("!invalid_argument"-style), and the failure is
+ * Failures are isolated per point, always: a kernel that throws or
+ * returns an error Status marks only its own point as failed.  The
+ * other points still run, the failed point's row is emitted with
+ * typed error cells ("!invalid_argument"-style), and the failure is
  * counted in RunnerTelemetry::pointsFailed and listed in
- * RunnerTelemetry::failures.  The runner logs nothing: the program
- * that emits the table reports each failure once
- * (RunnerTelemetry::warnFailures).  Set RunnerOptions::failFast to
- * restore the old first-failure-aborts-the-run behaviour.
+ * RunnerTelemetry::failures.  The runner logs nothing and throws
+ * nothing a kernel threw: the program that emits the table reports
+ * each failure once (RunnerTelemetry::warnFailures), and a caller
+ * that cannot use a partial grid throws the first failure in point
+ * order after the run (RunnerTelemetry::firstFailure), which is the
+ * same at any thread count.
  *
  * Point kernels must be self-contained: no shared mutable state
  * beyond what the Point carries.  The process-wide event tracer
@@ -62,14 +64,6 @@ struct RunnerOptions
 {
     /** Worker count; 0 means std::thread::hardware_concurrency(). */
     unsigned threads = 1;
-
-    /**
-     * Abort the run on the first failed point instead of isolating
-     * it: the first kernel exception is rethrown (after the pool
-     * winds down and the record is filled), and a kernel error
-     * Status is rethrown as StatusError.
-     */
-    bool failFast = false;
 };
 
 class Runner
@@ -98,8 +92,7 @@ class Runner
                     const std::vector<std::string> &value_columns,
                     const Kernel &kernel);
 
-    /** The record of the most recent run(), filled before a
-     *  fail-fast rethrow too. */
+    /** The record of the most recent run(). */
     const RunnerTelemetry &lastStats() const { return stats_; }
 
     /** Threads run() would actually use right now. */

@@ -175,9 +175,7 @@ runGeometrySweep(const GeometrySweep &spec, Runner &runner,
     if (points) {
         // A failed point leaves an empty sample: report why it
         // failed, not what its sample would make of the curve.
-        if (const auto &failures = runner.lastStats().failures;
-            !failures.empty())
-            throw StatusError(failures.front().status);
+        okOrThrow(runner.lastStats().firstFailure());
         *points = std::move(samples);
     }
     return table;
@@ -197,8 +195,8 @@ makePhiScenario(const PhiExperiment &experiment)
 }
 
 std::vector<PhiResult>
-measurePhiAllProfilesParallel(const PhiExperiment &experiment,
-                              unsigned threads)
+measurePhiAllProfiles(const PhiExperiment &experiment,
+                      unsigned threads)
 {
     Scenario scenario = makePhiScenario(experiment);
     std::vector<PhiResult> results(scenario.pointCount());
@@ -214,10 +212,20 @@ measurePhiAllProfilesParallel(const PhiExperiment &experiment,
                        Cell::num(result.percentOfFull, 1)};
                });
     // A failed profile has no result to average in.
-    if (const auto &failures = runner.lastStats().failures;
-        !failures.empty())
-        throw StatusError(failures.front().status);
-    appendPhiAverage(results);
+    okOrThrow(runner.lastStats().firstFailure());
+
+    double phi_sum = 0.0;
+    double pct_sum = 0.0;
+    for (const auto &row : results) {
+        phi_sum += row.phi;
+        pct_sum += row.percentOfFull;
+    }
+    PhiResult average;
+    average.workload = "average";
+    const auto n = static_cast<double>(results.size());
+    average.phi = phi_sum / n;
+    average.percentOfFull = pct_sum / n;
+    results.push_back(average);
     return results;
 }
 

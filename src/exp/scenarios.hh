@@ -9,11 +9,10 @@
  * once per sweep between one stack-sim pass (cache/stack_sim) and
  * per-point runCacheSim, and priceGeometryPoint is the per-point
  * kernel the serve layer shares.  The other experiments keep
- * their serial kernel in its home module (cpu/phi_measurement,
+ * their per-point kernel in its home module (cpu/phi_measurement,
  * core/tradeoff, linesize/line_tradeoff); this layer only declares
- * the grid and shards it.  measurePhiAllProfilesParallel returns
- * the same result type as its serial counterpart and is
- * bit-identical to it at any thread count.
+ * the grid and shards it.  measurePhiAllProfiles is Figure 1's one
+ * driver, bit-identical at any thread count.
  */
 
 #ifndef UATM_EXP_SCENARIOS_HH
@@ -97,12 +96,15 @@ Expected<std::vector<Cell>> priceGeometryPoint(const Point &point);
 /** One point per SPEC92-like profile (axis "workload"). */
 Scenario makePhiScenario(const PhiExperiment &experiment);
 
-/** Parallel drop-in for uatm::measurePhiAllProfiles.  A failed
- *  profile throws its Status as a StatusError (the first, in
- *  point order). */
+/**
+ * Measure phi on the six profiles, one runner point each, and
+ * append Figure 1's "average" row: the unweighted mean of phi and
+ * of the percent-of-ceiling.  A failed profile throws its Status
+ * as a StatusError (the first, in point order).
+ */
 std::vector<PhiResult>
-measurePhiAllProfilesParallel(const PhiExperiment &experiment,
-                              unsigned threads = 0);
+measurePhiAllProfiles(const PhiExperiment &experiment,
+                      unsigned threads = 1);
 
 // ---------------------------------------------------------------
 // The Sec. 5.3 feature comparison grid.

@@ -42,6 +42,12 @@ RunnerTelemetry::warnFailures() const
     }
 }
 
+Status
+RunnerTelemetry::firstFailure() const
+{
+    return failures.empty() ? Status() : failures.front().status;
+}
+
 double
 RunnerTelemetry::loadImbalance() const
 {

@@ -9,7 +9,9 @@
  * timing record per point.  Workers record into their own lanes
  * and the runner merges the lanes at join, so nothing is shared
  * while the pool runs and the merged ResultTable stays
- * byte-identical.
+ * byte-identical.  The failed points, in point order, are the one
+ * way a run reports failure: a program warns once per failure
+ * (warnFailures) or throws the first (firstFailure).
  *
  * The record serialises to a versioned JSON document
  * (RUNNER_*.json) that tools/run_report consumes for the scaling
@@ -103,17 +105,15 @@ struct RunnerTelemetry
     /** One entry per worker (a serial run has exactly one). */
     std::vector<WorkerTelemetry> workers;
 
-    /** One entry per point, sorted by point index.  A fail-fast
-     *  run leaves out the point that aborted it and the points
-     *  it skipped. */
+    /** One entry per point, sorted by point index. */
     std::vector<PointTiming> points;
 
     /** Failed points in point order; not serialized (JSON keeps
      *  only points_failed). */
     std::vector<PointFailure> failures;
 
-    /** Per-point kernel latency, log-bucketed in nanoseconds (the
-     *  default LatencyHistogram shape: 1 ns, x2, 64 buckets). */
+    /** Per-point kernel latency in nanoseconds, in
+     *  LatencyHistogram's fixed buckets (1 ns, x2, 64 buckets). */
     obs::LatencyHistogram pointLatency;
 
     /** Sum of kernelNs over the workers. */
@@ -142,6 +142,11 @@ struct RunnerTelemetry
      *  reports the failures behind a table's error rows ("point 3
      *  (size=0) failed: ..."), since the runner logs nothing. */
     void warnFailures() const;
+
+    /** The first failure in point order, the one a caller that
+     *  cannot use a partial grid throws after the run; OK when no
+     *  point failed.  The same at any thread count. */
+    Status firstFailure() const;
 
     /**
      * Read a document produced by toJson(), or by a v1 or v2

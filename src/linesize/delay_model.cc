@@ -79,7 +79,8 @@ LineDelayModel::fromNanoseconds(double latency_ns, double ns_per_byte,
     m.c = latency_ns / cpu_cycle_ns + 1.0;
     m.beta = ns_per_byte * bus_width_bytes / cpu_cycle_ns;
     m.busWidth = bus_width_bytes;
-    // A tiny cycle time overflows the cycle counts: name the inputs,
+    // A tiny cycle time overflows the cycle counts, and a huge one
+    // rounds a positive delay to no cycles at all: name the inputs,
     // not a c or beta nobody typed.
     if (m.busWidth > 0.0 && !(std::isfinite(m.c) && std::isfinite(m.beta))) {
         throw StatusError(Status::invalidArgument(
@@ -87,6 +88,14 @@ LineDelayModel::fromNanoseconds(double latency_ns, double ns_per_byte,
             " ns/byte (D = ", bus_width_bytes,
             " bytes) is not a finite number of ", cpu_cycle_ns,
             " ns CPU cycles"));
+    }
+    if ((latency_ns > 0.0 && m.c == 1.0) ||
+        (ns_per_byte > 0.0 && m.busWidth > 0.0 && m.beta == 0.0)) {
+        throw StatusError(Status::invalidArgument(
+            "the delay ", latency_ns, " ns + ", ns_per_byte,
+            " ns/byte (D = ", bus_width_bytes,
+            " bytes) rounds to 0 CPU cycles of ", cpu_cycle_ns,
+            " ns"));
     }
     okOrThrow(m.validate());
     return m;

@@ -57,8 +57,9 @@ struct LineDelayModel
      * are the "Delay = 360ns + 15ns/byte" forms of Figure 6.
      * Throws StatusError(InvalidArgument) for a cycle time that is
      * not positive and finite, for inputs whose c or beta is not a
-     * finite number of cycles (naming the inputs), and for a model
-     * that fails validate().
+     * finite number of cycles or whose positive latency or bus time
+     * rounds to 0 cycles (naming the inputs), and for a model that
+     * fails validate().
      */
     static LineDelayModel fromNanoseconds(double latency_ns,
                                           double ns_per_byte,

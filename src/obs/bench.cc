@@ -17,6 +17,7 @@
 #include <thread>
 #include <tuple>
 
+#include "obs/flags.hh"
 #include "obs/manifest.hh"
 #include "util/file.hh"
 #include "util/logging.hh"
@@ -139,26 +140,11 @@ BenchSuite::add(const std::string &name, BenchFn fn)
 
 BenchResult
 BenchSuite::runOne(const std::string &name, const BenchFn &fn,
-                   const RunOptions &options) const
+                   std::uint32_t reps) const
 {
     BenchState state;
 
-    std::uint32_t reps = options.reps;
-    if (reps == 0) {
-        reps = 20;
-        if (const char *env = std::getenv("UATM_BENCH_REPS")) {
-            const long long parsed = std::atoll(env);
-            if (parsed >= 1) {
-                reps = static_cast<std::uint32_t>(parsed);
-            } else {
-                warn("ignoring invalid UATM_BENCH_REPS='", env,
-                     "'");
-            }
-        }
-    }
-    const std::uint32_t warmup = std::max(options.warmup, 1u);
-
-    for (std::uint32_t i = 0; i < warmup; ++i)
+    for (std::uint32_t i = 0; i < kWarmupReps; ++i)
         fn(state);
 
     // Baseline snapshot after warmup: the recorded deltas cover
@@ -202,7 +188,7 @@ BenchSuite::runOne(const std::string &name, const BenchFn &fn,
     BenchResult result;
     result.name = name;
     result.reps = reps;
-    result.warmupReps = warmup;
+    result.warmupReps = kWarmupReps;
     result.itemsPerRep = state.items();
     result.nsPerRepMin =
         *std::min_element(ns.begin(), ns.end());
@@ -251,7 +237,7 @@ benchOutDir()
     return dir;
 }
 
-std::size_t
+Expected<std::size_t>
 BenchSuite::run(const RunOptions &options)
 {
     std::vector<const std::pair<std::string, BenchFn> *> selected;
@@ -268,6 +254,9 @@ BenchSuite::run(const RunOptions &options)
     }
 
     results_.clear();
+    const std::uint32_t reps =
+        options.reps ? options.reps
+                     : readEnvCount("UATM_BENCH_REPS", std::uint32_t{20});
     std::size_t width = 9;  // "benchmark"
     for (const auto *entry : selected)
         width = std::max(width, entry->first.size());
@@ -277,7 +266,7 @@ BenchSuite::run(const RunOptions &options)
                 "min ns/op", "med ns/op", "mad ns/op", "items/s");
     for (const auto *entry : selected) {
         const BenchResult result =
-            runOne(entry->first, entry->second, options);
+            runOne(entry->first, entry->second, reps);
         const double items =
             result.itemsPerRep
                 ? static_cast<double>(result.itemsPerRep)
@@ -295,9 +284,11 @@ BenchSuite::run(const RunOptions &options)
         const std::filesystem::path path =
             (benchOutDir() / ("BENCH_" + name_ + ".json"))
                 .lexically_normal();
-        okOrFatal(writeWholeFile(path.string(), [this](std::ostream &out) {
-            out << toJson();
-        }));
+        if (Status written = writeWholeFile(
+                path.string(),
+                [this](std::ostream &out) { out << toJson(); });
+            !written.ok())
+            return written;
         std::printf("[bench-json] wrote %s\n",
                     path.string().c_str());
     }

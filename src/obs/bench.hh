@@ -179,10 +179,6 @@ class BenchSuite
          *  20.  An explicit value (e.g. from --reps=) wins. */
         std::uint32_t reps = 0;
 
-        /** Untimed warmup repetitions, clamped to >= 1 so stat
-         *  providers get wired before the baseline snapshot. */
-        std::uint32_t warmup = 2;
-
         /** Skip writing BENCH_<suite>.json (tests). */
         bool writeJson = true;
     };
@@ -198,13 +194,18 @@ class BenchSuite
     std::size_t size() const { return benchmarks_.size(); }
 
     /**
-     * Run every benchmark matching the filter, print an aligned
-     * result table, and (unless disabled) write
+     * Run every benchmark matching the filter, each after
+     * kWarmupReps untimed repetitions, print an aligned result
+     * table, and (unless disabled) write
      * benchOutDir()/BENCH_<suite>.json.  Returns the number run (or,
-     * with listOnly, the number of names printed).
+     * with listOnly, the number of names printed), or the IoError
+     * of a record that could not be written.
      */
-    std::size_t run(const RunOptions &options);
-    std::size_t run() { return run(RunOptions{}); }
+    Expected<std::size_t> run(const RunOptions &options);
+
+    /** Untimed repetitions before a benchmark's timed ones, so
+     *  stat providers get wired before the baseline snapshot. */
+    static constexpr std::uint32_t kWarmupReps = 2;
 
     /** Results of the last run(), in execution order. */
     const std::vector<BenchResult> &results() const
@@ -221,7 +222,7 @@ class BenchSuite
     std::vector<BenchResult> results_;
 
     BenchResult runOne(const std::string &name, const BenchFn &fn,
-                       const RunOptions &options) const;
+                       std::uint32_t reps) const;
 };
 
 /**

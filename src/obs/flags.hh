@@ -21,6 +21,7 @@
 #define UATM_OBS_FLAGS_HH
 
 #include <concepts>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -54,6 +55,28 @@ readFlag(std::string_view text, const JsonPath &path, T &out,
             parsed = parseJson(JsonWriter::escape(text));
         return readJson(parsed.value, path, out, extra...);
     }
+}
+
+/**
+ * Environment variable @p name as a count in [1, T's maximum], read
+ * by readFlag()'s rule: @p fallback when it is unset or empty, and
+ * when it is refused, after a warning with the reader's message
+ * ("UATM_X must be an integer in [1, ...] (got "1x")") and the
+ * value kept.
+ */
+template <std::unsigned_integral T>
+T
+readEnvCount(const char *name, T fallback)
+{
+    const char *text = std::getenv(name);
+    if (!text || !*text)
+        return fallback;
+    T count = 0;
+    if (Status s = readFlag(text, JsonPath(name), count, 1); !s.ok()) {
+        warn(s.message(), "; keeping ", fallback);
+        return fallback;
+    }
+    return count;
 }
 
 /** A program's flags, each bound to its destination. */

@@ -168,11 +168,11 @@ Manifest::toJson() const
     return w.str();
 }
 
-void
+Status
 Manifest::write(const std::string &path) const
 {
-    okOrFatal(writeWholeFile(
-        path, [this](std::ostream &out) { out << toJson(); }));
+    return writeWholeFile(
+        path, [this](std::ostream &out) { out << toJson(); });
 }
 
 const char *

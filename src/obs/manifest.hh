@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.hh"
+
 namespace uatm::obs {
 
 class StatRegistry;
@@ -61,8 +63,8 @@ class Manifest
 
     std::string toJson() const;
 
-    /** Write toJson() to @p path; fatal() when unwritable. */
-    void write(const std::string &path) const;
+    /** Write toJson() to @p path; IoError when unwritable. */
+    Status write(const std::string &path) const;
 
     /** `git describe` of the tree this library was built from. */
     static const char *gitDescribe();

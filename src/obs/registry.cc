@@ -66,18 +66,6 @@ atomicMax(std::atomic<double> &target, double x)
 
 } // namespace
 
-LatencyHistogram::LatencyHistogram(double first_upper,
-                                   double growth,
-                                   std::size_t buckets)
-    : first_(first_upper), growth_(growth),
-      counts_(std::max<std::size_t>(buckets, 2))
-{
-    UATM_ASSERT(first_upper > 0.0,
-                "histogram needs a positive first bucket edge");
-    UATM_ASSERT(growth > 1.0,
-                "histogram growth factor must exceed 1");
-}
-
 LatencyHistogram::LatencyHistogram(const LatencyHistogram &other)
 {
     copyFrom(other);
@@ -108,15 +96,10 @@ LatencyHistogram::operator=(LatencyHistogram &&other) noexcept
 void
 LatencyHistogram::copyFrom(const LatencyHistogram &other)
 {
-    first_ = other.first_;
-    growth_ = other.growth_;
-    std::vector<std::atomic<std::uint64_t>> counts(
-        other.counts_.size());
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i].store(
+    for (std::size_t i = 0; i < kBuckets; ++i)
+        counts_[i].store(
             other.counts_[i].load(std::memory_order_relaxed),
             std::memory_order_relaxed);
-    counts_ = std::move(counts);
     count_.store(other.count_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
     sum_.store(other.sum_.load(std::memory_order_relaxed),
@@ -130,17 +113,16 @@ LatencyHistogram::copyFrom(const LatencyHistogram &other)
 std::size_t
 LatencyHistogram::bucketIndex(double x) const
 {
-    if (!(x > first_))
+    if (!(x > 1.0))
         return 0;
     // log-derived guess, then fix up the float rounding so edge
     // values land in their inclusive-upper bucket exactly.
     std::size_t i = static_cast<std::size_t>(std::max(
-        1.0, 1.0 + std::floor(std::log(x / first_) /
-                              std::log(growth_))));
-    i = std::min(i, counts_.size() - 1);
+        1.0, 1.0 + std::floor(std::log(x) / std::log(2.0))));
+    i = std::min(i, kBuckets - 1);
     while (i > 0 && x <= upperEdge(i - 1))
         --i;
-    while (i + 1 < counts_.size() && x > upperEdge(i))
+    while (i + 1 < kBuckets && x > upperEdge(i))
         ++i;
     return i;
 }
@@ -172,12 +154,9 @@ LatencyHistogram::add(double x)
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {
-    UATM_ASSERT(sameShape(other),
-                "cannot merge histograms with different bucket "
-                "shapes");
     if (other.count() == 0)
         return;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
         const std::uint64_t n =
             other.counts_[i].load(std::memory_order_relaxed);
         if (n)
@@ -242,17 +221,17 @@ LatencyHistogram::mean() const
 double
 LatencyHistogram::upperEdge(std::size_t i) const
 {
-    UATM_ASSERT(i < counts_.size(), "histogram bucket ", i,
+    UATM_ASSERT(i < kBuckets, "histogram bucket ", i,
                 " out of range");
-    if (i + 1 == counts_.size())
+    if (i + 1 == kBuckets)
         return std::numeric_limits<double>::infinity();
-    return first_ * std::pow(growth_, static_cast<double>(i));
+    return std::pow(2.0, static_cast<double>(i));
 }
 
 std::uint64_t
 LatencyHistogram::bucketCount(std::size_t i) const
 {
-    UATM_ASSERT(i < counts_.size(), "histogram bucket ", i,
+    UATM_ASSERT(i < kBuckets, "histogram bucket ", i,
                 " out of range");
     return counts_[i].load(std::memory_order_relaxed);
 }
@@ -270,7 +249,7 @@ LatencyHistogram::quantile(double q) const
 
     const double rank = q * static_cast<double>(total);
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
         const std::uint64_t here = bucketCount(i);
         if (here == 0)
             continue;
@@ -278,7 +257,7 @@ LatencyHistogram::quantile(double q) const
             const double lo = i == 0 ? 0.0 : upperEdge(i - 1);
             // The +Inf overflow bucket interpolates toward the
             // observed max instead of infinity.
-            const double hi = i + 1 == counts_.size()
+            const double hi = i + 1 == kBuckets
                                   ? max()
                                   : upperEdge(i);
             const double within =
@@ -290,13 +269,6 @@ LatencyHistogram::quantile(double q) const
         cumulative += here;
     }
     return max();
-}
-
-bool
-LatencyHistogram::sameShape(const LatencyHistogram &other) const
-{
-    return first_ == other.first_ && growth_ == other.growth_ &&
-           counts_.size() == other.counts_.size();
 }
 
 double
@@ -452,7 +424,8 @@ StatRegistry::toJson() const
             // Only occupied buckets: 64 mostly-empty rows per
             // histogram would drown the dump.
             w.key("buckets").beginArray();
-            for (std::size_t i = 0; i < h.buckets(); ++i) {
+            for (std::size_t i = 0; i < LatencyHistogram::kBuckets;
+                 ++i) {
                 if (h.bucketCount(i) == 0)
                     continue;
                 w.beginObject();
@@ -497,38 +470,6 @@ promSanitize(const std::string &name)
     return out.empty() ? std::string("_") : out;
 }
 
-/** Label names are stricter than metric names: no ':'. */
-std::string
-promSanitizeLabelName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool legal =
-            (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-            (c >= '0' && c <= '9' && !out.empty()) || c == '_';
-        out += legal ? c : '_';
-    }
-    return out.empty() ? std::string("_") : out;
-}
-
-/** Escape a label value: backslash, double quote, newline. */
-std::string
-promEscapeLabel(const std::string &value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (char c : value) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 /** Escape HELP text: backslash and newline only (no quotes). */
 std::string
 promEscapeHelp(const std::string &text)
@@ -567,40 +508,12 @@ promUnitSuffix(const std::string &unit)
     return suffix;
 }
 
-/** Render {a="x",b="y"} from base labels + extras; "" if none. */
-std::string
-promLabelBlock(
-    const std::vector<std::pair<std::string, std::string>> &labels,
-    const std::vector<std::pair<std::string, std::string>> &extra =
-        {})
-{
-    if (labels.empty() && extra.empty())
-        return "";
-    std::string out = "{";
-    bool first = true;
-    for (const auto *set : {&labels, &extra}) {
-        for (const auto &[name, value] : *set) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += promSanitizeLabelName(name) + "=\"" +
-                   promEscapeLabel(value) + "\"";
-        }
-    }
-    out += '}';
-    return out;
-}
-
 } // namespace
 
 std::string
-StatRegistry::dumpPrometheus(
-    const std::string &prefix,
-    const std::vector<std::pair<std::string, std::string>> &labels)
-    const
+StatRegistry::dumpPrometheus() const
 {
     std::ostringstream os;
-    const std::string base = promLabelBlock(labels);
 
     // Sanitization can collide ("a.b" and "a-b" both map to
     // "a_b"), and a gauge literally named "x_bucket" would collide
@@ -620,9 +533,9 @@ StatRegistry::dumpPrometheus(
     };
 
     for (const auto &entry : entries_) {
-        std::string metric = promSanitize(prefix) + "_" +
-                             promSanitize(entry.name) +
-                             promUnitSuffix(entry.unit);
+        const std::string stem = "uatm_" + promSanitize(entry.name) +
+                                 promUnitSuffix(entry.unit);
+        std::string metric = stem;
         for (int suffix = 2;; ++suffix) {
             const auto names = derivedNames(metric, entry.kind);
             const bool clash = std::any_of(
@@ -634,10 +547,7 @@ StatRegistry::dumpPrometheus(
                 used.insert(names.begin(), names.end());
                 break;
             }
-            metric = promSanitize(prefix) + "_" +
-                     promSanitize(entry.name) +
-                     promUnitSuffix(entry.unit) + "_" +
-                     std::to_string(suffix);
+            metric = stem + "_" + std::to_string(suffix);
         }
 
         const bool histogram =
@@ -659,7 +569,8 @@ StatRegistry::dumpPrometheus(
             // non-monotone cumulative series or a +Inf bucket
             // below _count.
             const LatencyHistogram &h = entry.histogram;
-            std::vector<std::uint64_t> counts(h.buckets());
+            std::array<std::uint64_t, LatencyHistogram::kBuckets>
+                counts{};
             std::uint64_t total = 0;
             for (std::size_t i = 0; i < counts.size(); ++i) {
                 counts[i] = h.bucketCount(i);
@@ -670,27 +581,20 @@ StatRegistry::dumpPrometheus(
                 if (counts[i] == 0)
                     continue;
                 cumulative += counts[i];
-                os << metric << "_bucket"
-                   << promLabelBlock(
-                          labels,
-                          {{"le", promNumber(h.upperEdge(i))}})
-                   << ' ' << promNumber(static_cast<double>(
-                              cumulative))
+                os << metric << "_bucket{le=\""
+                   << promNumber(h.upperEdge(i)) << "\"} "
+                   << promNumber(static_cast<double>(cumulative))
                    << '\n';
             }
-            os << metric << "_bucket"
-               << promLabelBlock(labels, {{"le", "+Inf"}}) << ' '
-               << promNumber(static_cast<double>(total))
-               << '\n';
-            os << metric << "_sum" << base << ' '
-               << promNumber(h.sum()) << '\n';
-            os << metric << "_count" << base << ' '
-               << promNumber(static_cast<double>(total))
-               << '\n';
+            os << metric << "_bucket{le=\"+Inf\"} "
+               << promNumber(static_cast<double>(total)) << '\n';
+            os << metric << "_sum " << promNumber(h.sum()) << '\n';
+            os << metric << "_count "
+               << promNumber(static_cast<double>(total)) << '\n';
             continue;
         }
-        os << metric << base << ' '
-           << promNumber(entry.valueNow()) << '\n';
+        os << metric << ' ' << promNumber(entry.valueNow())
+           << '\n';
     }
     return os.str();
 }

@@ -21,6 +21,7 @@
 #ifndef UATM_OBS_REGISTRY_HH
 #define UATM_OBS_REGISTRY_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -45,10 +46,10 @@ const char *statKindName(StatKind kind);
 /**
  * Log-bucketed latency histogram with lock-free concurrent adds.
  *
- * Bucket upper edges grow geometrically from @p first_upper by
- * @p growth; bucket 0 covers [0, first], bucket i covers
- * (edge(i-1), edge(i)], and the last bucket is the +Inf overflow.
- * The defaults (1, x2, 64 buckets) span 1 ns to ~9.2e18 ns with
+ * Every histogram has the same kBuckets buckets, so any two merge.
+ * Upper edges double from 1 (ns, for the timed spans): bucket 0
+ * covers [0, 1], bucket i covers (2^(i-1), 2^i], and the last
+ * bucket is the +Inf overflow.  That spans 1 ns to ~9.2e18 ns with
  * <= 2x relative quantile error, which is what per-point runner
  * latencies need.
  *
@@ -60,13 +61,9 @@ const char *statKindName(StatKind kind);
 class LatencyHistogram
 {
   public:
-    static constexpr std::size_t kDefaultBuckets = 64;
+    static constexpr std::size_t kBuckets = 64;
 
-    explicit LatencyHistogram(double first_upper = 1.0,
-                              double growth = 2.0,
-                              std::size_t buckets =
-                                  kDefaultBuckets);
-
+    LatencyHistogram() = default;
     LatencyHistogram(const LatencyHistogram &other);
     LatencyHistogram &operator=(const LatencyHistogram &other);
     LatencyHistogram(LatencyHistogram &&other) noexcept;
@@ -75,10 +72,8 @@ class LatencyHistogram
     /** Fold one sample in; thread-safe and lock-free. */
     void add(double x);
 
-    /**
-     * Fold another histogram in bucket-by-bucket; panics when the
-     * bucket shapes differ.  Thread-safe on the destination.
-     */
+    /** Fold another histogram in bucket-by-bucket.  Thread-safe
+     *  on the destination. */
     void merge(const LatencyHistogram &other);
 
     void reset();
@@ -88,9 +83,6 @@ class LatencyHistogram
     double min() const;  ///< 0 when empty
     double max() const;  ///< 0 when empty
     double mean() const; ///< 0 when empty
-
-    std::size_t buckets() const { return counts_.size(); }
-    double growth() const { return growth_; }
 
     /** Inclusive upper edge of bucket i; +Inf for the last. */
     double upperEdge(std::size_t i) const;
@@ -108,13 +100,8 @@ class LatencyHistogram
     double p95() const { return quantile(0.95); }
     double p99() const { return quantile(0.99); }
 
-    /** True when the bucket shapes (edges) are identical. */
-    bool sameShape(const LatencyHistogram &other) const;
-
   private:
-    double first_ = 1.0;
-    double growth_ = 2.0;
-    std::vector<std::atomic<std::uint64_t>> counts_;
+    std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
     std::atomic<double> min_{0.0};  ///< valid only when count_ > 0
@@ -203,14 +190,12 @@ class StatRegistry
     /**
      * Prometheus text exposition (format 0.0.4) of every entry.
      *
-     * Dotted stat names become `<prefix>_<name>` metric names with
+     * Dotted stat names become `uatm_<name>` metric names with
      * '.' (and any other invalid character) mapped to '_', plus a
      * unit suffix derived from the stat's unit ("cycles" ->
-     * "_cycles"; the unitless "count"/"bool" add nothing).  Each
-     * sample carries @p labels verbatim, with label values escaped
-     * per the exposition rules (backslash, double quote, newline)
-     * and label names sanitized with the stricter label charset
-     * (no ':').  Sanitization collisions ("a.b" vs "a-b", or a
+     * "_cycles"; the unitless "count"/"bool" add nothing).  No
+     * sample carries a label but a histogram bucket's `le`.
+     * Sanitization collisions ("a.b" vs "a-b", or a
      * gauge named like another metric's _bucket/_sum/_count
      * series) are resolved with a deterministic "_2"/"_3" suffix
      * so no metric name ever repeats its HELP/TYPE block.
@@ -219,10 +204,7 @@ class StatRegistry
      * Prometheus histograms (cumulative `_bucket{le="..."}` series
      * ending in le="+Inf", plus `_sum` and `_count`).
      */
-    std::string dumpPrometheus(
-        const std::string &prefix = "uatm",
-        const std::vector<std::pair<std::string, std::string>>
-            &labels = {}) const;
+    std::string dumpPrometheus() const;
 
   private:
     std::vector<StatEntry> entries_;

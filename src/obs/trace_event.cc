@@ -10,6 +10,7 @@
 #include <map>
 #include <ostream>
 
+#include "obs/flags.hh"
 #include "obs/json.hh"
 #include "obs/registry.hh"
 #include "util/file.hh"
@@ -194,15 +195,8 @@ writeGlobalTraceAtExit()
 EventTracer
 makeGlobalTracer()
 {
-    std::size_t capacity = EventTracer::kDefaultCapacity;
-    if (const char *env = std::getenv("UATM_TRACE_EVENTS")) {
-        const long long parsed = std::atoll(env);
-        if (parsed >= 1)
-            capacity = static_cast<std::size_t>(parsed);
-        else
-            warn("ignoring invalid UATM_TRACE_EVENTS='", env, "'");
-    }
-    EventTracer tracer(capacity);
+    EventTracer tracer(readEnvCount("UATM_TRACE_EVENTS",
+                                    EventTracer::kDefaultCapacity));
     if (const char *env = std::getenv("UATM_TRACE");
         env && *env) {
         globalTracePath() = env;

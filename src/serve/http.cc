@@ -23,6 +23,17 @@ namespace uatm::serve {
 
 namespace {
 
+// The daemon's fixed limits; a request past one is answered with
+// the status named, before any handler runs.
+constexpr int kBacklog = 16;
+constexpr std::size_t kMaxHeaderBytes = 64 * 1024;     ///< 431
+constexpr std::size_t kMaxBodyBytes = 8 * 1024 * 1024; ///< 413
+constexpr unsigned kMaxConnections = 64;               ///< 503
+constexpr unsigned kIoTimeoutSeconds = 30;
+
+// How long httpFetch() waits on the socket.
+constexpr unsigned kClientTimeoutSeconds = 60;
+
 std::string
 toLower(std::string s)
 {
@@ -261,7 +272,7 @@ HttpServer::start(const Options &options, Handler handler)
                                options_.port, ": ",
                                std::strerror(err));
     }
-    if (::listen(listenFd_, options_.backlog) != 0) {
+    if (::listen(listenFd_, kBacklog) != 0) {
         const int err = errno;
         ::close(listenFd_);
         listenFd_ = -1;
@@ -349,7 +360,7 @@ HttpServer::acceptLoop()
             break;
         }
         reapFinished();
-        if (activeConnections_.load() >= options_.maxConnections) {
+        if (activeConnections_.load() >= kMaxConnections) {
             sendSimple(fd, 503, "connection limit reached\n");
             ::close(fd);
             continue;
@@ -370,13 +381,13 @@ HttpServer::acceptLoop()
 void
 HttpServer::handleConnection(int fd)
 {
-    setIoTimeout(fd, options_.ioTimeoutSeconds);
+    setIoTimeout(fd, kIoTimeoutSeconds);
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     std::string data;
     bool overflow = false;
-    if (!readHeaderBlock(fd, data, options_.maxHeaderBytes,
+    if (!readHeaderBlock(fd, data, kMaxHeaderBytes,
                          &overflow)) {
         if (overflow)
             sendSimple(fd, 431, "header block too large\n");
@@ -409,7 +420,7 @@ HttpServer::handleConnection(int fd)
             ::close(fd);
             return;
         }
-        if (want > options_.maxBodyBytes) {
+        if (want > kMaxBodyBytes) {
             sendSimple(fd, 413, "request body too large\n");
             ::close(fd);
             return;
@@ -474,9 +485,7 @@ HttpServer::handleConnection(int fd)
 Expected<HttpClientResponse>
 httpFetch(const std::string &host, std::uint16_t port,
           const std::string &method, const std::string &target,
-          const std::string &body,
-          const std::string &content_type,
-          unsigned timeout_seconds)
+          const std::string &body)
 {
     addrinfo hints{};
     hints.ai_family = AF_INET;
@@ -506,12 +515,12 @@ httpFetch(const std::string &host, std::uint16_t port,
         return Status::ioError("connect ", host, ":", port, ": ",
                                std::strerror(errno));
     }
-    setIoTimeout(fd, timeout_seconds);
+    setIoTimeout(fd, kClientTimeoutSeconds);
 
     std::string request = method + " " + target + " HTTP/1.1\r\n";
     request += "Host: " + host + "\r\n";
     if (!body.empty()) {
-        request += "Content-Type: " + content_type + "\r\n";
+        request += "Content-Type: application/json\r\n";
         request +=
             "Content-Length: " + std::to_string(body.size()) +
             "\r\n";

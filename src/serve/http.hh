@@ -86,20 +86,6 @@ class HttpServer
 
         /** 0 = ephemeral; the bound port is readable via port(). */
         std::uint16_t port = 0;
-
-        int backlog = 16;
-
-        /** Request line + headers cap; 431 beyond it. */
-        std::size_t maxHeaderBytes = 64 * 1024;
-
-        /** Request body cap; 413 beyond it. */
-        std::size_t maxBodyBytes = 8 * 1024 * 1024;
-
-        /** Concurrent connection cap; 503 beyond it. */
-        unsigned maxConnections = 64;
-
-        /** Per-connection socket read/write timeout. */
-        unsigned ioTimeoutSeconds = 30;
     };
 
     HttpServer() = default;
@@ -112,7 +98,10 @@ class HttpServer
      * Bind, listen, and start the accept loop on a background
      * thread.  @p handler runs on a per-connection thread and may
      * block (the sweep endpoint does); malformed requests are
-     * answered with 400/413/431/503 before it is ever called.
+     * answered before it is ever called: 400, 431 past a 64 KiB
+     * request line and headers, 413 past an 8 MiB body, and 503
+     * past 64 open connections.  A connection's socket reads and
+     * writes time out after 30 s.
      */
     Status start(const Options &options, Handler handler);
 
@@ -160,18 +149,17 @@ struct HttpClientResponse
 };
 
 /**
- * Blocking one-shot HTTP/1.1 client: connect, send one request,
- * read the response (Content-Length or to connection close),
- * disconnect.  IoError Status on connect/socket failures; an HTTP
- * error status from the server is NOT a Status error — callers
- * check response.status.
+ * Blocking one-shot HTTP/1.1 client: connect, send one request
+ * (a body goes as application/json), read the response
+ * (Content-Length or to connection close), disconnect; the socket
+ * times out after 60 s.  IoError Status on connect/socket failures;
+ * an HTTP error status from the server is NOT a Status error —
+ * callers check response.status.
  */
 Expected<HttpClientResponse>
 httpFetch(const std::string &host, std::uint16_t port,
           const std::string &method, const std::string &target,
-          const std::string &body = "",
-          const std::string &content_type = "application/json",
-          unsigned timeout_seconds = 60);
+          const std::string &body = "");
 
 } // namespace uatm::serve
 

@@ -189,7 +189,7 @@ SweepService::runSweep(const SweepRequest &request)
 std::string
 SweepService::metricsText() const
 {
-    return registry_.dumpPrometheus("uatm");
+    return registry_.dumpPrometheus();
 }
 
 } // namespace uatm::serve

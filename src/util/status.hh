@@ -244,6 +244,23 @@ valueOrFatal(Expected<T> expected)
     return std::move(expected).value();
 }
 
+/**
+ * CLI-boundary main: run @p body, converting an escaping
+ * StatusError into a clean fatal() exit, so a recoverable library
+ * error never surfaces as an uncaught exception (std::terminate,
+ * exit 134).
+ */
+template <typename Fn>
+int
+guardedMain(Fn &&body)
+{
+    try {
+        return std::forward<Fn>(body)();
+    } catch (const StatusError &e) {
+        fatal(e.status().message());
+    }
+}
+
 } // namespace uatm
 
 #endif // UATM_UTIL_STATUS_HH

@@ -1,9 +1,10 @@
-# Fails when a fatal() call appears in the paper model's sources
-# (src/core, src/linesize and src/cpu), the trace substrate's
-# (src/trace), or the utility and observability layers' (src/util,
-# src/obs), comments stripped: the library rejects its inputs
-# through Status and StatusError, and only the CLI and bench
-# boundaries exit (DESIGN.md §7).
+# Fails when a fatal() call, or a call of the CLI helpers that end
+# the process through it (okOrFatal, valueOrFatal), appears in the
+# paper model's sources (src/core, src/linesize and src/cpu), the
+# trace substrate's (src/trace), or the utility and observability
+# layers' (src/util, src/obs), comments stripped: the library
+# rejects its inputs through Status and StatusError, and only the
+# CLI and bench boundaries exit (DESIGN.md §7).
 #
 #   cmake -DROOT=<source tree> -P model_fatal_guard.cmake
 
@@ -18,6 +19,9 @@ set(allowed
     "src/util/logging.hh" "src/util/logging.cc"
     # The helpers a command-line program ends a failed run with.
     "src/util/status.hh:okOrFatal" "src/util/status.hh:valueOrFatal"
+    # The one main wrapper that ends a program on an escaping
+    # StatusError.
+    "src/util/status.hh:guardedMain"
     # Where a benchmark exits when it cannot make its output
     # directory.
     "src/obs/bench.cc:benchOutDir")
@@ -81,12 +85,14 @@ foreach(path IN LISTS sources)
         string(SUBSTRING "${rest}" ${end} -1 rest)
         set(code "${head}${rest}")
     endforeach()
-    if(code MATCHES "(^|[^A-Za-z0-9_])fatal[ \t\r\n]*\\(")
+    if(code MATCHES
+       "(^|[^A-Za-z0-9_])(fatal|okOrFatal|valueOrFatal)[ \t\r\n]*\\(")
         string(APPEND offenders "  ${name}\n")
     endif()
 endforeach()
 
 if(offenders)
-    message(FATAL_ERROR "fatal() called in the library; return "
-                        "or throw a Status instead:\n${offenders}")
+    message(FATAL_ERROR "fatal(), okOrFatal() or valueOrFatal() "
+                        "called in the library; return or throw a "
+                        "Status instead:\n${offenders}")
 endif()

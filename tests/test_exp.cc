@@ -259,25 +259,6 @@ TEST(Runner, ZeroThreadsMeansHardwareConcurrency)
     EXPECT_EQ(runner.effectiveThreads(1), 1u);
 }
 
-TEST(Runner, KernelExceptionPropagatesUnderFailFast)
-{
-    Scenario scenario("throws");
-    scenario.sweep("i", {0, 1, 2, 3},
-                   [](Point &, const AxisValue &) {});
-    Runner runner(RunnerOptions{2, /*failFast=*/true});
-    EXPECT_THROW(
-        runner.run(scenario, {"x"},
-                   [](const Point &point) -> std::vector<Cell> {
-                       if (point.index == 2)
-                           throw std::runtime_error("boom");
-                       return {Cell::num(1.0)};
-                   }),
-        std::runtime_error);
-    // Regression: stats must reflect the aborted run, not go stale.
-    EXPECT_EQ(runner.lastStats().pointCount, 4u);
-    EXPECT_GE(runner.lastStats().pointsFailed, 1u);
-}
-
 TEST(Runner, FaultIsolationEmitsErrorRows)
 {
     Scenario scenario("isolated");
@@ -389,43 +370,39 @@ TEST(Runner, StatusReturnAndStatusErrorKeepTheirCodes)
     EXPECT_EQ(runner.lastStats().pointsFailed, 2u);
 }
 
-/** A distinct exception type for checking fail-fast rethrow. */
-struct BespokeError : std::runtime_error
+TEST(Runner, FirstFailureIsTheSameAtAnyThreadCount)
 {
-    BespokeError() : std::runtime_error("bespoke") {}
-};
+    // A kernel's own exception never escapes the run: it becomes
+    // the point's error row, and firstFailure() hands the caller
+    // that wants to stop the first failure in point order.
+    const auto kernel = [](const Point &point) -> std::vector<Cell> {
+        if (point.index == 2)
+            throw std::length_error("cannot create std::vector "
+                                    "larger than max_size()");
+        return {Cell::num(1.0)};
+    };
+    std::vector<std::string> csv;
+    for (unsigned threads : {1u, 4u}) {
+        Scenario scenario("length");
+        scenario.sweep("i", {0, 1, 2, 3},
+                       [](Point &, const AxisValue &) {});
+        Runner runner(RunnerOptions{threads});
+        const ResultTable table = runner.run(scenario, {"x"}, kernel);
+        ASSERT_EQ(table.rows(), 4u);
+        EXPECT_EQ(table.at(2, 1).str(), "!kernel_error");
+        EXPECT_FALSE(table.at(3, 1).isError());
+        csv.push_back(table.renderCsv());
 
-TEST(Runner, FailFastRethrowsTheOriginalException)
-{
-    Scenario scenario("failfast");
-    scenario.sweep("i", {0, 1, 2, 3},
-                   [](Point &, const AxisValue &) {});
-    Runner runner(RunnerOptions{2, /*failFast=*/true});
-    EXPECT_THROW(
-        runner.run(scenario, {"x"},
-                   [](const Point &point) -> std::vector<Cell> {
-                       if (point.index == 1)
-                           throw BespokeError();
-                       return {Cell::num(1.0)};
-                   }),
-        BespokeError);
-}
-
-TEST(Runner, FailFastWrapsStatusReturnsAsStatusError)
-{
-    Scenario scenario("failfast-status");
-    scenario.sweep("i", {0, 1},
-                   [](Point &, const AxisValue &) {});
-    Runner runner(RunnerOptions{1, /*failFast=*/true});
-    try {
-        runner.run(scenario, {"x"},
-                   [](const Point &) -> Expected<std::vector<Cell>> {
-                       return Status::invalidArgument("bad input");
-                   });
-        FAIL() << "expected StatusError";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), ErrorCode::InvalidArgument);
+        const RunnerTelemetry &stats = runner.lastStats();
+        EXPECT_EQ(stats.pointsFailed, 1u);
+        // Every point is timed, the failed one too.
+        EXPECT_EQ(stats.points.size(), 4u);
+        const Status first = stats.firstFailure();
+        EXPECT_EQ(first.code(), ErrorCode::KernelError);
+        EXPECT_EQ(first.message(),
+                  "cannot create std::vector larger than max_size()");
     }
+    EXPECT_EQ(csv[0], csv[1]);
 }
 
 TEST(Runner, TracerNoLongerForcesSerialAndArmsTelemetry)
@@ -458,9 +435,8 @@ TEST(Scenarios, ParallelPhiMatchesSerial)
     PhiExperiment experiment;
     experiment.refs = 20000;
 
-    const auto serial = measurePhiAllProfiles(experiment);
-    const auto parallel =
-        measurePhiAllProfilesParallel(experiment, 4);
+    const auto serial = measurePhiAllProfiles(experiment, 1);
+    const auto parallel = measurePhiAllProfiles(experiment, 4);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -547,7 +523,7 @@ TEST(Scenarios, PhiThrowsTheFirstFailedProfile)
     experiment.cache.lineBytes = 2;
     experiment.refs = 2000;
     EXPECT_TRUE(throwsStatus(
-        [&] { measurePhiAllProfilesParallel(experiment, 2); },
+        [&] { measurePhiAllProfiles(experiment, 2); },
         ErrorCode::InvalidArgument,
         "line size 2 must be a power of two"));
 }

@@ -12,6 +12,7 @@
 #include "core/tradeoff.hh"
 #include "cpu/phi_measurement.hh"
 #include "cpu/timing_engine.hh"
+#include "exp/scenarios.hh"
 #include "trace/generators.hh"
 
 namespace uatm {
@@ -177,7 +178,7 @@ TEST(Integration, PhiOrderingAcrossFeatures)
         exp.feature = f;
         exp.cycleTime = mu;
         exp.refs = 30000;
-        return measurePhiAllProfiles(exp).back().phi;
+        return exp::measurePhiAllProfiles(exp).back().phi;
     };
     for (Cycles mu : {4u, 12u, 24u}) {
         const double bl = average(StallFeature::BL, mu);
@@ -202,10 +203,10 @@ TEST(Integration, PhiGrowsWithMemoryCycleTime)
         exp.refs = 30000;
         exp.cycleTime = 4;
         const double at4 =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfiles(exp).back().percentOfFull;
         exp.cycleTime = 24;
         const double at24 =
-            measurePhiAllProfiles(exp).back().percentOfFull;
+            exp::measurePhiAllProfiles(exp).back().percentOfFull;
         EXPECT_GT(at24, at4) << stallFeatureName(f);
     }
 }
@@ -221,7 +222,7 @@ TEST(Integration, Bnl3ReducesReadMissLatency)
     exp.feature = StallFeature::BNL3;
     exp.cycleTime = 8; // < 15 cycles, the claim's regime
     exp.refs = 40000;
-    const auto avg = measurePhiAllProfiles(exp).back();
+    const auto avg = exp::measurePhiAllProfiles(exp).back();
     const double reduction = 1.0 - avg.phi / 8.0;
     EXPECT_GT(reduction, 0.10);
     EXPECT_LT(reduction, 0.50);

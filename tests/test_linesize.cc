@@ -101,6 +101,21 @@ TEST(DelayModel, FromNanosecondsNamesInputsWhoseCyclesOverflow)
         "number of "));
 }
 
+TEST(DelayModel, FromNanosecondsNamesInputsRoundedToNoCycles)
+{
+    // A huge cycle time makes c = 360 / 1e308 + 1 exactly 1, which
+    // Eq. 13 refused later in words nobody typed; a tiny bus time
+    // likewise rounds beta to 0.
+    EXPECT_TRUE(throwsStatus(
+        [] { LineDelayModel::fromNanoseconds(360, 15, 1e308, 8); },
+        ErrorCode::InvalidArgument,
+        "the delay 360 ns + 15 ns/byte (D = 8 bytes) rounds to 0 CPU "
+        "cycles of 1e+308 ns"));
+    EXPECT_TRUE(throwsStatus(
+        [] { LineDelayModel::fromNanoseconds(360, 1e-320, 1e10, 8); },
+        ErrorCode::InvalidArgument, "rounds to 0 CPU cycles"));
+}
+
 TEST(DelayModel, RejectsLatencyBelowTheHitTime)
 {
     EXPECT_TRUE(isStatus(model(-0.5, 2).validate(),

@@ -70,7 +70,7 @@ main(int argc, char **argv)
     flags.add("max-queue", server_options.service.maxQueueDepth,
               "admitted-request cap (429 beyond it)");
     flags.add("cache-capacity", server_options.service.cache.capacity,
-              "in-memory point cache entries");
+              "in-memory point cache entries", 1);
     flags.add("cache-dir", server_options.service.cache.dir,
               "on-disk point cache directory");
 
