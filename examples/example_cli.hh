@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared command-line plumbing for the example binaries: the
- * --workload / --seed pair and the --threads / --format / --out /
- * --fail-fast flags every scenario-driven example exposes, each
- * bound to the field it fills (obs/flags.hh).
+ * --workload / --seed pair and the --threads / --format / --out
+ * flags every scenario-driven example exposes, each bound to the
+ * field it fills (obs/flags.hh).
  *
  * The examples are the CLI boundary of the error contract: a bad
  * flag and library errors arrive here as Status values or
@@ -66,13 +66,12 @@ struct WorkloadCli
     }
 };
 
-/** The --threads / --format / --out / --fail-fast flags. */
+/** The --threads / --format / --out flags. */
 struct RunnerCli
 {
     unsigned threads = 1;
     std::string formatName = "text";
     std::string out;
-    bool failFast = false;
     exp::TableFormat format = exp::TableFormat::Text;
 
     void bind(obs::Flags &flags)
@@ -83,9 +82,6 @@ struct RunnerCli
                   "result table format: text | csv | json");
         flags.add("out", out,
                   "write the result table here instead of stdout");
-        flags.add("fail-fast", failFast,
-                  "after the run, exit 1 with the first failed point "
-                  "(in point order) instead of printing error rows");
     }
 
     /** parseFlags(), then --format: false after --help. */
@@ -118,16 +114,18 @@ struct RunnerCli
     }
 
     /** The same for the table of @p runner's last run, after one
-     *  warning per failed point behind its error rows; under
-     *  --fail-fast the first failed point, in point order, is
-     *  fatal() instead, once every point has run. */
+     *  warning per failed point behind its error rows.  When any
+     *  point failed, the program then ends with one fatal() line
+     *  counting them, so a failed point exits 1. */
     void emit(const exp::ResultTable &table,
               const exp::Runner &runner) const
     {
-        if (failFast)
-            okOrFatal(runner.lastStats().firstFailure());
-        runner.lastStats().warnFailures();
+        const exp::RunnerTelemetry &stats = runner.lastStats();
+        stats.warnFailures();
         emit(table);
+        if (stats.pointsFailed > 0)
+            fatal(stats.pointsFailed, " of ", stats.pointCount,
+                  " points failed");
     }
 };
 

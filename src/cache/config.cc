@@ -84,6 +84,12 @@ CacheConfig::validate() const
         return Status::invalidArgument(
             "line size ", lineBytes, " must be a power of two >= 4");
     }
+    if (numLines() > kMaxLines) {
+        return Status::invalidArgument(
+            "cache size ", sizeBytes, " with ", lineBytes,
+            "-byte lines is ", numLines(), " lines, more than the ",
+            kMaxLines, " one cache may hold");
+    }
     if (assoc == 0)
         return Status::invalidArgument("associativity must be positive");
     const std::uint64_t way_bytes =

@@ -51,6 +51,13 @@ const char *replacementKindName(ReplacementKind kind);
  */
 struct CacheConfig
 {
+    /** The most lines one cache may hold, 2^22: a 64 MiB line
+     *  array at 16 B a line, and 256x the 16384 lines of the largest
+     *  cache a program sweeps (512 KiB of 32 B lines).  validate()
+     *  refuses a larger cache, naming its size, before anything is
+     *  allocated. */
+    static constexpr std::uint64_t kMaxLines = std::uint64_t{1} << 22;
+
     std::uint64_t sizeBytes = 8 * 1024;
     std::uint32_t assoc = 2;
     std::uint32_t lineBytes = 32;
@@ -67,8 +74,8 @@ struct CacheConfig
     std::uint64_t numLines() const;
 
     /** OK when the geometry is realisable (powers of two, assoc
-     *  divides capacity, line >= 4 bytes); InvalidArgument with
-     *  the first violation otherwise. */
+     *  divides capacity, line >= 4 bytes, at most kMaxLines
+     *  lines); InvalidArgument with the first violation otherwise. */
     Status validate() const;
 
     /** "8KB 2-way 32B WA/WB LRU" style summary. */

@@ -6,9 +6,6 @@
 #include "exp/param_map.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "obs/json.hh"
@@ -126,24 +123,6 @@ ParamValue::render() const
 
 namespace {
 
-/** strtod over the whole of @p text; nullopt on trailing junk and
- *  NaN, and with @p out_of_range set on an infinity ("inf", or an
- *  overflow such as "1e999"). */
-std::optional<double>
-parseFullDouble(const std::string &text, bool &out_of_range)
-{
-    out_of_range = false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || std::isnan(v))
-        return std::nullopt;
-    if (std::isinf(v)) {
-        out_of_range = true;
-        return std::nullopt;
-    }
-    return v;
-}
-
 /**
  * The value @p v's rendering (obs::JsonWriter::formatNumber, 12
  * significant digits) parses back to.  A point key carries only
@@ -160,73 +139,21 @@ asRendered(double v)
 } // namespace
 
 Expected<ParamValue>
-ParamValue::parse(Type type, std::string_view text)
+ParamValue::fromJson(const obs::JsonValue &value,
+                     const obs::JsonPath &path)
 {
-    const std::string value(text);
-    switch (type) {
-      case Type::String:
-        return ofString(value);
-      case Type::Bool: {
-        std::string lower = value;
-        std::transform(lower.begin(), lower.end(), lower.begin(),
-                       [](unsigned char c) {
-                           return static_cast<char>(
-                               std::tolower(c));
-                       });
-        if (lower == "1" || lower == "true" || lower == "yes")
-            return ofBool(true);
-        if (lower == "0" || lower == "false" || lower == "no")
-            return ofBool(false);
-        return Status::parseError("'", value,
-                                  "' is not a bool (expected "
-                                  "1/0/true/false/yes/no)");
-      }
-      case Type::Int: {
-        char *end = nullptr;
-        errno = 0;
-        const long long v =
-            std::strtoll(value.c_str(), &end, 10);
-        if (end != value.c_str() && *end == '\0') {
-            if (errno == ERANGE) {
-                return Status::outOfRange(
-                    "'", value,
-                    "' overflows a 64-bit integer");
-            }
-            return ofInt(v);
-        }
-        // Scientific shorthand ("1e6") is common for record
-        // counts; accept it when the value is integral.
-        bool range = false;
-        const auto d = parseFullDouble(value, range);
-        if (range) {
-            return Status::outOfRange(
-                "'", value, "' overflows a 64-bit integer");
-        }
-        if (!d || *d != std::floor(*d)) {
-            return Status::parseError("'", value,
-                                      "' is not an integer");
-        }
-        const auto n = obs::exactInt(*d);
-        if (!n) {
-            return Status::outOfRange(
-                "'", value, "' overflows a 64-bit integer");
-        }
-        return ofInt(*n);
-      }
-      case Type::Double: {
-        bool range = false;
-        const auto d = parseFullDouble(value, range);
-        if (range) {
-            return Status::outOfRange("'", value,
-                                      "' overflows a double");
-        }
-        if (!d)
-            return Status::parseError("'", value,
-                                      "' is not a number");
-        return ofDouble(asRendered(*d));
-      }
+    if (value.isString())
+        return ofString(value.asString());
+    if (value.isBool())
+        return ofBool(value.asBool());
+    if (value.isNumber()) {
+        const double v = asRendered(value.asNumber());
+        if (const auto n = obs::exactInt(v))
+            return ofInt(*n);
+        return ofDouble(v);
     }
-    return Status::invalidArgument("unknown param type");
+    return path.error("must be a string, number or bool (got ",
+                      obs::describeJson(value), ")");
 }
 
 Expected<ParamValue>
@@ -382,20 +309,10 @@ ParamMap::fromJson(const obs::JsonValue &value, const obs::JsonPath &path)
         value, path,
         [&map](const std::string &name, const obs::JsonValue &member,
                const obs::JsonPath &at) {
-            if (member.isString()) {
-                map.setString(name, member.asString());
-            } else if (member.isBool()) {
-                map.setBool(name, member.asBool());
-            } else if (member.isNumber()) {
-                const double v = asRendered(member.asNumber());
-                if (const auto n = obs::exactInt(v))
-                    map.setInt(name, *n);
-                else
-                    map.setDouble(name, v);
-            } else {
-                return at.error("must be a string, number or bool (got ",
-                                obs::describeJson(member), ")");
-            }
+            auto param = ParamValue::fromJson(member, at);
+            if (!param.ok())
+                return param.status();
+            map.set(name, std::move(param).value());
             return Status();
         });
     if (!status.ok())

@@ -10,8 +10,9 @@
  * strings, writeJson()/fromJson() feed the WorkloadSpec
  * serialization contract (DESIGN.md §10).
  *
- * Parsing ("0.99" -> Double, "1e6" -> Int) reports format and
- * range problems as Status values, never fatal(): a mistyped
+ * A value is read from JSON, by one rule whether it arrives in a
+ * document or in a --workload string (WorkloadSpec::parse), and a
+ * problem with it is a Status value, never fatal(): a mistyped
  * parameter in a sweep must degrade to a typed error row.
  */
 
@@ -20,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/status.hh"
@@ -73,14 +73,15 @@ class ParamValue
     std::string render() const;
 
     /**
-     * Parse @p text as a @p type value.  Ints accept decimal and
-     * scientific forms with an integral value ("1e6"); overflow is
-     * OutOfRange and a malformed number is ParseError.  A Double
-     * holds the value its render() parses back to, as a number
-     * read by ParamMap::fromJson does.
+     * Read one JSON value: a string, a bool, or a number, which is
+     * read as the value its rendering (obs::JsonWriter::formatNumber)
+     * parses back to, so equal renderings hold equal values, and
+     * becomes an Int when that value is integral ("1e6"), else a
+     * Double.  Null, an array or an object is a ParseError naming
+     * @p path.  The declared type is applied later, by coerce().
      */
-    static Expected<ParamValue> parse(Type type,
-                                      std::string_view text);
+    static Expected<ParamValue> fromJson(const obs::JsonValue &value,
+                                         const obs::JsonPath &path);
 
     /**
      * This value as @p target type.  Identity for a matching type;
@@ -144,11 +145,7 @@ class ParamMap
     void writeJson(obs::JsonWriter &writer) const;
 
     /**
-     * Read a JSON object: strings, bools, and numbers (integral
-     * numbers become Int, others Double).  A number is read as the
-     * value its rendering (obs::JsonWriter::formatNumber) parses
-     * back to, so equal renderings hold equal values.
-     * Null/array/object members are a ParseError naming @p path;
+     * Read a JSON object, each member by ParamValue::fromJson();
      * obs::parseJson already refuses a number that overflows a
      * double.
      */

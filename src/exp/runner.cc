@@ -8,12 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -36,27 +32,12 @@ nsBetween(Clock::time_point from, Clock::time_point to)
             .count());
 }
 
-/** UATM_PROGRESS: 0/unset = off, numeric N = every N points,
- *  any other non-"0" value = auto interval. */
-std::size_t
-envProgressEvery()
-{
-    const char *env = std::getenv("UATM_PROGRESS");
-    if (!env || !*env || std::string_view(env) == "0")
-        return 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(env, &end, 10);
-    if (end && *end == '\0' && value > 0)
-        return static_cast<std::size_t>(value);
-    return 1;
-}
-
 /**
  * Replay the run's record into the (single-threaded) tracer
  * as one track per worker: point spans named by their coordinate
- * label, idle gaps between them, all timestamps in microseconds
- * relative to the pool start.
+ * label, idle gaps between them, all timestamps in wall-clock
+ * microseconds relative to the pool start (recordWall(), so the
+ * export keeps them apart from the engine's cycle clock).
  */
 void
 emitWorkerSpans(obs::EventTracer &tracer,
@@ -74,8 +55,8 @@ emitWorkerSpans(obs::EventTracer &tracer,
                 : 0;
         // Instant marker so every worker gets a named track even
         // when it never won a point (short grids, few cores).
-        tracer.record(startName, track, cursorNs / 1000, 0,
-                      worker.worker);
+        tracer.recordWall(startName, track, cursorNs / 1000, 0,
+                          worker.worker);
         for (const auto &point : telemetry.points) {
             if (point.worker != worker.worker)
                 continue;
@@ -83,14 +64,14 @@ emitWorkerSpans(obs::EventTracer &tracer,
                 const std::uint64_t gapUs =
                     (point.startNs - cursorNs) / 1000;
                 if (gapUs > 0)
-                    tracer.record(idleName, track,
-                                  cursorNs / 1000, gapUs);
+                    tracer.recordWall(idleName, track,
+                                      cursorNs / 1000, gapUs);
             }
-            tracer.record(tracer.intern(point.label), track,
-                          point.startNs / 1000,
-                          std::max<std::uint64_t>(
-                              point.durationNs / 1000, 1),
-                          point.index);
+            tracer.recordWall(tracer.intern(point.label), track,
+                              point.startNs / 1000,
+                              std::max<std::uint64_t>(
+                                  point.durationNs / 1000, 1),
+                              point.index);
             cursorNs = std::max(cursorNs,
                                 point.startNs + point.durationNs);
         }
@@ -103,8 +84,8 @@ emitWorkerSpans(obs::EventTracer &tracer,
             const std::uint64_t gapUs =
                 (workerEndNs - cursorNs) / 1000;
             if (gapUs > 0)
-                tracer.record(idleName, track, cursorNs / 1000,
-                              gapUs);
+                tracer.recordWall(idleName, track, cursorNs / 1000,
+                                  gapUs);
         }
     }
 }
@@ -160,15 +141,6 @@ Runner::run(const Scenario &scenario,
     // failures land by index, not by completion order.
     std::vector<std::optional<Status>> errors(points.size());
     std::atomic<std::size_t> next{0};
-
-    // Progress heartbeat: 1 means auto-size the interval to ~5%
-    // of the grid so big sweeps print ~20 lines, small ones one.
-    std::size_t heartbeatEvery = envProgressEvery();
-    if (heartbeatEvery == 1)
-        heartbeatEvery =
-            std::max<std::size_t>(1, points.size() / 20);
-    std::atomic<std::size_t> completed{0};
-    std::mutex progressMutex;
 
     const unsigned lanes = std::max(threads, 1u);
 
@@ -227,37 +199,6 @@ Runner::run(const Scenario &scenario,
             ++tel.points;
             timings[i] = PointTiming{
                 i, lane, nsBetween(wallStart, start), durationNs, {}};
-            if (heartbeatEvery) {
-                const std::size_t done =
-                    completed.fetch_add(
-                        1, std::memory_order_relaxed) +
-                    1;
-                if (done % heartbeatEvery == 0 ||
-                    done == points.size()) {
-                    const double elapsed =
-                        static_cast<double>(nsBetween(
-                            wallStart, Clock::now())) /
-                        1e9;
-                    const double rate =
-                        elapsed > 0.0
-                            ? static_cast<double>(done) / elapsed
-                            : 0.0;
-                    const double eta =
-                        rate > 0.0
-                            ? static_cast<double>(points.size() -
-                                                  done) /
-                                  rate
-                            : 0.0;
-                    std::lock_guard<std::mutex> lock(
-                        progressMutex);
-                    std::fprintf(
-                        stderr,
-                        "uatm runner [%s]: %zu/%zu points, "
-                        "%.0f points/s, ETA %.1fs\n",
-                        scenario.name().c_str(), done,
-                        points.size(), rate, eta);
-                }
-            }
         }
         tel.lifetimeNs = nsBetween(lifeStart, Clock::now());
         const std::uint64_t busy = tel.kernelNs + tel.acquireNs;

@@ -39,10 +39,6 @@
  * (obs/perf_counters.hh) and records its lifetime counter deltas;
  * otherwise, and on hosts that forbid perf_event_open, the lanes
  * carry counters.available == false and nothing else changes.
- *
- * UATM_PROGRESS=1 adds a stderr heartbeat — done/total, points/s,
- * ETA — that never touches the merged table, so output stays
- * byte-identical.
  */
 
 #ifndef UATM_EXP_RUNNER_HH

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "exp/workload_registry.hh"
+#include "obs/flags.hh"
 #include "obs/json.hh"
 #include "trace/generators.hh"
 #include "trace/ifetch.hh"
@@ -124,27 +125,27 @@ WorkloadSpec::parse(std::string_view arg, std::uint64_t seed)
     auto pairs = parseKeyValueList(rest);
     if (!pairs.ok())
         return pairs.status();
+    const std::string document =
+        "workload method '" + spec.method + "' params";
     for (const auto &pair : pairs.value()) {
         const ParamSpec *declared = found->param(pair.key);
-        if (!declared) {
-            // resolve() renders the authoritative message with
-            // the declared-param list.
-            ParamMap unknown;
-            unknown.setString(pair.key, pair.value);
-            return registry.resolve(spec.method, unknown).status();
+        // A string param takes its text as typed; resolve() renders
+        // the authoritative message for an undeclared one.
+        if (!declared || declared->type == ParamValue::Type::String) {
+            spec.params.setString(pair.key, pair.value);
+            continue;
         }
-        auto value = ParamValue::parse(declared->type, pair.value);
-        if (!value.ok()) {
-            return Status::error(value.status().code(),
-                                 "workload method '", spec.method,
-                                 "' param '", pair.key,
-                                 "': ", value.status().message());
-        }
+        auto value = ParamValue::fromJson(
+            obs::parseTypedText(pair.value),
+            obs::JsonPath(document).key(pair.key));
+        if (!value.ok())
+            return value.status();
         spec.params.set(pair.key, std::move(value).value());
     }
 
-    // Surface bad values eagerly; the spec itself stays minimal
-    // (only the explicitly given params).
+    // resolve() coerces each value to its declared type, as it does
+    // for a JSON spec; the spec itself stays minimal (only the
+    // explicitly given params, as read).
     auto resolved = registry.resolve(spec.method, spec.params);
     if (!resolved.ok())
         return resolved.status();

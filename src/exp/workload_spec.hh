@@ -71,6 +71,8 @@ struct WorkloadSpec
      *  seeded from @ref seed). */
     bool withIFetch = false;
 
+    bool operator==(const WorkloadSpec &) const = default;
+
     /** Spec for any registered @p method. */
     static WorkloadSpec of(std::string method,
                            ParamMap params = {},
@@ -88,13 +90,16 @@ struct WorkloadSpec
 
     /**
      * Parse a "<method>[:k=v,...]" CLI argument (the shared
-     * --workload syntax).  Param values are parsed against the
-     * method's declared types, so "ycsb-a:theta=0.99,records=1e6"
-     * works and "ycsb:theta=oops" is a typed error.  Bare Spec92
-     * profile names ("doduc") and "shortlevy" are accepted as
-     * shorthands for spec92:profile=... and short-levy.  A double
-     * param holds the value its rendering parses back to, as one
-     * read by fromJson() does.
+     * --workload syntax).  A declared string param takes its text
+     * as typed.  Any other param's text is read as a flag's is, as
+     * a JSON value or else a JSON string (obs::parseTypedText), and
+     * becomes what a JSON "params" member of that text gives
+     * (ParamValue::fromJson), so the spec equals the one fromJson()
+     * reads from the same params: "ycsb-a:theta=0.99,records=1e6"
+     * works, and "ycsb:theta=oops" or "theta=.5" is a typed error,
+     * as in JSON.  Bare Spec92 profile names ("doduc") and
+     * "shortlevy" are accepted as shorthands for
+     * spec92:profile=... and short-levy.
      */
     static Expected<WorkloadSpec> parse(std::string_view arg,
                                         std::uint64_t seed = 1);

@@ -12,6 +12,15 @@
 
 namespace uatm::obs {
 
+JsonValue
+parseTypedText(std::string_view text)
+{
+    JsonParseResult parsed = parseJson(text);
+    if (!parsed)
+        parsed = parseJson(JsonWriter::escape(text));
+    return std::move(parsed.value);
+}
+
 Flags::Flags(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
 {

@@ -34,6 +34,14 @@
 namespace uatm::obs {
 
 /**
+ * @p text as a JSON value when it parses as one, else as a JSON
+ * string: the rule for typed text that is not a string, a flag's
+ * value (readFlag()) or a --workload param's
+ * (exp::WorkloadSpec::parse).
+ */
+JsonValue parseTypedText(std::string_view text);
+
+/**
  * Convert one flag value's @p text into @p out by the rule above;
  * a std::vector<std::string> appends it.  @p extra narrows an
  * integer to [lo, hi], as readJson() takes it.
@@ -50,10 +58,7 @@ readFlag(std::string_view text, const JsonPath &path, T &out,
         out.emplace_back(text);
         return Status();
     } else {
-        JsonParseResult parsed = parseJson(text);
-        if (!parsed)
-            parsed = parseJson(JsonWriter::escape(text));
-        return readJson(parsed.value, path, out, extra...);
+        return readJson(parseTypedText(text), path, out, extra...);
     }
 }
 

@@ -6,7 +6,6 @@
 
 #include "obs/perf_counters.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/json.hh"
@@ -215,8 +214,7 @@ scaleDelta(const PerfReading &begin, const PerfReading &end)
 bool
 perfArmed()
 {
-    const char *env = std::getenv("UATM_PERF");
-    return env && *env && std::string_view(env) != "0";
+    return envSwitch("UATM_PERF");
 }
 
 #if defined(__linux__)

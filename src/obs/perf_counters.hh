@@ -234,8 +234,9 @@ class PerfCounterGroup
     std::string reason_;
 };
 
-/** UATM_PERF set non-empty and not "0": arms counter collection
- *  on profile scopes (and the profile registry itself). */
+/** The UATM_PERF switch (envSwitch()), read at each call: arms
+ *  counter collection on profile scopes (and the profile registry
+ *  itself) and on runner workers. */
 bool perfArmed();
 
 /**

@@ -7,7 +7,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
+
+#include "util/logging.hh"
 
 namespace uatm::obs {
 
@@ -29,16 +30,10 @@ histogramNamed(StatRegistry &stats, const std::string &name,
 
 ProfileRegistry::ProfileRegistry()
 {
-    if (const char *env = std::getenv("UATM_PROFILE");
-        env && *env && std::string_view(env) != "0") {
-        enabled_ = true;
-    }
     // UATM_PERF arms per-scope counters and implies profiling:
     // counters without scopes would have nowhere to go.
-    if (perfArmed()) {
-        enabled_ = true;
-        counters_ = true;
-    }
+    counters_ = perfArmed();
+    enabled_ = envSwitch("UATM_PROFILE") || counters_;
 }
 
 ProfileRegistry &

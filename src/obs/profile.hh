@@ -13,8 +13,11 @@
  *
  * Disabled by default: the timer constructor is an inline check of
  * one cached bool, so scattering scopes over hot paths is free
- * until UATM_PROFILE is set in the environment (which also dumps
- * the histograms to stderr at exit) or setEnabled(true) is called.
+ * until UATM_PROFILE=1 arms the registry (which also dumps the
+ * histograms to stderr at exit) or setEnabled(true) is called.
+ * UATM_PROFILE and UATM_PERF are switches (util/logging.hh
+ * envSwitch()): any value but 1, 0 or empty warns and leaves the
+ * switch off.
  *
  * UATM_PERF additionally records each timed interval's counter
  * deltas from the calling thread's threadPerfCounters() group, one

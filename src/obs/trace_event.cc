@@ -94,33 +94,46 @@ EventTracer::toChromeJson() const
 {
     // Stable tid per category so each stall class gets its own
     // track in the viewer.  Counter samples attach to the process
-    // (their track is named by the event, not a thread).
-    std::map<std::string, int> tids;
+    // (their track is named by the event, not a thread).  Each
+    // clock is one process: the engine's cycles pid 0, the runner's
+    // wall-clock spans pid 1.
+    const auto pidOf = [](const TraceEvent &event) {
+        return event.wall ? 1 : 0;
+    };
+    std::map<std::string, std::pair<int, int>> tracks;  // pid, tid
     const auto all = events();
+    bool wall = false;
     for (const auto &event : all) {
-        if (!event.counter)
-            tids.emplace(event.category,
-                         static_cast<int>(tids.size()) + 1);
+        wall |= event.wall;
+        if (!event.counter) {
+            const int tid = static_cast<int>(tracks.size()) + 1;
+            tracks.emplace(event.category, std::pair(pidOf(event), tid));
+        }
     }
 
     JsonWriter w;
     w.beginObject();
     w.key("traceEvents").beginArray();
 
-    w.beginObject()
-        .keyValue("name", "process_name")
-        .keyValue("ph", "M")
-        .keyValue("pid", 0)
-        .key("args").beginObject()
-        .keyValue("name", "uatm timing engine (1 cycle = 1us)")
-        .endObject()
-        .endObject();
-    for (const auto &[category, tid] : tids) {
+    const auto processName = [&w](int pid, const char *name) {
+        w.beginObject()
+            .keyValue("name", "process_name")
+            .keyValue("ph", "M")
+            .keyValue("pid", pid)
+            .key("args").beginObject()
+            .keyValue("name", name)
+            .endObject()
+            .endObject();
+    };
+    processName(0, "uatm timing engine (1 cycle = 1us)");
+    if (wall)
+        processName(1, "uatm runner (wall clock)");
+    for (const auto &[category, track] : tracks) {
         w.beginObject()
             .keyValue("name", "thread_name")
             .keyValue("ph", "M")
-            .keyValue("pid", 0)
-            .keyValue("tid", tid)
+            .keyValue("pid", track.first)
+            .keyValue("tid", track.second)
             .key("args").beginObject()
             .keyValue("name", category)
             .endObject()
@@ -131,7 +144,7 @@ EventTracer::toChromeJson() const
         w.beginObject()
             .keyValue("name", event.name)
             .keyValue("cat", event.category)
-            .keyValue("pid", 0);
+            .keyValue("pid", pidOf(event));
         if (event.counter) {
             w.keyValue("ts", event.start)
                 .keyValue("ph", "C")
@@ -141,7 +154,7 @@ EventTracer::toChromeJson() const
                 .endObject();
             continue;
         }
-        w.keyValue("tid", tids.at(event.category))
+        w.keyValue("tid", tracks.at(event.category).second)
             .keyValue("ts", event.start);
         if (event.duration == 0) {
             w.keyValue("ph", "i").keyValue("s", "t");
@@ -158,7 +171,10 @@ EventTracer::toChromeJson() const
     w.keyValue("displayTimeUnit", "ms");
     w.key("otherData").beginObject()
         .keyValue("schema_version", kTraceSchemaVersion)
-        .keyValue("clock", "CPU cycles rendered as microseconds")
+        .key("clocks").beginObject()
+        .keyValue("0", "CPU cycles rendered as microseconds")
+        .keyValue("1", "wall-clock microseconds")
+        .endObject()
         .keyValue("events_recorded", recorded())
         .keyValue("events_dropped", dropped())
         .endObject();

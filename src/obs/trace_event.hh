@@ -8,7 +8,10 @@
  * into a fixed-capacity ring buffer of POD events.  The buffer can
  * be exported as Chrome trace_event JSON, so any run is loadable in
  * Perfetto (https://ui.perfetto.dev) or chrome://tracing; one
- * simulated CPU cycle is displayed as one microsecond.
+ * simulated CPU cycle is displayed as one microsecond.  The runner's
+ * per-worker spans (recordWall()) are wall-clock microseconds, so
+ * they go in a Chrome process of their own, pid 1, beside the
+ * engine's cycle-clock events on pid 0.
  *
  * Cost model: when disabled, record() is an inline early-out on a
  * single bool — cheap enough to leave call sites unconditional in
@@ -35,7 +38,7 @@ namespace uatm::obs {
 class StatRegistry;
 
 /** Bumped whenever the exported trace layout changes shape. */
-constexpr int kTraceSchemaVersion = 1;
+constexpr int kTraceSchemaVersion = 2;
 
 /**
  * One traced interval or counter sample.  Name/category must be
@@ -45,12 +48,15 @@ struct TraceEvent
 {
     const char *name = nullptr;
     const char *category = nullptr;
-    std::uint64_t start = 0;     ///< begin, in CPU cycles
+    std::uint64_t start = 0;     ///< begin, in CPU cycles (or µs)
     std::uint64_t duration = 0;  ///< length; 0 = instant event
     std::uint64_t arg = 0;       ///< line address, or the counter value
     /** Counter sample ("ph":"C"): arg is the series value at
      *  start, rendered as a counter track in the viewer. */
     bool counter = false;
+    /** Wall-clock span (recordWall()): start and duration are
+     *  microseconds, exported under pid 1. */
+    bool wall = false;
 };
 
 class EventTracer
@@ -73,17 +79,8 @@ class EventTracer
            std::uint64_t start, std::uint64_t duration,
            std::uint64_t arg = 0)
     {
-        if (!enabled_)
-            return;
-        TraceEvent &slot = ring_[head_];
-        slot.name = name;
-        slot.category = category;
-        slot.start = start;
-        slot.duration = duration;
-        slot.arg = arg;
-        slot.counter = false;
-        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-        ++recorded_;
+        if (enabled_)
+            push({name, category, start, duration, arg, false, false});
     }
 
     /**
@@ -97,17 +94,23 @@ class EventTracer
                   std::uint64_t value,
                   const char *category = "counter")
     {
-        if (!enabled_)
-            return;
-        TraceEvent &slot = ring_[head_];
-        slot.name = name;
-        slot.category = category;
-        slot.start = ts;
-        slot.duration = 0;
-        slot.arg = value;
-        slot.counter = true;
-        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-        ++recorded_;
+        if (enabled_)
+            push({name, category, ts, 0, value, true, false});
+    }
+
+    /**
+     * Record one wall-clock interval on @p track, in microseconds:
+     * a runner worker's point span, idle gap or start marker.
+     * Exported in its own Chrome process (pid 1), since its clock
+     * is not the engine's.  Inline no-op while disabled.
+     */
+    void
+    recordWall(const char *name, const char *track,
+               std::uint64_t startUs, std::uint64_t durationUs,
+               std::uint64_t arg = 0)
+    {
+        if (enabled_)
+            push({name, track, startUs, durationUs, arg, false, true});
     }
 
     /** Events currently buffered (<= capacity). */
@@ -153,6 +156,14 @@ class EventTracer
     bool writeChromeJson(const std::string &path) const;
 
   private:
+    void
+    push(const TraceEvent &event)
+    {
+        ring_[head_] = event;
+        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+        ++recorded_;
+    }
+
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;        ///< next write position
     std::uint64_t recorded_ = 0;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <ctime>
 #include <mutex>
+#include <set>
 
 namespace uatm {
 
@@ -29,28 +30,38 @@ initialLogLevel()
     return LogLevel::Inform;
 }
 
-bool
-initialTimestamps()
+/**
+ * @p slot, set by @p fromEnv() on first use.  Until then it holds
+ * its constant-initialised default, so a warning printed during the
+ * read (a bad value warns, and every warning consults the level and
+ * the stamp) finds a value instead of re-entering the read.  A line
+ * logged by another thread at that moment may see the default.
+ */
+template <typename T, typename Read>
+std::atomic<T> &
+readOnce(std::atomic<T> &slot, std::atomic<bool> &read, Read fromEnv)
 {
-    const char *env = std::getenv("UATM_LOG_TIMESTAMPS");
-    if (!env || !*env)
-        return false;
-    const std::string_view v(env);
-    return v != "0" && v != "false" && v != "off" && v != "no";
+    if (!read.load(std::memory_order_acquire) &&
+        !read.exchange(true, std::memory_order_acq_rel))
+        slot.store(fromEnv(), std::memory_order_relaxed);
+    return slot;
 }
 
 std::atomic<LogLevel> &
 levelSlot()
 {
-    static std::atomic<LogLevel> level{initialLogLevel()};
-    return level;
+    static std::atomic<LogLevel> level{LogLevel::Inform};
+    static std::atomic<bool> read{false};
+    return readOnce(level, read, initialLogLevel);
 }
 
 std::atomic<bool> &
 timestampSlot()
 {
-    static std::atomic<bool> stamps{initialTimestamps()};
-    return stamps;
+    static std::atomic<bool> stamps{false};
+    static std::atomic<bool> read{false};
+    return readOnce(stamps, read,
+                    [] { return envSwitch("UATM_LOG_TIMESTAMPS"); });
 }
 
 /** "2026-08-06T12:34:56Z " or "" when timestamps are off. */
@@ -111,6 +122,28 @@ logLevelName(LogLevel level)
         return "inform";
     }
     return "unknown";
+}
+
+bool
+envSwitch(const char *name)
+{
+    const char *env = std::getenv(name);
+    const std::string_view value = env ? env : "";
+    if (value == "1")
+        return true;
+    if (value.empty() || value == "0")
+        return false;
+    static std::mutex warnedMutex;
+    static std::set<std::string> warned;
+    bool first = false;
+    {
+        std::lock_guard<std::mutex> guard(warnedMutex);
+        first = warned.insert(std::string(name) + '=' + env).second;
+    }
+    if (first)
+        warn(name, " must be 1 or 0 (got \"", value,
+             "\"); leaving it off");
+    return false;
 }
 
 bool

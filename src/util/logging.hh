@@ -9,10 +9,11 @@
  *
  * Runtime filtering: UATM_LOG_LEVEL=quiet|warn|inform (or
  * setLogLevel()) picks the highest severity that still prints;
- * the default is inform.  panic()/fatal() always print.  UATM_LOG_TIMESTAMPS=1 (or
- * setLogTimestamps(true)) prefixes every line with an ISO-8601
+ * the default is inform.  panic()/fatal() always print.
+ * UATM_LOG_TIMESTAMPS=1, a switch read by envSwitch() (or
+ * setLogTimestamps(true)), prefixes every line with an ISO-8601
  * UTC timestamp for correlating long bench runs with external
- * monitoring.
+ * monitoring.  Both variables are read at the first line logged.
  */
 
 #ifndef UATM_UTIL_LOGGING_HH
@@ -54,6 +55,15 @@ LogLevel logLevelFromString(std::string_view name,
                             LogLevel fallback = LogLevel::Inform);
 
 const char *logLevelName(LogLevel level);
+
+/**
+ * The environment switch @p name (UATM_PROFILE, UATM_PERF,
+ * UATM_LOG_TIMESTAMPS), read at each call: "1" turns it on, and
+ * unset, empty or "0" leave it off.  Any other value leaves it off
+ * too, after a warning naming the variable and the value, once per
+ * process for each such value.
+ */
+bool envSwitch(const char *name);
 
 /** Whether log lines carry a UTC timestamp prefix. */
 bool logTimestamps();

@@ -2,13 +2,11 @@
 # exits EXIT (default 1) with "PREFIX: MESSAGE" on stderr (PREFIX
 # defaults to "uatm: fatal"), and never aborts.  With RECORDS set,
 # two BENCH records go after the flags, the second with its one
-# benchmark 3x slower, so a gate left working would fail them.  With
-# ALONE set, that line must be all the program prints: nothing on
-# stdout, and no other line on stderr.
+# benchmark 3x slower, so a gate left working would fail them.
 #
 #   cmake -DTOOL=<binary> "-DFLAGS=<flags>" "-DMESSAGE=<text>"
 #         [-DEXIT=<status>] [-DPREFIX=<text>] [-DRECORDS=<dir>]
-#         [-DALONE=ON] -P rejected_input_cli.cmake
+#         -P rejected_input_cli.cmake
 
 if(NOT DEFINED EXIT)
     set(EXIT 1)
@@ -41,9 +39,4 @@ endif()
 string(FIND "${err}" "${PREFIX}: ${MESSAGE}" at)
 if(at EQUAL -1)
     message(FATAL_ERROR "no '${PREFIX}: ${MESSAGE}' on stderr:\n${err}")
-endif()
-if(ALONE AND (NOT out STREQUAL ""
-              OR NOT err STREQUAL "${PREFIX}: ${MESSAGE}\n"))
-    message(FATAL_ERROR "expected '${PREFIX}: ${MESSAGE}' as the only "
-                        "output, got stdout:\n${out}\nstderr:\n${err}")
 endif()

@@ -332,12 +332,19 @@ TEST(PerfArmed, FollowsEnvironment)
 
     unsetenv("UATM_PERF");
     EXPECT_FALSE(perfArmed());
+    setenv("UATM_PERF", "", 1);
+    EXPECT_FALSE(perfArmed());
     setenv("UATM_PERF", "0", 1);
     EXPECT_FALSE(perfArmed());
     setenv("UATM_PERF", "1", 1);
     EXPECT_TRUE(perfArmed());
+    // A switch is 1 or 0: "yes" leaves it off, with a warning.
     setenv("UATM_PERF", "yes", 1);
-    EXPECT_TRUE(perfArmed());
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(perfArmed());
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "uatm: warn: UATM_PERF must be 1 or 0 (got \"yes\"); "
+              "leaving it off\n");
 
     if (saved)
         setenv("UATM_PERF", restore.c_str(), 1);

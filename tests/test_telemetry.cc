@@ -16,11 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "cpu/timing_engine.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/telemetry.hh"
 #include "obs/json.hh"
 #include "obs/trace_event.hh"
+#include "trace/source.hh"
 
 using namespace uatm;
 using namespace uatm::exp;
@@ -353,25 +355,6 @@ TEST(RunnerTelemetry, SchemaV1DocumentsStillParse)
               "in [1, 3] (got 0)");
 }
 
-TEST(RunnerTelemetry, ProgressHeartbeatKeepsResultsByteIdentical)
-{
-    // The heartbeat writes to stderr only; the merged table must
-    // be byte-identical with and without it.
-    const std::string quiet = [&] {
-        Runner runner(RunnerOptions{2});
-        return runner
-            .run(fourPointScenario(), {"x"}, trivialKernel())
-            .renderCsv();
-    }();
-    setenv("UATM_PROGRESS", "2", 1);
-    Runner runner(RunnerOptions{2});
-    const std::string loud =
-        runner.run(fourPointScenario(), {"x"}, trivialKernel())
-            .renderCsv();
-    unsetenv("UATM_PROGRESS");
-    EXPECT_EQ(loud, quiet);
-}
-
 TEST(CounterScaling, DetectsContentionSignatures)
 {
     RunnerTelemetry lo;
@@ -565,6 +548,57 @@ TEST(RunnerTelemetry, TracedParallelRunEmitsPerWorkerTracks)
     EXPECT_TRUE(categories.count("runner worker 1"));
     // One span per point, named by the point's label.
     EXPECT_EQ(pointSpans, 4u);
+}
+
+TEST(RunnerTelemetry, TracedRunKeepsTheWallClockApartFromCycles)
+{
+    // A serial run leaves the tracer live, so the engine's events
+    // (CPU cycles) and the runner's spans (wall-clock microseconds)
+    // land in one trace.  Each clock is its own Chrome process.
+    obs::EventTracer &tracer = obs::globalTracer();
+    tracer.clear();
+    tracer.setEnabled(true);
+    Runner runner(RunnerOptions{1});
+    runner.run(fourPointScenario("traced-engine"), {"fills"},
+               [](const Point &point) -> Expected<std::vector<Cell>> {
+                   CacheConfig cache;
+                   cache.sizeBytes = 256;
+                   cache.lineBytes = 32;
+                   MemoryConfig memory;
+                   memory.busWidthBytes = 4;
+                   memory.cycleTime = 8;
+                   TimingEngine engine(cache, memory,
+                                       WriteBufferConfig{0, true},
+                                       CpuConfig{});
+                   Trace trace;
+                   trace.append(MemoryReference{
+                       0x100 * point.index, 0, 4, RefKind::Load});
+                   return std::vector<Cell>{Cell::num(static_cast<double>(
+                       engine.run(trace, 1).fills))};
+               });
+    tracer.setEnabled(false);
+    const auto parsed = obs::parseJson(tracer.toChromeJson());
+    tracer.clear();
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+
+    std::set<double> runnerPids;
+    std::set<double> enginePids;
+    for (const obs::JsonValue &event :
+         parsed.value.at("traceEvents").items()) {
+        if (event.at("ph").asString() == "M")
+            continue;
+        const std::string category = event.at("cat").asString();
+        (category.rfind("runner worker", 0) == 0 ? runnerPids
+                                                  : enginePids)
+            .insert(event.at("pid").asNumber());
+    }
+    EXPECT_EQ(runnerPids, std::set<double>{1});
+    EXPECT_EQ(enginePids, std::set<double>{0});
+    const obs::JsonValue &clocks =
+        parsed.value.at("otherData").at("clocks");
+    EXPECT_EQ(clocks.at("0").asString(),
+              "CPU cycles rendered as microseconds");
+    EXPECT_EQ(clocks.at("1").asString(), "wall-clock microseconds");
 }
 
 TEST(RunDiagnosis, ComputesUtilizationImbalanceAndTopK)

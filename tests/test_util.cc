@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "util/ascii_chart.hh"
 #include "util/file.hh"
@@ -343,6 +345,46 @@ TEST(Logging, SetLevelFiltersLowerSeverities)
     EXPECT_FALSE(detail::levelEnabled(LogLevel::Warn));
     setLogLevel(was);
 }
+
+/** One case per environment switch the programs read. */
+class EnvSwitch : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(EnvSwitch, OnlyOneTurnsItOn)
+{
+    const char *name = GetParam();
+    const char *saved = std::getenv(name);
+    const std::string restore = saved ? saved : "";
+
+    unsetenv(name);
+    EXPECT_FALSE(envSwitch(name));
+    for (const char *off : {"", "0"}) {
+        setenv(name, off, 1);
+        EXPECT_FALSE(envSwitch(name)) << '"' << off << '"';
+    }
+    setenv(name, "1", 1);
+    EXPECT_TRUE(envSwitch(name));
+
+    // Any other value leaves it off, warning once per process,
+    // naming the variable and the value.
+    setenv(name, "false", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(envSwitch(name));
+    EXPECT_FALSE(envSwitch(name));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              std::string("uatm: warn: ") + name +
+                  " must be 1 or 0 (got \"false\"); leaving it off\n");
+
+    if (saved)
+        setenv(name, restore.c_str(), 1);
+    else
+        unsetenv(name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Variables, EnvSwitch,
+                         ::testing::Values("UATM_PROFILE", "UATM_PERF",
+                                           "UATM_LOG_TIMESTAMPS"));
 
 TEST(Logging, TimestampToggle)
 {

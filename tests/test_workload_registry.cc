@@ -16,10 +16,13 @@
 
 #include "cache/sweep.hh"
 #include "exp/param_map.hh"
+#include "exp/point_key.hh"
 #include "exp/runner.hh"
 #include "exp/scenario.hh"
 #include "exp/workload_registry.hh"
 #include "exp/workload_spec.hh"
+#include "obs/flags.hh"
+#include "obs/json.hh"
 #include "trace/file_store.hh"
 #include "trace/generators.hh"
 #include "trace/io.hh"
@@ -35,65 +38,32 @@ namespace {
 
 // ----------------------------------------------------- ParamValue
 
-TEST(ParamValue, ParsesEachDeclaredType)
+TEST(ParamValue, FromJsonReadsEachKind)
 {
-    auto s = ParamValue::parse(ParamValue::Type::String, "abc");
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s.value().asString(), "abc");
+    // The rule a --workload param's text follows: JSON when it
+    // parses as JSON, else a JSON string.  The declared type is
+    // applied later, by coerce().
+    const obs::JsonPath params("params");
+    const auto read = [&params](std::string_view text) {
+        return ParamValue::fromJson(obs::parseTypedText(text),
+                                    params.key("p"));
+    };
+    EXPECT_EQ(read("abc").value(), ParamValue::ofString("abc"));
+    EXPECT_EQ(read("100000").value(), ParamValue::ofInt(100000));
+    EXPECT_EQ(read("1e6").value(), ParamValue::ofInt(1000000));
+    EXPECT_EQ(read("0.99").value(), ParamValue::ofDouble(0.99));
+    EXPECT_EQ(read("true").value(), ParamValue::ofBool(true));
+    // "yes" is a string and "1" an int; no bool param takes either.
+    for (const char *text : {"yes", "1"})
+        EXPECT_FALSE(
+            read(text).value().coerce(ParamValue::Type::Bool).ok())
+            << text;
 
-    auto i = ParamValue::parse(ParamValue::Type::Int, "100000");
-    ASSERT_TRUE(i.ok());
-    EXPECT_EQ(i.value().asInt(), 100000);
-
-    auto d = ParamValue::parse(ParamValue::Type::Double, "0.99");
-    ASSERT_TRUE(d.ok());
-    EXPECT_DOUBLE_EQ(d.value().asDouble(), 0.99);
-
-    auto b = ParamValue::parse(ParamValue::Type::Bool, "true");
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(b.value().asBool());
-}
-
-TEST(ParamValue, IntAcceptsIntegralScientificNotation)
-{
-    auto v = ParamValue::parse(ParamValue::Type::Int, "1e6");
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(v.value().asInt(), 1000000);
-}
-
-TEST(ParamValue, IntOverflowIsOutOfRange)
-{
-    auto v = ParamValue::parse(ParamValue::Type::Int,
-                               "99999999999999999999999");
-    ASSERT_FALSE(v.ok());
-    EXPECT_EQ(v.status().code(), ErrorCode::OutOfRange);
-}
-
-TEST(ParamValue, DoublesMustBeFinite)
-{
-    // A double param holds the value its rendering parses back to,
-    // and no infinity or NaN has a rendering that does.
-    auto nan = ParamValue::parse(ParamValue::Type::Double, "nan");
-    ASSERT_FALSE(nan.ok());
-    EXPECT_EQ(nan.status().code(), ErrorCode::ParseError);
-    for (const char *huge : {"inf", "-inf", "1e999"}) {
-        auto v = ParamValue::parse(ParamValue::Type::Double, huge);
-        ASSERT_FALSE(v.ok()) << huge;
-        EXPECT_EQ(v.status().code(), ErrorCode::OutOfRange) << huge;
-    }
-}
-
-TEST(ParamValue, MalformedNumbersAreParseErrors)
-{
-    for (auto type :
-         {ParamValue::Type::Int, ParamValue::Type::Double}) {
-        auto v = ParamValue::parse(type, "oops");
-        ASSERT_FALSE(v.ok());
-        EXPECT_EQ(v.status().code(), ErrorCode::ParseError);
-    }
-    auto b = ParamValue::parse(ParamValue::Type::Bool, "maybe");
-    ASSERT_FALSE(b.ok());
-    EXPECT_EQ(b.status().code(), ErrorCode::ParseError);
+    const auto null = read("null");
+    ASSERT_FALSE(null.ok());
+    EXPECT_EQ(null.status().code(), ErrorCode::ParseError);
+    EXPECT_EQ(null.status().message(),
+              "params: p must be a string, number or bool (got null)");
 }
 
 TEST(ParamValue, CoercionFollowsTheJsonNumberRules)
@@ -437,6 +407,106 @@ TEST(WorkloadSpecParse, ErrorsAreTypedAndNameTheContext)
     const auto bad_list = WorkloadSpec::parse("ycsb:theta", 1);
     ASSERT_FALSE(bad_list.ok());
     EXPECT_EQ(bad_list.status().code(), ErrorCode::ParseError);
+}
+
+TEST(WorkloadSpecParse, StringParamsTakeTheTextAsTyped)
+{
+    // Even text that reads as JSON stays the string typed.
+    const auto spec =
+        WorkloadSpec::parse("trace:path=1e6,format=\"binary\"", 1);
+    ASSERT_TRUE(spec.ok()) << spec.status().toString();
+    EXPECT_EQ(spec.value().params.getString("path"), "1e6");
+    EXPECT_EQ(spec.value().params.getString("format"), "\"binary\"");
+}
+
+TEST(WorkloadSpecParse, EqualsTheSpecReadFromTheSameJsonParams)
+{
+    // Each k=v reads as the JSON member "k": v does, so the parsed
+    // spec, its JSON and its point key are those of the JSON spec.
+    // "decay=1" reads as the integer 1, as in JSON, which resolve()
+    // widens to the declared double.
+    const struct
+    {
+        const char *arg;
+        const char *json;
+    } cases[] = {
+        {"ycsb-a:records=1e6,theta=0.9",
+         R"({"method": "ycsb-a",)"
+         R"( "params": {"records": 1e6, "theta": 0.9}})"},
+        {"reuse-dist:depth=128,decay=0.9",
+         R"({"method": "reuse-dist",)"
+         R"( "params": {"depth": 128, "decay": 0.9}})"},
+        {"reuse-dist:decay=1",
+         R"({"method": "reuse-dist", "params": {"decay": 1}})"},
+        {"spec92:profile=nasa7",
+         R"({"method": "spec92", "params": {"profile": "nasa7"}})"},
+    };
+    for (const auto &c : cases) {
+        const auto parsed = WorkloadSpec::parse(c.arg, 1);
+        ASSERT_TRUE(parsed.ok()) << c.arg << ": "
+                                 << parsed.status().toString();
+        const auto read = WorkloadSpec::fromJson(c.json);
+        ASSERT_TRUE(read.ok()) << c.json << ": "
+                               << read.status().toString();
+        EXPECT_TRUE(parsed.value() == read.value()) << c.arg;
+        EXPECT_EQ(parsed.value().toJson().value(),
+                  read.value().toJson().value())
+            << c.arg;
+        Point a;
+        a.workload = parsed.value();
+        Point b;
+        b.workload = read.value();
+        const auto keyA = canonicalPointKey(a, "cache/v1");
+        const auto keyB = canonicalPointKey(b, "cache/v1");
+        ASSERT_TRUE(keyA.ok() && keyB.ok()) << c.arg;
+        EXPECT_EQ(keyA.value(), keyB.value()) << c.arg;
+        ASSERT_TRUE(parsed.value().make().ok()) << c.arg;
+    }
+}
+
+TEST(WorkloadSpecParse, TextThatIsNotAJsonValueOfTheTypeIsRefused)
+{
+    // Not JSON numbers, so strings, which no number or bool param
+    // takes; and numbers the declared type cannot hold.  Each names
+    // the param and the text, as the JSON member would.
+    const struct
+    {
+        const char *arg;
+        const char *message;
+    } cases[] = {
+        {"ycsb-a:theta=oops", "param 'theta': expected a double value, "
+                              "got string 'oops'"},
+        {"ycsb-a:theta=.5", "got string '.5'"},
+        {"ycsb-a:theta=0x1p-1", "got string '0x1p-1'"},
+        {"ycsb-a:records=+5000", "param 'records': expected a int "
+                                 "value, got string '+5000'"},
+        {"ycsb-a:theta=nan", "got string 'nan'"},
+        {"ycsb-a:theta=inf", "got string 'inf'"},
+        {"ycsb-a:theta=-inf", "got string '-inf'"},
+        {"ycsb-a:theta=1e999", "got string '1e999'"},
+        {"ycsb-a:records=", "got string ''"},
+        {"ycsb-a:records=0.5", "expected a int value, got double '0.5'"},
+        {"ycsb-a:records=99999999999999999999999",
+         "expected a int value, got double '1e+23'"},
+    };
+    for (const auto &c : cases) {
+        const auto spec = WorkloadSpec::parse(c.arg, 1);
+        ASSERT_FALSE(spec.ok()) << c.arg;
+        EXPECT_EQ(spec.status().code(), ErrorCode::InvalidArgument)
+            << c.arg;
+        EXPECT_NE(spec.status().message().find(c.message),
+                  std::string::npos)
+            << c.arg << ": " << spec.status().message();
+    }
+
+    // A value that is no param kind at all is the reader's
+    // ParseError, in the words a JSON params member gets.
+    const auto null = WorkloadSpec::parse("ycsb-a:theta=null", 1);
+    ASSERT_FALSE(null.ok());
+    EXPECT_EQ(null.status().code(), ErrorCode::ParseError);
+    EXPECT_EQ(null.status().message(),
+              "workload method 'ycsb-a' params: theta must be a "
+              "string, number or bool (got null)");
 }
 
 // --------------------------------------- WorkloadSpec, JSON
