@@ -2,14 +2,14 @@
  * @file
  * Microbenchmarks for the simulation substrate itself, on the
  * obs::BenchSuite harness: reference generation, reading a binary
- * trace file, functional cache access, the cache-size sweep, the
- * write-buffer drain loop, the equivalence solver, and the full
- * timing engine per stalling feature.  These guard the usability of
- * the harness (Figures 1 and 3-5 re-simulate the six profiles at
- * many operating points) and feed the continuous-benchmark
- * pipeline: every run writes BENCH_sim_throughput.json for
- * tools/perf_diff to gate and tools/plot_figures.py --bench to
- * trend.
+ * trace file, functional cache access, the stack-sim pass, the
+ * cache-size sweep, the write-buffer drain loop, the equivalence
+ * solver, and the full timing engine per stalling feature.  These
+ * guard the usability of the harness (Figures 1 and 3-5 re-simulate
+ * the six profiles at many operating points) and feed the
+ * continuous-benchmark pipeline: every run writes
+ * BENCH_sim_throughput.json for tools/perf_diff to gate and
+ * tools/plot_figures.py --bench to trend.
  *
  *   bench_sim_throughput [--filter=<substr>] [--list] [--reps=<n>]
  */
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/stack_sim.hh"
 #include "common.hh"
 #include "core/equivalence.hh"
 #include "cpu/timing_engine.hh"
@@ -43,6 +44,9 @@ constexpr std::uint64_t kAccessBatch = 1u << 16;
 constexpr std::uint64_t kEngineRefs = 10000;
 /** The length of each trace engine_replay captures. */
 constexpr std::uint64_t kReadRefs = 40000;
+/** The stack-sim rows' stream: a little over one offline_sweep
+ *  pass (20k refs, its 2k-ref warm-up included). */
+constexpr std::uint64_t kStackSimRefs = 22000;
 
 void
 registerGeneratorBenchmarks(obs::BenchSuite &suite)
@@ -162,6 +166,47 @@ registerCacheBenchmarks(obs::BenchSuite &suite)
                 auto outcome = cache->access(ref);
                 obs::doNotOptimize(outcome);
             }
+        });
+    }
+
+    // The stack-sim rows time StackSimulator::accessBatch alone on
+    // offline_sweep's size grid (4-512 KiB, 2-way, 32-byte lines):
+    // the stream is generated once, here, and every rep replays it
+    // through a fresh simulator, as runStackSim builds one per pass.
+    auto sweep_trace = std::make_shared<std::vector<MemoryReference>>(
+        Spec92Profile::make("nasa7", 9)->drain(kStackSimRefs));
+    for (WritePolicy write :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+        GeometryGrid grid;
+        grid.write = write;
+        for (std::uint64_t kib = 4; kib <= 512; kib *= 2) {
+            CacheConfig config;
+            config.sizeBytes = kib * 1024;
+            config.assoc = 2;
+            config.lineBytes = 32;
+            config.write = write;
+            grid.addConfig(config);
+        }
+        // Summed across reps for the stat delta.
+        auto visits = std::make_shared<std::uint64_t>(0);
+
+        const std::string name =
+            std::string("cache/stack_sim/") +
+            (write == WritePolicy::WriteBack ? "wb" : "wt");
+        suite.add(name, [sweep_trace, grid,
+                         visits](obs::BenchState &state) {
+            state.setItems(sweep_trace->size());
+            state.setStatsProvider(
+                [visits](obs::StatRegistry &registry) {
+                    registry.addScalar(
+                        "stack_sim.space_visits",
+                        static_cast<double>(*visits),
+                        "set counts the references entered",
+                        "count");
+                });
+            StackSimulator sim(grid);
+            sim.accessBatch(sweep_trace->data(), sweep_trace->size());
+            *visits += sim.spaceVisits();
         });
     }
 

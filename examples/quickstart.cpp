@@ -46,6 +46,10 @@ run(int argc, char **argv)
     cli.bind(flags);
     if (!cli.parse(flags, argc, argv))
         return 0;
+    // Every point would refuse it; refuse it once, before the run.
+    if (!(grid.baseHitRatio >= 0.0 && grid.baseHitRatio <= 1.0))
+        fatal("quickstart: --hit-ratio must be in [0, 1] (got ",
+              grid.baseHitRatio, ")");
     const auto workload = workload_cli.spec();
 
     // 1. Describe the base machine (Sec. 3 vocabulary).

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "obs/profile.hh"
 #include "util/logging.hh"
@@ -172,14 +171,16 @@ StackSimulator::StackSimulator(const GeometryGrid &grid)
         *std::max_element(grid_.assocs.begin(), grid_.assocs.end());
     ascAssocs_ = grid_.assocs;
     std::sort(ascAssocs_.begin(), ascAssocs_.end());
+    // Smallest set count first: the order access() refines in.
+    std::sort(grid_.setCounts.begin(), grid_.setCounts.end());
 
     spaces_.resize(grid_.setCounts.size());
     for (std::size_t i = 0; i < spaces_.size(); ++i) {
         SetSpace &space = spaces_[i];
         space.sets = grid_.setCounts[i];
         space.setMask = space.sets - 1;
-        space.entries.resize(space.sets * maxAssoc_);
-        space.filled.assign(space.sets, 0);
+        space.entries.assign(space.sets * maxAssoc_,
+                             StackEntry{~Addr(0), maxAssoc_ + 1});
         space.loadHist.assign(maxAssoc_ + 1, 0);
         space.storeHist.assign(maxAssoc_ + 1, 0);
         space.writebacks.assign(ascAssocs_.size(), 0);
@@ -210,32 +211,52 @@ StackSimulator::access(const MemoryReference &ref)
     const bool write_back = grid_.write == WritePolicy::WriteBack;
     const std::uint32_t clean = maxAssoc_ + 1;
 
-    for (SetSpace &space : spaces_) {
-        const std::uint64_t set = line & space.setMask;
-        StackEntry *ways = &space.entries[set * maxAssoc_];
-        const std::uint32_t filled = space.filled[set];
+    for (std::size_t i = 0; i < spaces_.size(); ++i) {
+        SetSpace &space = spaces_[i];
+        StackEntry *ways =
+            &space.entries[(line & space.setMask) * maxAssoc_];
 
-        std::uint32_t pos = 0;
-        while (pos < filled && ways[pos].line != line)
-            ++pos;
-        const bool found = pos < filled;
+        if (ways[0].line == line) {
+            // MRU here, so MRU in this and every larger space (set
+            // refinement): distance 0, a hit at every A, nothing
+            // shifts and nothing is evicted.  A write-back store
+            // dirties the MRU entry at every A.  A line MRU at S
+            // and at 2S is dirty at (2S, A) whenever it is at
+            // (S, A), since (2S, A) filled it no later, so the
+            // walk stops at the first entry already dirty at A=1.
+            spaceVisits_ += i + 1;
+            if (write_back && is_store) {
+                for (std::size_t j = i; j < spaces_.size(); ++j) {
+                    SetSpace &larger = spaces_[j];
+                    StackEntry &mru =
+                        larger.entries[(line & larger.setMask) *
+                                       maxAssoc_];
+                    if (mru.minDirtyAssoc == 1)
+                        break;
+                    mru.minDirtyAssoc = 1;
+                }
+            }
+            return;
+        }
 
         // Distance = lines of this set touched since the last
         // access to `line` (clamped: >= maxAssoc_ misses in every
         // grid geometry).  Hit in (S, A) iff distance < A.
-        const std::uint32_t dist = found ? pos : maxAssoc_;
+        std::uint32_t dist = 1;
+        while (dist < maxAssoc_ && ways[dist].line != line)
+            ++dist;
+        const bool found = dist < maxAssoc_;
         ++(is_store ? space.storeHist : space.loadHist)[dist];
 
         // The access moves `line` to depth 1; entries at depths
-        // 1..evict_limit each sink one step, and the one at depth
-        // A leaves geometry (S, A)'s resident top-A — a genuine
-        // eviction there (the cache is full: A <= filled).  Count
-        // the write-back when the evictee is dirty at that A.
-        const std::uint32_t evict_limit = found ? pos : filled;
+        // 1..dist each sink one step, and the one at depth A
+        // leaves geometry (S, A)'s resident top-A.  Count the
+        // write-back when the evictee is dirty at that A (an empty
+        // way is clean at every A).
         if (write_back) {
             for (std::size_t k = 0; k < ascAssocs_.size(); ++k) {
                 const std::uint32_t assoc = ascAssocs_[k];
-                if (assoc > evict_limit)
+                if (assoc > dist)
                     break;
                 if (ways[assoc - 1].minDirtyAssoc <= assoc)
                     ++space.writebacks[k];
@@ -253,20 +274,16 @@ StackSimulator::access(const MemoryReference &ref)
         else if (is_store)
             min_dirty = 1;
         else if (found)
-            min_dirty =
-                std::max(ways[pos].minDirtyAssoc, dist + 1);
+            min_dirty = std::max(ways[dist].minDirtyAssoc, dist + 1);
         else
             min_dirty = clean;
 
-        const std::uint32_t shifted =
-            found ? pos : std::min(filled, maxAssoc_ - 1);
-        if (shifted > 0)
-            std::memmove(ways + 1, ways,
-                         shifted * sizeof(StackEntry));
+        for (std::uint32_t d = found ? dist : maxAssoc_ - 1; d > 0;
+             --d)
+            ways[d] = ways[d - 1];
         ways[0] = StackEntry{line, min_dirty};
-        if (!found && filled < maxAssoc_)
-            space.filled[set] = filled + 1;
     }
+    spaceVisits_ += spaces_.size();
 }
 
 void

@@ -21,6 +21,17 @@
  * store a smaller A has), so the minimum associativity at which the
  * line is dirty fully describes all grid geometries.
  *
+ * Set refinement (Hill & Smith) makes one search per reference
+ * enough in most cases.  Set counts are powers of two and a line's
+ * set is picked by the low bits of its index, so each set at a
+ * larger count holds a subset of the lines of one set at every
+ * smaller count.  A line that is most recently used (MRU) in its
+ * set at count S is therefore MRU at every larger count: distance 0
+ * there, a hit in every grid geometry, with nothing to shift or
+ * evict.  The engine visits set counts from the smallest up and
+ * stops at the first one where the line is MRU; a write-back store
+ * that stops there only marks the MRU entries dirty.
+ *
  * The engine's results are bit-equal to running SetAssocCache per
  * geometry (see tests/test_random_validation.cc);
  * exp::runGeometrySweep, the one geometry-sweep driver, dispatches
@@ -133,31 +144,45 @@ class StackSimulator
     /** Current cumulative per-geometry statistics. */
     GeometryHitSurface surface() const;
 
+    /** The simulated grid, its set counts in ascending order. */
     const GeometryGrid &grid() const { return grid_; }
+
+    /**
+     * Set counts the references so far entered: a reference stops
+     * at the first count where its line is already MRU, so this is
+     * at most accesses x set counts.  Deterministic for a stream.
+     */
+    std::uint64_t spaceVisits() const { return spaceVisits_; }
 
   private:
     /** One line of a per-set recency stack.  minDirtyAssoc is the
      *  smallest grid associativity at which the line is dirty
      *  (maxAssoc_+1 = clean in every geometry); dirtiness is
-     *  monotone non-decreasing in A, so one threshold suffices. */
+     *  monotone non-decreasing in A, so one threshold suffices.
+     *  An empty way holds {~Addr(0), maxAssoc_+1}: no line index
+     *  reaches ~0 (addresses shift right by at least 2), so it never
+     *  matches, and it is clean, so its eviction is no write-back. */
     struct StackEntry
     {
         Addr line;
         std::uint32_t minDirtyAssoc;
     };
 
-    /** The state for one distinct set count. */
+    /** The state for one distinct set count.  spaces_ holds them
+     *  in ascending set-count order, the order access() visits. */
     struct SetSpace
     {
         std::uint64_t sets = 0;
         std::uint64_t setMask = 0;
-        /** MRU-first truncated stacks: [set * maxAssoc_ + depth]. */
+        /** MRU-first truncated stacks: [set * maxAssoc_ + depth],
+         *  full ways first, empty ways after them. */
         std::vector<StackEntry> entries;
-        /** Valid entries per set. */
-        std::vector<std::uint32_t> filled;
         /** Distance histograms, one slot per distance 0..maxAssoc_
          *  (the last slot pools every distance >= maxAssoc_, which
-         *  misses in all grid geometries). */
+         *  misses in all grid geometries).  Slot 0 stays 0: a
+         *  reference at distance 0 stops before it is counted, and
+         *  it hits at every associativity, so surface() never
+         *  reads it. */
         std::vector<std::uint64_t> loadHist;
         std::vector<std::uint64_t> storeHist;
         /** Write-backs per grid associativity (ascending order). */
@@ -177,6 +202,8 @@ class StackSimulator
     std::uint64_t stores_ = 0;
     std::uint64_t instructions_ = 0;
     std::uint64_t storeBytes_ = 0;
+
+    std::uint64_t spaceVisits_ = 0;
 };
 
 /**

@@ -65,6 +65,13 @@ ParamValue::typeName(Type type)
     return "?";
 }
 
+std::string
+ParamValue::typeNameWithArticle(Type type)
+{
+    const std::string name = typeName(type);
+    return (name.find_first_of("aeiou") == 0 ? "an " : "a ") + name;
+}
+
 const std::string &
 ParamValue::asString() const
 {
@@ -168,7 +175,7 @@ ParamValue::coerce(Type target) const
             return ofInt(*n);
     }
     return Status::invalidArgument(
-        "expected a ", typeName(target), " value, got ",
+        "expected ", typeNameWithArticle(target), " value, got ",
         typeName(type_), " '", render(), "'");
 }
 
@@ -234,8 +241,8 @@ ParamMap::require(const std::string &name,
                 "method's defaults?)");
     UATM_ASSERT(value->type() == type, "param '", name,
                 "' accessed as ", ParamValue::typeName(type),
-                " but holds a ",
-                ParamValue::typeName(value->type()));
+                " but holds ",
+                ParamValue::typeNameWithArticle(value->type()));
     return *value;
 }
 

@@ -56,6 +56,10 @@ class ParamValue
     /** "string", "int", "double", "bool". */
     static const char *typeName(Type type);
 
+    /** typeName() after its indefinite article: "an int",
+     *  "a double". */
+    static std::string typeNameWithArticle(Type type);
+
     Type type() const { return type_; }
 
     // Accessors assert the type matches: factories only see maps

@@ -411,10 +411,10 @@ WorkloadRegistry::add(WorkloadMethod method)
         if (spec.def.type() != spec.type) {
             return Status::invalidArgument(
                 "workload method '", method.name, "' param '",
-                spec.name, "' declares a ",
-                ParamValue::typeName(spec.type),
-                " but defaults to a ",
-                ParamValue::typeName(spec.def.type()));
+                spec.name, "' declares ",
+                ParamValue::typeNameWithArticle(spec.type),
+                " but defaults to ",
+                ParamValue::typeNameWithArticle(spec.def.type()));
         }
         for (std::size_t j = i + 1; j < method.params.size();
              ++j) {

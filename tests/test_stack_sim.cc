@@ -100,7 +100,10 @@ TEST(StackSimulatorTest, RejectsInvalidGrid)
     EXPECT_THROW(StackSimulator{grid}, StatusError);
 }
 
-TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
+/** Nine geometries whose eight set counts come unsorted, a
+ *  fully associative cache among them. */
+std::vector<CacheConfig>
+mixedGeometries()
 {
     std::vector<CacheConfig> configs;
     for (std::uint64_t size : {1024ull, 4096ull, 16384ull}) {
@@ -109,7 +112,6 @@ TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
             config.sizeBytes = size;
             config.assoc = assoc;
             config.lineBytes = 32;
-            ASSERT_TRUE(config.validate().ok());
             configs.push_back(config);
         }
     }
@@ -118,8 +120,16 @@ TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
     full.sizeBytes = 1024;
     full.lineBytes = 32;
     full.assoc = 32;
-    ASSERT_EQ(full.numSets(), 1u);
     configs.push_back(full);
+    return configs;
+}
+
+TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
+{
+    const std::vector<CacheConfig> configs = mixedGeometries();
+    for (const CacheConfig &config : configs)
+        ASSERT_TRUE(config.validate().ok()) << config.describe();
+    ASSERT_EQ(configs.back().numSets(), 1u);
 
     GeometryGrid grid;
     for (const CacheConfig &config : configs)
@@ -147,6 +157,74 @@ TEST(StackSimulatorTest, MatchesSetAssocCachePerGeometry)
         expectStatsEqual(stats.value(), caches[i].stats(),
                          configs[i].describe());
     }
+}
+
+TEST(StackSimulatorTest, VisitsStopAtTheFirstMruSpace)
+{
+    // Set counts given unsorted: the simulator visits 1, 4, 16.
+    GeometryGrid grid;
+    grid.setCounts = {4, 1, 16};
+    grid.assocs = {1, 2};
+    StackSimulator sim(grid);
+    EXPECT_EQ(sim.grid().setCounts,
+              (std::vector<std::uint64_t>{1, 4, 16}));
+
+    std::vector<CacheConfig> configs;
+    std::vector<SetAssocCache> caches;
+    caches.reserve(6);
+    for (std::uint64_t sets : {1u, 4u, 16u}) {
+        for (std::uint32_t assoc : grid.assocs) {
+            CacheConfig config;
+            config.lineBytes = 32;
+            config.assoc = assoc;
+            config.sizeBytes = sets * assoc * config.lineBytes;
+            configs.push_back(config);
+            caches.emplace_back(config);
+        }
+    }
+    const auto touch = [&](Addr addr, RefKind kind) {
+        const MemoryReference ref{addr, 0, 4, kind};
+        for (SetAssocCache &cache : caches)
+            cache.access(ref);
+        const std::uint64_t before = sim.spaceVisits();
+        sim.access(ref);
+        return sim.spaceVisits() - before;
+    };
+    // Line 0 is new: an empty way must not match it anywhere.
+    EXPECT_EQ(touch(0x0, RefKind::Load), 3u);
+    // MRU at 1 set, so at 4 and 16 too: one visit, load or store.
+    // The store still dirties line 0 in all three spaces.
+    EXPECT_EQ(touch(0x0, RefKind::Load), 1u);
+    EXPECT_EQ(touch(0x4, RefKind::Store), 1u);
+    EXPECT_EQ(touch(0x20, RefKind::Load), 3u); // line 1 is new
+    // Line 0 sits under line 1 in the one set, but is MRU in its
+    // own set at 4 sets: two visits.
+    EXPECT_EQ(touch(0x0, RefKind::Load), 2u);
+    // Line 4 is new; at 4 sets it evicts the dirty line 0 from
+    // the direct-mapped cache.
+    EXPECT_EQ(touch(0x80, RefKind::Load), 3u);
+    EXPECT_EQ(sim.spaceVisits(), 13u);
+
+    const GeometryHitSurface surface = sim.surface();
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto stats = surface.statsFor(configs[i]);
+        ASSERT_TRUE(stats.ok()) << configs[i].describe();
+        expectStatsEqual(stats.value(), caches[i].stats(),
+                         configs[i].describe());
+    }
+    EXPECT_EQ(surface.stats(4, 1).writebacks, 1u);
+
+    // A longer stream over the unsorted grid of
+    // MatchesSetAssocCachePerGeometry (8 set counts, 1 to 512):
+    // 28835 visits where a search in every space would make 48000.
+    GeometryGrid mixed;
+    for (const CacheConfig &config : mixedGeometries())
+        mixed.addConfig(config);
+    StackSimulator mixed_sim(mixed);
+    auto source = workingSetSource(17);
+    for (int i = 0; i < 6000; ++i)
+        mixed_sim.access(*source->next());
+    EXPECT_EQ(mixed_sim.spaceVisits(), 28835u);
 }
 
 TEST(StackSimulatorTest, MatchesWriteThroughCache)

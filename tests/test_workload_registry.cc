@@ -478,16 +478,16 @@ TEST(WorkloadSpecParse, TextThatIsNotAJsonValueOfTheTypeIsRefused)
                               "got string 'oops'"},
         {"ycsb-a:theta=.5", "got string '.5'"},
         {"ycsb-a:theta=0x1p-1", "got string '0x1p-1'"},
-        {"ycsb-a:records=+5000", "param 'records': expected a int "
+        {"ycsb-a:records=+5000", "param 'records': expected an int "
                                  "value, got string '+5000'"},
         {"ycsb-a:theta=nan", "got string 'nan'"},
         {"ycsb-a:theta=inf", "got string 'inf'"},
         {"ycsb-a:theta=-inf", "got string '-inf'"},
         {"ycsb-a:theta=1e999", "got string '1e999'"},
         {"ycsb-a:records=", "got string ''"},
-        {"ycsb-a:records=0.5", "expected a int value, got double '0.5'"},
+        {"ycsb-a:records=0.5", "expected an int value, got double '0.5'"},
         {"ycsb-a:records=99999999999999999999999",
-         "expected a int value, got double '1e+23'"},
+         "expected an int value, got double '1e+23'"},
     };
     for (const auto &c : cases) {
         const auto spec = WorkloadSpec::parse(c.arg, 1);
