@@ -138,12 +138,11 @@ run(int argc, char **argv)
         spec.withIFetch = ifetch;
         auto source = valueOrFatal(spec.make());
         Trace trace;
-        for (std::uint64_t i = 0; i < refs; ++i) {
-            auto ref = source->next();
-            if (!ref)
-                break;
-            trace.append(*ref);
-        }
+        BatchPump(*source).pumpTo(
+            refs, [&](const MemoryReference *batch, std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i)
+                    trace.append(batch[i]);
+            });
         saveTrace(trace, out, format);
         std::printf("wrote %zu references (%llu instructions) to "
                     "%s\n",
@@ -157,9 +156,8 @@ run(int argc, char **argv)
     if (mode == "inspect") {
         Trace trace = loadTrace(in, format);
         WorkloadProfile profile(32);
-        trace.reset();
-        while (auto ref = trace.next())
-            profile.add(*ref);
+        for (const MemoryReference &ref : trace.refs())
+            profile.add(ref);
         std::fputs(profile.format(in).c_str(), stdout);
         std::printf("  ifetch refs      = %llu\n",
                     static_cast<unsigned long long>(
@@ -174,10 +172,9 @@ run(int argc, char **argv)
         // Compulsory misses are the stream's distinct lines: the
         // footprint at the cache's line size.
         WorkloadProfile profile(config.lineBytes);
-        trace.reset();
-        while (auto ref = trace.next()) {
-            cache.access(*ref);
-            profile.add(*ref);
+        for (const MemoryReference &ref : trace.refs()) {
+            cache.access(ref);
+            profile.add(ref);
         }
 
         std::printf("cache: %s\n%s",

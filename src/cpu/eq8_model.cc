@@ -45,13 +45,10 @@ estimatePhiEq8(TraceSource &source, std::uint64_t max_refs,
     std::uint64_t window_start_instr = 0;
 
     std::uint64_t instr = 0;
-    for (std::uint64_t i = 0; i < max_refs; ++i) {
-        const auto ref = source.next();
-        if (!ref)
-            break;
-        instr += static_cast<std::uint64_t>(ref->gap) + 1;
+    const auto visit = [&](const MemoryReference &ref) {
+        instr += static_cast<std::uint64_t>(ref.gap) + 1;
 
-        const AccessOutcome outcome = cache.access(*ref);
+        const AccessOutcome outcome = cache.access(ref);
 
         if (window_open) {
             const double delta_c = static_cast<double>(
@@ -76,7 +73,7 @@ estimatePhiEq8(TraceSource &source, std::uint64_t max_refs,
                 const std::uint64_t first =
                     (window_addr - window_line) / bus_width_bytes;
                 const std::uint64_t this_chunk =
-                    (ref->addr - window_line) / bus_width_bytes;
+                    (ref.addr - window_line) / bus_width_bytes;
                 const std::uint64_t position =
                     (this_chunk + chunks - first) % chunks;
                 const double arrival =
@@ -113,10 +110,15 @@ estimatePhiEq8(TraceSource &source, std::uint64_t max_refs,
             ++estimate.misses;
             window_open = true;
             window_line = outcome.lineAddr;
-            window_addr = alignDown(ref->addr, bus_width_bytes);
+            window_addr = alignDown(ref.addr, bus_width_bytes);
             window_start_instr = instr;
         }
-    }
+    };
+    BatchPump(source).pumpTo(
+        max_refs, [&](const MemoryReference *refs, std::size_t count) {
+            for (std::size_t i = 0; i < count; ++i)
+                visit(refs[i]);
+        });
 
     if (estimate.misses == 0)
         return estimate;

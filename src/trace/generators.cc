@@ -35,24 +35,6 @@ StrideGenerator::StrideGenerator(const Config &config, Rng rng)
                 "bad element size ", config_.elemSize);
 }
 
-std::optional<MemoryReference>
-StrideGenerator::next()
-{
-    MemoryReference ref;
-    const std::uint64_t pos = index_ % config_.elements;
-    const auto offset = static_cast<std::int64_t>(pos) *
-                        config_.strideBytes;
-    ref.addr = static_cast<Addr>(
-        static_cast<std::int64_t>(config_.base) + offset);
-    ref.addr = alignDown(ref.addr, config_.elemSize);
-    ref.size = static_cast<std::uint8_t>(config_.elemSize);
-    ref.kind = rng_.nextBool(config_.storeFraction) ? RefKind::Store
-                                                    : RefKind::Load;
-    ref.gap = config_.gap.sample(rng_);
-    ++index_;
-    return ref;
-}
-
 void
 StrideGenerator::reset()
 {
@@ -64,9 +46,23 @@ std::size_t
 StrideGenerator::fillBatch(MemoryReference *out,
                            std::size_t max_refs)
 {
-    // Endless stream; the qualified call devirtualises next().
-    for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *StrideGenerator::next();
+    // Endless stream: every batch is full.
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        MemoryReference ref;
+        const std::uint64_t pos = index_ % config_.elements;
+        const auto offset = static_cast<std::int64_t>(pos) *
+                            config_.strideBytes;
+        ref.addr = static_cast<Addr>(
+            static_cast<std::int64_t>(config_.base) + offset);
+        ref.addr = alignDown(ref.addr, config_.elemSize);
+        ref.size = static_cast<std::uint8_t>(config_.elemSize);
+        ref.kind = rng_.nextBool(config_.storeFraction)
+                       ? RefKind::Store
+                       : RefKind::Load;
+        ref.gap = config_.gap.sample(rng_);
+        ++index_;
+        out[i] = ref;
+    }
     return max_refs;
 }
 
@@ -100,33 +96,6 @@ LoopNestGenerator::advanceIteration()
     }
 }
 
-std::optional<MemoryReference>
-LoopNestGenerator::next()
-{
-    MemoryReference ref;
-    ref.size = static_cast<std::uint8_t>(config_.elemSize);
-    ref.gap = config_.gap.sample(rng_);
-    switch (leg_) {
-      case 0:
-        ref.addr = elementAddr(config_.baseA);
-        ref.kind = RefKind::Load;
-        leg_ = 1;
-        break;
-      case 1:
-        ref.addr = elementAddr(config_.baseB);
-        ref.kind = RefKind::Load;
-        leg_ = 2;
-        break;
-      default:
-        ref.addr = elementAddr(config_.baseC);
-        ref.kind = RefKind::Store;
-        leg_ = 0;
-        advanceIteration();
-        break;
-    }
-    return ref;
-}
-
 void
 LoopNestGenerator::reset()
 {
@@ -139,8 +108,30 @@ std::size_t
 LoopNestGenerator::fillBatch(MemoryReference *out,
                              std::size_t max_refs)
 {
-    for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *LoopNestGenerator::next();
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        MemoryReference ref;
+        ref.size = static_cast<std::uint8_t>(config_.elemSize);
+        ref.gap = config_.gap.sample(rng_);
+        switch (leg_) {
+          case 0:
+            ref.addr = elementAddr(config_.baseA);
+            ref.kind = RefKind::Load;
+            leg_ = 1;
+            break;
+          case 1:
+            ref.addr = elementAddr(config_.baseB);
+            ref.kind = RefKind::Load;
+            leg_ = 2;
+            break;
+          default:
+            ref.addr = elementAddr(config_.baseC);
+            ref.kind = RefKind::Store;
+            leg_ = 0;
+            advanceIteration();
+            break;
+        }
+        out[i] = ref;
+    }
     return max_refs;
 }
 
@@ -176,29 +167,6 @@ PointerChaseGenerator::buildPermutation()
         successor_[order[i]] = order[(i + 1) % config_.nodes];
 }
 
-std::optional<MemoryReference>
-PointerChaseGenerator::next()
-{
-    MemoryReference ref;
-    ref.size = static_cast<std::uint8_t>(config_.accessSize);
-    ref.gap = config_.gap.sample(rng_);
-
-    const Addr node_base =
-        config_.base + static_cast<Addr>(node_) * config_.nodeSize;
-    const std::uint32_t field_offset =
-        (field_ * config_.accessSize) %
-        std::max<std::uint32_t>(config_.nodeSize, config_.accessSize);
-    ref.addr = alignDown(node_base + field_offset, config_.accessSize);
-    ref.kind = rng_.nextBool(config_.storeFraction) ? RefKind::Store
-                                                    : RefKind::Load;
-
-    if (++field_ > config_.fieldsPerVisit) {
-        field_ = 0;
-        node_ = successor_[node_];
-    }
-    return ref;
-}
-
 void
 PointerChaseGenerator::reset()
 {
@@ -211,8 +179,30 @@ std::size_t
 PointerChaseGenerator::fillBatch(MemoryReference *out,
                                  std::size_t max_refs)
 {
-    for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *PointerChaseGenerator::next();
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        MemoryReference ref;
+        ref.size = static_cast<std::uint8_t>(config_.accessSize);
+        ref.gap = config_.gap.sample(rng_);
+
+        const Addr node_base = config_.base +
+                               static_cast<Addr>(node_) *
+                                   config_.nodeSize;
+        const std::uint32_t field_offset =
+            (field_ * config_.accessSize) %
+            std::max<std::uint32_t>(config_.nodeSize,
+                                    config_.accessSize);
+        ref.addr = alignDown(node_base + field_offset,
+                             config_.accessSize);
+        ref.kind = rng_.nextBool(config_.storeFraction)
+                       ? RefKind::Store
+                       : RefKind::Load;
+
+        if (++field_ > config_.fieldsPerVisit) {
+            field_ = 0;
+            node_ = successor_[node_];
+        }
+        out[i] = ref;
+    }
     return max_refs;
 }
 
@@ -264,31 +254,6 @@ WorkingSetGenerator::takeNewBlock()
     return block;
 }
 
-std::optional<MemoryReference>
-WorkingSetGenerator::next()
-{
-    Addr block;
-    if (rng_.nextBool(config_.coldFraction)) {
-        // A run of sequential blocks can overtake the bump
-        // allocator, so a "new" block may still be on the stack:
-        // this (rare) path looks it up.
-        block = takeNewBlock();
-        stack_.touch(block);
-    } else {
-        // The sampled depth is the block's position: no scan.
-        block = stack_.promote(reuseDepth_(rng_));
-    }
-
-    MemoryReference ref;
-    ref.addr = block + rng_.nextBelow(wordsPerBlock_) *
-                           config_.accessSize;
-    ref.size = static_cast<std::uint8_t>(config_.accessSize);
-    ref.kind = rng_.nextBool(config_.storeFraction) ? RefKind::Store
-                                                    : RefKind::Load;
-    ref.gap = config_.gap.sample(rng_);
-    return ref;
-}
-
 void
 WorkingSetGenerator::reset()
 {
@@ -300,8 +265,29 @@ std::size_t
 WorkingSetGenerator::fillBatch(MemoryReference *out,
                                std::size_t max_refs)
 {
-    for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *WorkingSetGenerator::next();
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        Addr block;
+        if (rng_.nextBool(config_.coldFraction)) {
+            // A run of sequential blocks can overtake the bump
+            // allocator, so a "new" block may still be on the
+            // stack: this (rare) path looks it up.
+            block = takeNewBlock();
+            stack_.touch(block);
+        } else {
+            // The sampled depth is the block's position: no scan.
+            block = stack_.promote(reuseDepth_(rng_));
+        }
+
+        MemoryReference ref;
+        ref.addr = block + rng_.nextBelow(wordsPerBlock_) *
+                               config_.accessSize;
+        ref.size = static_cast<std::uint8_t>(config_.accessSize);
+        ref.kind = rng_.nextBool(config_.storeFraction)
+                       ? RefKind::Store
+                       : RefKind::Load;
+        ref.gap = config_.gap.sample(rng_);
+        out[i] = ref;
+    }
     return max_refs;
 }
 
@@ -319,41 +305,15 @@ PhaseMixGenerator::PhaseMixGenerator(std::vector<Phase> phases)
     }
 }
 
-std::optional<MemoryReference>
-PhaseMixGenerator::next()
-{
-    // A child may be finite; skip exhausted phases, giving each at
-    // most one chance per call to avoid an infinite loop when all
-    // children are exhausted.
-    for (std::size_t attempts = 0; attempts < phases_.size();
-         ++attempts) {
-        Phase &phase = phases_[current_];
-        if (emitted_ >= phase.length) {
-            emitted_ = 0;
-            current_ = (current_ + 1) % phases_.size();
-            continue;
-        }
-        auto ref = phase.source->next();
-        if (!ref) {
-            emitted_ = 0;
-            current_ = (current_ + 1) % phases_.size();
-            continue;
-        }
-        ++emitted_;
-        return ref;
-    }
-    return std::nullopt;
-}
-
 std::size_t
 PhaseMixGenerator::fillBatch(MemoryReference *out,
                              std::size_t max_refs)
 {
     std::size_t produced = 0;
-    // Phase visits since the last emitted reference; next() gives
-    // each reference at most phases_.size() of them, and matching
-    // that exactly keeps fillBatch equivalent to repeated next()
-    // even on quota boundaries and exhausted children.
+    // A child may be finite.  Phase visits since the last emitted
+    // reference: each reference gets at most phases_.size() of
+    // them, so a call over exhausted children ends, and the walk
+    // is the same however the stream is cut into batches.
     std::size_t attempts = 0;
     while (produced < max_refs && attempts < phases_.size()) {
         Phase &phase = phases_[current_];
@@ -373,8 +333,7 @@ PhaseMixGenerator::fillBatch(MemoryReference *out,
         if (got > 0)
             attempts = 0;
         if (got < want) {
-            // Child exhausted mid-run: advance, like next() would
-            // on its next nullopt.
+            // Child exhausted mid-run: move to the next phase.
             emitted_ = 0;
             current_ = (current_ + 1) % phases_.size();
             ++attempts;

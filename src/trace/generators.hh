@@ -70,7 +70,6 @@ class StrideGenerator : public TraceSource
 
     StrideGenerator(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -108,7 +107,6 @@ class LoopNestGenerator : public TraceSource
 
     LoopNestGenerator(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -149,7 +147,6 @@ class PointerChaseGenerator : public TraceSource
 
     PointerChaseGenerator(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -195,7 +192,6 @@ class WorkingSetGenerator : public TraceSource
 
     WorkingSetGenerator(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -231,7 +227,6 @@ class PhaseMixGenerator : public TraceSource
 
     explicit PhaseMixGenerator(std::vector<Phase> phases);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;

@@ -5,6 +5,8 @@
 
 #include "trace/ifetch.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace uatm {
@@ -61,19 +63,23 @@ IFetchGenerator::takeBranch()
                        2 * config_.meanRunLength));
 }
 
-std::optional<MemoryReference>
-IFetchGenerator::next()
+std::size_t
+IFetchGenerator::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
-    MemoryReference ref;
-    ref.addr = pc_;
-    ref.size = static_cast<std::uint8_t>(config_.fetchBytes);
-    ref.kind = RefKind::IFetch;
-    ref.gap = 0;
+    // Endless stream: every batch is full.
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        MemoryReference ref;
+        ref.addr = pc_;
+        ref.size = static_cast<std::uint8_t>(config_.fetchBytes);
+        ref.kind = RefKind::IFetch;
+        ref.gap = 0;
+        out[i] = ref;
 
-    pc_ += config_.fetchBytes;
-    if (runLeft_ == 0 || --runLeft_ == 0)
-        takeBranch();
-    return ref;
+        pc_ += config_.fetchBytes;
+        if (runLeft_ == 0 || --runLeft_ == 0)
+            takeBranch();
+    }
+    return max_refs;
 }
 
 void
@@ -91,25 +97,31 @@ IFetchInterleaver::IFetchInterleaver(
     UATM_ASSERT(data_ != nullptr, "interleaver needs a data source");
 }
 
-std::optional<MemoryReference>
-IFetchInterleaver::next()
+std::size_t
+IFetchInterleaver::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
-    if (fetchesOwed_ == 0 && !held_) {
-        auto data_ref = data_->next();
-        if (!data_ref)
-            return std::nullopt;
-        // gap non-memory instructions + the load/store itself.
-        fetchesOwed_ = data_ref->gap + 1;
-        data_ref->gap = 0;
-        held_ = *data_ref;
+    std::size_t produced = 0;
+    while (produced < max_refs) {
+        if (fetchesOwed_ == 0 && !held_) {
+            MemoryReference data_ref;
+            if (data_->fillBatch(&data_ref, 1) == 0)
+                break;
+            // gap non-memory instructions + the load/store itself.
+            fetchesOwed_ = data_ref.gap + 1;
+            data_ref.gap = 0;
+            held_ = data_ref;
+        }
+        // The fetches owed, as many as fit, then the data record.
+        const auto fetches = static_cast<std::uint32_t>(
+            std::min<std::size_t>(fetchesOwed_, max_refs - produced));
+        produced += fetch_.fillBatch(out + produced, fetches);
+        fetchesOwed_ -= fetches;
+        if (fetchesOwed_ == 0 && produced < max_refs) {
+            out[produced++] = *held_;
+            held_.reset();
+        }
     }
-    if (fetchesOwed_ > 0) {
-        --fetchesOwed_;
-        return fetch_.next();
-    }
-    auto out = held_;
-    held_.reset();
-    return out;
+    return produced;
 }
 
 void

@@ -55,8 +55,9 @@ class IFetchGenerator : public TraceSource
   public:
     IFetchGenerator(const IFetchConfig &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
+    std::size_t fillBatch(MemoryReference *out,
+                          std::size_t max_refs) override;
 
   private:
     IFetchConfig config_;
@@ -90,8 +91,9 @@ class IFetchInterleaver : public TraceSource
     IFetchInterleaver(std::unique_ptr<TraceSource> data,
                       const IFetchConfig &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
+    std::size_t fillBatch(MemoryReference *out,
+                          std::size_t max_refs) override;
 
   private:
     std::unique_ptr<TraceSource> data_;

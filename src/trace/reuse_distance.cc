@@ -206,38 +206,6 @@ ReuseDistanceWorkload::ReuseDistanceWorkload(const Config &config,
     }
 }
 
-std::optional<MemoryReference>
-ReuseDistanceWorkload::next()
-{
-    const double u = rng_.nextDouble() * cdf_.back();
-    const auto slot = static_cast<std::size_t>(
-        std::upper_bound(cdf_.begin(), cdf_.end(), u) -
-        cdf_.begin());
-
-    std::uint64_t line;
-    if (slot == 0 || slot - 1 >= stack_.size()) {
-        // Cold draw, or a reuse deeper than the stack currently
-        // holds (only possible during warmup): a fresh line, which
-        // is never on the stack.
-        line = nextFreshLine_++;
-        stack_.push(line);
-    } else {
-        line = stack_.promote(slot - 1);
-    }
-
-    const std::uint32_t slots =
-        config_.lineBytes / config_.accessSize;
-    MemoryReference ref;
-    ref.addr = line * config_.lineBytes +
-               rng_.nextBelow(slots) * config_.accessSize;
-    ref.size = static_cast<std::uint8_t>(config_.accessSize);
-    ref.kind = rng_.nextBool(config_.storeFraction)
-                   ? RefKind::Store
-                   : RefKind::Load;
-    ref.gap = config_.gap.sample(rng_);
-    return ref;
-}
-
 void
 ReuseDistanceWorkload::reset()
 {
@@ -250,8 +218,35 @@ std::size_t
 ReuseDistanceWorkload::fillBatch(MemoryReference *out,
                                  std::size_t max_refs)
 {
-    for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *ReuseDistanceWorkload::next();
+    const std::uint32_t slots =
+        config_.lineBytes / config_.accessSize;
+    for (std::size_t i = 0; i < max_refs; ++i) {
+        const double u = rng_.nextDouble() * cdf_.back();
+        const auto slot = static_cast<std::size_t>(
+            std::upper_bound(cdf_.begin(), cdf_.end(), u) -
+            cdf_.begin());
+
+        std::uint64_t line;
+        if (slot == 0 || slot - 1 >= stack_.size()) {
+            // Cold draw, or a reuse deeper than the stack currently
+            // holds (only possible during warmup): a fresh line,
+            // which is never on the stack.
+            line = nextFreshLine_++;
+            stack_.push(line);
+        } else {
+            line = stack_.promote(slot - 1);
+        }
+
+        MemoryReference ref;
+        ref.addr = line * config_.lineBytes +
+                   rng_.nextBelow(slots) * config_.accessSize;
+        ref.size = static_cast<std::uint8_t>(config_.accessSize);
+        ref.kind = rng_.nextBool(config_.storeFraction)
+                       ? RefKind::Store
+                       : RefKind::Load;
+        ref.gap = config_.gap.sample(rng_);
+        out[i] = ref;
+    }
     return max_refs;
 }
 

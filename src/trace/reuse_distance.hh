@@ -105,7 +105,6 @@ class ReuseDistanceWorkload : public TraceSource
 
     ReuseDistanceWorkload(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;

@@ -12,19 +12,6 @@
 
 namespace uatm {
 
-std::size_t
-TraceSource::fillBatch(MemoryReference *out, std::size_t max_refs)
-{
-    std::size_t produced = 0;
-    while (produced < max_refs) {
-        auto ref = next();
-        if (!ref)
-            break;
-        out[produced++] = *ref;
-    }
-    return produced;
-}
-
 std::vector<MemoryReference>
 TraceSource::drain(std::size_t max_refs)
 {
@@ -77,15 +64,6 @@ Trace::countKind(RefKind kind) const
 
 namespace {
 
-/** next() of a cursor at @p cursor over @p refs. */
-std::optional<MemoryReference>
-nextAt(const std::vector<MemoryReference> &refs, std::size_t &cursor)
-{
-    if (cursor >= refs.size())
-        return std::nullopt;
-    return refs[cursor++];
-}
-
 /** fillBatch() of a cursor at @p cursor over @p refs: one memcpy. */
 std::size_t
 copyAt(const std::vector<MemoryReference> &refs, std::size_t &cursor,
@@ -101,12 +79,6 @@ copyAt(const std::vector<MemoryReference> &refs, std::size_t &cursor,
 
 } // namespace
 
-std::optional<MemoryReference>
-Trace::next()
-{
-    return nextAt(refs_, cursor_);
-}
-
 std::size_t
 Trace::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
@@ -117,12 +89,6 @@ SharedTraceCursor::SharedTraceCursor(std::shared_ptr<const Trace> trace)
     : trace_(std::move(trace))
 {
     UATM_ASSERT(trace_, "SharedTraceCursor over no trace");
-}
-
-std::optional<MemoryReference>
-SharedTraceCursor::next()
-{
-    return nextAt(trace_->refs(), cursor_);
 }
 
 std::size_t

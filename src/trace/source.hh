@@ -24,15 +24,13 @@
 namespace uatm {
 
 /**
- * Pull-based producer of memory references.
+ * Pull-based producer of memory references.  fillBatch is the one
+ * pull a stream implements; next() reads a batch of one.
  */
 class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
-
-    /** Next reference, or nullopt when the source is exhausted. */
-    virtual std::optional<MemoryReference> next() = 0;
 
     /** Restart the source from the beginning. */
     virtual void reset() = 0;
@@ -40,14 +38,23 @@ class TraceSource
     /**
      * Fill @p out with up to @p max_refs references, returning the
      * number written — short only when the source is exhausted at
-     * that point.  Exactly equivalent to max_refs next() calls
-     * (the property suite holds every implementation to that), but
-     * overridable so hot consumers like the stack-distance engine
-     * skip the per-reference virtual call.  Mixing fillBatch and
-     * next() on one source is allowed.
+     * that point.  How a stream is cut into batches does not change
+     * it (the property suite holds every implementation to that), so
+     * bulk consumers pull large batches and pay one virtual call per
+     * batch rather than per reference.
      */
     virtual std::size_t fillBatch(MemoryReference *out,
-                                  std::size_t max_refs);
+                                  std::size_t max_refs) = 0;
+
+    /** Next reference, or nullopt when the source is exhausted: a
+     *  fillBatch of one. */
+    std::optional<MemoryReference> next()
+    {
+        MemoryReference ref;
+        if (fillBatch(&ref, 1) == 0)
+            return std::nullopt;
+        return ref;
+    }
 
     /**
      * Drain up to @p max_refs references into a vector.  Useful for
@@ -125,7 +132,6 @@ class Trace : public TraceSource
     /** Number of Load / Store / IFetch records respectively. */
     std::uint64_t countKind(RefKind kind) const;
 
-    std::optional<MemoryReference> next() override;
     void reset() override { cursor_ = 0; }
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -145,7 +151,6 @@ class SharedTraceCursor : public TraceSource
   public:
     explicit SharedTraceCursor(std::shared_ptr<const Trace> trace);
 
-    std::optional<MemoryReference> next() override;
     void reset() override { cursor_ = 0; }
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;

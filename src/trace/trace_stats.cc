@@ -40,12 +40,11 @@ WorkloadProfile::add(const MemoryReference &ref)
 void
 WorkloadProfile::consume(TraceSource &source, std::uint64_t max_refs)
 {
-    for (std::uint64_t i = 0; i < max_refs; ++i) {
-        auto ref = source.next();
-        if (!ref)
-            break;
-        add(*ref);
-    }
+    BatchPump(source).pumpTo(
+        max_refs, [&](const MemoryReference *refs, std::size_t count) {
+            for (std::size_t i = 0; i < count; ++i)
+                add(refs[i]);
+        });
 }
 
 std::uint64_t

@@ -285,8 +285,8 @@ YcsbWorkload::beginOp()
     }
 }
 
-std::optional<MemoryReference>
-YcsbWorkload::next()
+MemoryReference
+YcsbWorkload::step()
 {
     if (refsLeftInOp_ == 0)
         beginOp();
@@ -304,13 +304,12 @@ YcsbWorkload::next()
         key_ = (key_ + 1) % recordCount_;
         return emit(addr, RefKind::Load);
       }
-      case Op::ReadModifyWrite:
+      default: // ReadModifyWrite
         // fieldsPerOp loads, then the write-back of field 0.
         if (refsLeftInOp_ == 0)
             return emit(fieldAddr(key_, 0), RefKind::Store);
         return emit(fieldAddr(key_, field_++), RefKind::Load);
     }
-    return std::nullopt;
 }
 
 void
@@ -328,7 +327,7 @@ std::size_t
 YcsbWorkload::fillBatch(MemoryReference *out, std::size_t max_refs)
 {
     for (std::size_t i = 0; i < max_refs; ++i)
-        out[i] = *YcsbWorkload::next();
+        out[i] = step();
     return max_refs;
 }
 

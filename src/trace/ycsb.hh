@@ -108,7 +108,6 @@ class YcsbWorkload : public TraceSource
 
     YcsbWorkload(const Config &config, Rng rng);
 
-    std::optional<MemoryReference> next() override;
     void reset() override;
     std::size_t fillBatch(MemoryReference *out,
                           std::size_t max_refs) override;
@@ -137,6 +136,9 @@ class YcsbWorkload : public TraceSource
     std::uint64_t refsLeftInOp_ = 0;
 
     void beginOp();
+    /** The in-flight operation's next reference, beginning an
+     *  operation when the last one is done. */
+    MemoryReference step();
     std::uint64_t sampleKey();
     Addr fieldAddr(std::uint64_t key, std::uint32_t field) const;
     MemoryReference emit(Addr addr, RefKind kind);
