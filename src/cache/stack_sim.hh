@@ -97,13 +97,6 @@ class GeometryHitSurface
 
     const GeometryGrid &grid() const { return grid_; }
 
-    /** True when (sets, assoc) is a cell of the grid. */
-    bool has(std::uint64_t sets, std::uint32_t assoc) const;
-
-    /** Stats of one grid cell; asserts the cell exists. */
-    const CacheStats &stats(std::uint64_t sets,
-                            std::uint32_t assoc) const;
-
     /** Stats of @p config's geometry; InvalidArgument when the
      *  config is invalid, mismatches the grid's line size or
      *  policies, or its cell is not in the grid. */

@@ -95,17 +95,20 @@ emitWorkerSpans(obs::EventTracer &tracer,
 Runner::Runner(RunnerOptions options) : options_(options) {}
 
 unsigned
+Runner::requestedThreads() const
+{
+    if (options_.threads != 0)
+        return options_.threads;
+    return std::max(std::thread::hardware_concurrency(), 1u);
+}
+
+unsigned
 Runner::effectiveThreads(std::size_t points) const
 {
-    unsigned threads = options_.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    if (points < threads)
-        threads = points ? static_cast<unsigned>(points) : 1;
-    return threads;
+    const unsigned requested = requestedThreads();
+    if (points < requested)
+        return points ? static_cast<unsigned>(points) : 1;
+    return requested;
 }
 
 ResultTable
@@ -125,11 +128,7 @@ Runner::run(const Scenario &scenario,
                    value_columns.end());
     ResultTable table(scenario.name(), columns);
 
-    unsigned requested =
-        options_.threads ? options_.threads
-                         : std::thread::hardware_concurrency();
-    if (requested == 0)
-        requested = 1;
+    const unsigned requested = requestedThreads();
     const unsigned threads = effectiveThreads(points.size());
 
     obs::EventTracer &tracer = obs::globalTracer();

@@ -97,6 +97,10 @@ class Runner
   private:
     RunnerOptions options_;
     RunnerTelemetry stats_;
+
+    /** options_.threads, or the hardware's concurrency (at least
+     *  1) when that is 0. */
+    unsigned requestedThreads() const;
 };
 
 } // namespace uatm::exp

@@ -478,6 +478,22 @@ class LruInclusion
 {
 };
 
+/** Hits of the (sets, assoc) cell of @p surface, read through
+ *  statsFor, the surface's one lookup. */
+std::uint64_t
+cellHits(const GeometryHitSurface &surface, std::uint64_t sets,
+         std::uint32_t assoc)
+{
+    CacheConfig config;
+    config.lineBytes = surface.grid().lineBytes;
+    config.assoc = assoc;
+    config.sizeBytes = sets * assoc * config.lineBytes;
+    config.write = surface.grid().write;
+    const auto stats = surface.statsFor(config);
+    EXPECT_TRUE(stats.ok()) << stats.status().toString();
+    return stats.ok() ? stats.value().hits : 0;
+}
+
 TEST_P(LruInclusion, HitsNondecreasingInAssocAtFixedSets)
 {
     // Mattson inclusion: at a fixed set count, a wider LRU cache
@@ -502,7 +518,7 @@ TEST_P(LruInclusion, HitsNondecreasingInAssocAtFixedSets)
         std::uint64_t previous = 0;
         for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
             const std::uint64_t hits =
-                surface.stats(sets, assoc).hits;
+                cellHits(surface, sets, assoc);
             EXPECT_GE(hits, previous)
                 << sets << " sets, " << assoc << "-way";
             previous = hits;
@@ -543,7 +559,7 @@ TEST_P(LruInclusion, HitsNondecreasingInSizeAtFixedAssoc)
             std::uint64_t previous = 0;
             for (std::uint64_t sets : grid.setCounts) {
                 const std::uint64_t hits =
-                    surface.stats(sets, assoc).hits;
+                    cellHits(surface, sets, assoc);
                 EXPECT_GE(hits, previous)
                     << sets << " sets, " << assoc << "-way, "
                     << writePolicyName(write);

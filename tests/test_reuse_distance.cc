@@ -152,6 +152,19 @@ synthConfig()
     return config;
 }
 
+/** Hits of the fully associative cache of @p assoc lines on
+ *  @p surface, whose grid has the one set count 1. */
+std::uint64_t
+fullyAssociativeHits(const GeometryHitSurface &surface,
+                     std::uint32_t assoc)
+{
+    CacheConfig cell;
+    cell.lineBytes = surface.grid().lineBytes;
+    cell.assoc = assoc;
+    cell.sizeBytes = std::uint64_t(assoc) * cell.lineBytes;
+    return surface.statsFor(cell).value().hits;
+}
+
 TEST(ReuseDistanceWorkload, SynthesisRoundTripsTheProfile)
 {
     const auto config = synthConfig();
@@ -190,7 +203,7 @@ TEST(ReuseDistanceWorkload, StackSimSeesTheTargetHitRatios)
 
     for (std::uint32_t assoc : grid.assocs) {
         const double hit_ratio =
-            static_cast<double>(surface.stats(1, assoc).hits) /
+            static_cast<double>(fullyAssociativeHits(surface, assoc)) /
             static_cast<double>(kRefs);
         EXPECT_NEAR(hit_ratio, config.profile.cdfAt(assoc), 0.03)
             << "assoc " << assoc;
@@ -225,7 +238,7 @@ TEST(ReuseDistanceWorkload, MeasureAndStackSimAgreeExactly)
             measured.value().cdfAt(assoc) *
             static_cast<double>(kRefs);
         EXPECT_NEAR(
-            static_cast<double>(surface.stats(1, assoc).hits),
+            static_cast<double>(fullyAssociativeHits(surface, assoc)),
             expected_hits, 0.5)
             << "assoc " << assoc;
     }

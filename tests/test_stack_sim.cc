@@ -212,7 +212,8 @@ TEST(StackSimulatorTest, VisitsStopAtTheFirstMruSpace)
         expectStatsEqual(stats.value(), caches[i].stats(),
                          configs[i].describe());
     }
-    EXPECT_EQ(surface.stats(4, 1).writebacks, 1u);
+    // configs[2] is the direct-mapped cache of 4 sets.
+    EXPECT_EQ(surface.statsFor(configs[2]).value().writebacks, 1u);
 
     // A longer stream over the unsorted grid of
     // MatchesSetAssocCachePerGeometry (8 set counts, 1 to 512):
@@ -383,8 +384,8 @@ TEST(WarmupWindowTest, SubtractsEveryCounter)
     grid.addConfig(config);
     const GeometryHitSurface surface =
         runStackSim(grid, *source, 100000, 10000);
-    expectStatsEqual(surface.stats(config.numSets(), config.assoc),
-                     warmed, "stack sim, warmed");
+    expectStatsEqual(surface.statsFor(config).value(), warmed,
+                     "stack sim, warmed");
 }
 
 TEST(SweepFastPathTest, SweepCacheSizeMatchesBruteForce)
