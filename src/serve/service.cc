@@ -101,6 +101,16 @@ SweepService::runSweep(const SweepRequest &request)
             options_.maxPointsPerRequest,
             " (split the sweep into smaller requests)");
     }
+    // Divided, not multiplied: refs may be as large as 2^64 - 1.
+    const std::uint64_t refs = request.scenario.refs;
+    if (points != 0 && refs > kMaxRefsPerRequest / points) {
+        ++requestsFailed_;
+        return Status::outOfRange(
+            "request sweeps ", points, " points of ", refs,
+            " refs, over the limit of ", kMaxRefsPerRequest,
+            " references per request (lower refs or split the "
+            "sweep)");
+    }
 
     // Admission: the slot is taken optimistically and returned on
     // every exit path.  fetch_add keeps the check race-free — two

@@ -12,6 +12,8 @@
  * admission turns overload into typed errors instead of latency:
  *
  *  - more than maxPointsPerRequest points  -> OutOfRange (413);
+ *  - more than kMaxRefsPerRequest references over all points
+ *    (points x refs)                       -> OutOfRange (413);
  *  - more than maxQueueDepth requests already admitted
  *    (running + waiting)                   -> Unavailable (429).
  *
@@ -39,6 +41,15 @@
 #include "util/status.hh"
 
 namespace uatm::serve {
+
+/**
+ * References one request may ask for over all its points: points x
+ * refs, where refs counts the warm-up (a point pulls refs in total).
+ * OutOfRange (HTTP 413) beyond it, so no body makes the daemon run
+ * without bound.  The largest request the point cap admits at the
+ * default refs (4096 x 100000) fits.
+ */
+inline constexpr std::uint64_t kMaxRefsPerRequest = 1ull << 30;
 
 struct ServiceOptions
 {
@@ -79,7 +90,8 @@ class SweepService
 
     /**
      * Execute @p request.  Typed errors: OutOfRange when the sweep
-     * exceeds maxPointsPerRequest, Unavailable when the admission
+     * exceeds maxPointsPerRequest or kMaxRefsPerRequest,
+     * Unavailable when the admission
      * queue is full, NotFound for an unknown kernel name.  The
      * returned table is byte-identical (render for render) across
      * thread counts and across cold/warm cache states.

@@ -933,6 +933,40 @@ TEST(SweepService, OversizedRequestsAreOutOfRange)
     EXPECT_EQ(outcome.status().code(), ErrorCode::OutOfRange);
 }
 
+TEST(SweepService, RequestsOverTheReferenceBudgetAreOutOfRange)
+{
+    serve::ServiceOptions options;
+    options.threads = 1;
+    serve::SweepService service(options);
+    const auto parsed = serve::parseSweepRequest(kRequest);
+    ASSERT_TRUE(parsed.ok());
+    serve::SweepRequest request = parsed.value();
+    ASSERT_EQ(request.scenario.pointCount(), 2u);
+
+    // 2 points of 2^29 + 1 refs ask for 2 references more than
+    // 2^30.  Nothing runs.
+    request.scenario.refs = (std::uint64_t(1) << 29) + 1;
+    auto outcome = service.runSweep(request);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(outcome.status().message(),
+              "request sweeps 2 points of 536870913 refs, over the "
+              "limit of 1073741824 references per request (lower "
+              "refs or split the sweep)");
+    EXPECT_EQ(service.stats().value("serve.requests_failed"), 1.0);
+    EXPECT_EQ(service.stats().value("serve.points_computed"), 0.0);
+    EXPECT_EQ(service.cache().size(), 0u);
+
+    // The largest refs, whose product with 2 would wrap, is
+    // refused too.
+    request.scenario.refs = ~std::uint64_t(0);
+    outcome = service.runSweep(request);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(service.stats().value("serve.requests_failed"), 2.0);
+    EXPECT_EQ(service.stats().value("serve.requests"), 0.0);
+}
+
 TEST(SweepService, FullQueueIsUnavailable)
 {
     serve::ServiceOptions options;
