@@ -48,52 +48,40 @@ constexpr std::uint64_t kReadRefs = 40000;
  *  pass (20k refs, its 2k-ref warm-up included). */
 constexpr std::uint64_t kStackSimRefs = 22000;
 
+/** A row timing kGenBatch references of @p source's stream, pulled
+ *  as every consumer pulls them: fillBatch through BatchPump. */
+void
+addGeneratorRow(obs::BenchSuite &suite, const std::string &name,
+                std::shared_ptr<TraceSource> source)
+{
+    suite.add(name, [source](obs::BenchState &state) {
+        state.setItems(kGenBatch);
+        BatchPump(*source).pumpTo(
+            kGenBatch, [](const MemoryReference *refs, std::size_t n) {
+                obs::doNotOptimize(refs[n - 1]);
+            });
+    });
+}
+
 void
 registerGeneratorBenchmarks(obs::BenchSuite &suite)
 {
-    auto ws = std::make_shared<WorkingSetGenerator>(
-        WorkingSetGenerator::Config{}, Rng(1));
-    suite.add("gen/working_set", [ws](obs::BenchState &state) {
-        state.setItems(kGenBatch);
-        for (std::uint64_t i = 0; i < kGenBatch; ++i) {
-            auto ref = ws->next();
-            obs::doNotOptimize(ref);
-        }
-    });
-
-    std::shared_ptr<TraceSource> spec =
-        Spec92Profile::make("nasa7", 1);
-    suite.add("gen/spec92_nasa7", [spec](obs::BenchState &state) {
-        state.setItems(kGenBatch);
-        for (std::uint64_t i = 0; i < kGenBatch; ++i) {
-            auto ref = spec->next();
-            obs::doNotOptimize(ref);
-        }
-    });
+    addGeneratorRow(suite, "gen/working_set",
+                    std::make_shared<WorkingSetGenerator>(
+                        WorkingSetGenerator::Config{}, Rng(1)));
+    addGeneratorRow(suite, "gen/spec92_nasa7",
+                    Spec92Profile::make("nasa7", 1));
 
     YcsbWorkload::Config ycsb_config;
     ycsb_config.records = 100000;
-    auto ycsb =
-        std::make_shared<YcsbWorkload>(ycsb_config, Rng(1));
-    suite.add("gen/ycsb_a", [ycsb](obs::BenchState &state) {
-        state.setItems(kGenBatch);
-        for (std::uint64_t i = 0; i < kGenBatch; ++i) {
-            auto ref = ycsb->next();
-            obs::doNotOptimize(ref);
-        }
-    });
+    addGeneratorRow(suite, "gen/ycsb_a",
+                    std::make_shared<YcsbWorkload>(ycsb_config, Rng(1)));
 
     ReuseDistanceWorkload::Config reuse_config;
     reuse_config.profile = ReuseProfile::geometric(256, 0.95, 0.02);
-    auto reuse = std::make_shared<ReuseDistanceWorkload>(
-        reuse_config, Rng(1));
-    suite.add("gen/reuse_dist", [reuse](obs::BenchState &state) {
-        state.setItems(kGenBatch);
-        for (std::uint64_t i = 0; i < kGenBatch; ++i) {
-            auto ref = reuse->next();
-            obs::doNotOptimize(ref);
-        }
-    });
+    addGeneratorRow(suite, "gen/reuse_dist",
+                    std::make_shared<ReuseDistanceWorkload>(
+                        reuse_config, Rng(1)));
 }
 
 /** A binary trace file that lives as long as the rows reading it. */
@@ -135,11 +123,9 @@ registerCacheBenchmarks(obs::BenchSuite &suite)
 {
     // The access rows time SetAssocCache::access alone: the stream
     // is generated once, here, and every rep replays it.
-    auto trace = std::make_shared<std::vector<MemoryReference>>();
-    trace->reserve(kAccessBatch);
-    WorkingSetGenerator gen(WorkingSetGenerator::Config{}, Rng(7));
-    for (std::uint64_t i = 0; i < kAccessBatch; ++i)
-        trace->push_back(*gen.next());
+    auto trace = std::make_shared<std::vector<MemoryReference>>(
+        WorkingSetGenerator(WorkingSetGenerator::Config{}, Rng(7))
+            .drain(kAccessBatch));
 
     for (std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
         CacheConfig config;
