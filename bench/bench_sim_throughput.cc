@@ -57,8 +57,8 @@ addGeneratorRow(obs::BenchSuite &suite, const std::string &name,
     suite.add(name, [source](obs::BenchState &state) {
         state.setItems(kGenBatch);
         BatchPump(*source).pumpTo(
-            kGenBatch, [](const MemoryReference *refs, std::size_t n) {
-                obs::doNotOptimize(refs[n - 1]);
+            kGenBatch, [](const MemoryReference *refs, std::size_t) {
+                obs::doNotOptimize(refs);
             });
     });
 }

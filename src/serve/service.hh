@@ -45,8 +45,8 @@ namespace uatm::serve {
 /**
  * References one request may ask for over all its points: points x
  * refs, where refs counts the warm-up (a point pulls refs in total).
- * OutOfRange (HTTP 413) beyond it, so no body makes the daemon run
- * without bound.  The largest request the point cap admits at the
+ * OutOfRange (HTTP 413) beyond it, so no body can ask for unbounded
+ * simulation.  The largest request the point cap admits at the
  * default refs (4096 x 100000) fits.
  */
 inline constexpr std::uint64_t kMaxRefsPerRequest = 1ull << 30;
@@ -91,10 +91,10 @@ class SweepService
     /**
      * Execute @p request.  Typed errors: OutOfRange when the sweep
      * exceeds maxPointsPerRequest or kMaxRefsPerRequest,
-     * Unavailable when the admission
-     * queue is full, NotFound for an unknown kernel name.  The
-     * returned table is byte-identical (render for render) across
-     * thread counts and across cold/warm cache states.
+     * Unavailable when the admission queue is full, NotFound for
+     * an unknown kernel name.  The returned table is byte-identical
+     * (render for render) across thread counts and across cold/warm
+     * cache states.
      */
     Expected<SweepOutcome> runSweep(const SweepRequest &request);
 

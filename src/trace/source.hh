@@ -3,11 +3,11 @@
  * Streaming trace-source interface and the in-memory trace container.
  *
  * Simulation runs of hundreds of millions of references should not
- * require materialising the trace, so generators implement a pull
- * interface; small traces for tests use the Trace container.  A
- * source is a cursor over one stream: reset() rewinds it, and a
- * second, independent cursor over the same stream is another
- * exp::WorkloadSpec::make().
+ * require materialising the trace, so generators implement one pull
+ * method, fillBatch, and consumers pull through BatchPump; small
+ * traces for tests use the Trace container.  A source is a cursor
+ * over one stream: reset() rewinds it, and a second, independent
+ * cursor over the same stream is another exp::WorkloadSpec::make().
  */
 
 #ifndef UATM_TRACE_SOURCE_HH
